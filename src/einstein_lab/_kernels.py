@@ -1,16 +1,9 @@
-"""Hot inner loops: BFS distances and random-walk simulation.
-
-Two interchangeable implementations are provided for each kernel: a
-numba ``@njit`` version and a vectorized pure-numpy version.  The module
-level dispatch picks numba when it is importable, unless the environment
-variable ``EINSTEIN_LAB_NUMBA`` is set to ``0``/``false``/``off``, in
-which case the numpy path is used.  Both paths are bit-identical: they
-share the same counter-based generator (splitmix64-style finalizer keyed
-by ``(seed, walk, step)``) and the same neighbour-selection rule, so a
-simulation result does not depend on which path ran it.
+"""Hot inner loops: BFS distances and random-walk simulation, vectorized
+with numpy.  The walk kernel draws from a counter-based generator
+(splitmix64-style finalizer keyed by ``(seed, walk, step)``), so a
+simulation result does not depend on batching or call order, and the
+scalar generator below reproduces any single draw.
 """
-
-import os
 
 import numpy as np
 
@@ -21,29 +14,13 @@ _MIX2 = 0x94D049BB133111EB
 _INV53 = 2.0 ** -53
 
 
-def _env_wants_numba() -> bool:
-    val = os.environ.get("EINSTEIN_LAB_NUMBA", "").strip().lower()
-    return val not in {"0", "false", "off", "no"}
-
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA and _env_wants_numba()
-
-
 # -- counter-based generator ------------------------------------------------
 #
 # stream_key(seed, walk) = mix(seed ^ mix((walk+1) * GAMMA))
 # u(seed, walk, step)    = mix(stream_key + (step+1) * GAMMA) >> 11, scaled
 #
 # mix is the splitmix64 finalizer; every quantity is a wrapping uint64.
-# The scalar, vector and jitted versions below must stay in lockstep.
+# The scalar and vector versions below must stay in lockstep.
 
 
 def _mix_py(z: int) -> int:
@@ -84,7 +61,7 @@ def _u01_np(keys: np.ndarray, step: int) -> np.ndarray:
 # -- BFS distances -----------------------------------------------------------
 
 
-def bfs_distances_numpy(indptr, indices, source, n):
+def bfs_distances(indptr, indices, source, n):
     """Hop distances from ``source``; frontier expansion with gathers."""
     dist = np.full(n, -1, dtype=np.int32)
     dist[source] = 0
@@ -135,11 +112,11 @@ def multi_source_distances_numpy(indptr, indices, sources, n):
 # index: aug[k] = source_vertex(k) + cum_prob(k), with the last entry of
 # each row forced to source_vertex + 1.0 exactly.  Neighbour choice at
 # vertex v with uniform u is the first k in row v with aug[k] > v + u,
-# clamped to the row end.  Both paths implement exactly this rule.
+# clamped to the row end; walker.step applies the same rule.
 
 
 def build_transition_profile(indptr, indices, weights, mu):
-    """aug array shared by both simulation paths."""
+    """aug array shared by the walk kernel and walker.step."""
     n = indptr.shape[0] - 1
     aug = np.empty(weights.shape[0], dtype=np.float64)
     for v in range(n):
@@ -152,8 +129,8 @@ def build_transition_profile(indptr, indices, weights, mu):
     return aug
 
 
-def simulate_exits_numpy(indptr, indices, aug, in_region, start, n_walks,
-                         step_cap, seed):
+def simulate_exits(indptr, indices, aug, in_region, start, n_walks,
+                   step_cap, seed):
     """Simulate ``n_walks`` killed walks from ``start``; vectorized over walks.
 
     Returns (steps, exit_vertex); exit_vertex is -1 for capped walks and
@@ -181,75 +158,3 @@ def simulate_exits_numpy(indptr, indices, aug, in_region, start, n_walks,
             exit_vertex[done] = nxt[out]
             active = active[~out]
     return steps, exit_vertex
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _mix_nb(z):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
-
-    @numba.njit(cache=True)
-    def _stream_key_nb(seed, walk):
-        pre = _mix_nb((walk + np.uint64(1)) * np.uint64(_GAMMA))
-        return _mix_nb(seed ^ pre)
-
-    @numba.njit(cache=True)
-    def bfs_distances_numba(indptr, indices, source, n):
-        dist = np.full(n, -1, dtype=np.int32)
-        queue = np.empty(n, dtype=np.int64)
-        head = 0
-        tail = 0
-        queue[tail] = source
-        tail += 1
-        dist[source] = 0
-        while head < tail:
-            v = queue[head]
-            head += 1
-            dv = dist[v]
-            for k in range(indptr[v], indptr[v + 1]):
-                w = indices[k]
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue[tail] = w
-                    tail += 1
-        return dist
-
-    @numba.njit(cache=True)
-    def simulate_exits_numba(indptr, indices, aug, in_region, start, n_walks,
-                             step_cap, seed):
-        steps = np.full(n_walks, step_cap, dtype=np.int64)
-        exit_vertex = np.full(n_walks, -1, dtype=np.int64)
-        useed = np.uint64(seed)
-        for w in range(n_walks):
-            key = _stream_key_nb(useed, np.uint64(w))
-            v = start
-            for t in range(step_cap):
-                term = (np.uint64(t) + np.uint64(1)) * np.uint64(_GAMMA)
-                word = _mix_nb(key + term)
-                u = np.float64(word >> np.uint64(11)) * _INV53
-                target = np.float64(v) + u
-                k = indptr[v]
-                last = indptr[v + 1] - 1
-                while k < last and aug[k] <= target:
-                    k += 1
-                v = indices[k]
-                if not in_region[v]:
-                    steps[w] = t + 1
-                    exit_vertex[w] = v
-                    break
-        return steps, exit_vertex
-
-else:  # pragma: no cover - exercised only when numba is absent
-    bfs_distances_numba = None
-    simulate_exits_numba = None
-
-
-if USING_NUMBA:
-    bfs_distances = bfs_distances_numba
-    simulate_exits = simulate_exits_numba
-else:
-    bfs_distances = bfs_distances_numpy
-    simulate_exits = simulate_exits_numpy

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-import threading
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -62,8 +61,7 @@ def _dump_json(obj, fh=sys.stdout):
 
 # execution metadata that cannot change results (determinism contract)
 # and output destinations stay out of the manifest params
-_NON_PARAMS = {"command", "func", "threads", "out_dir", "csv", "csv_prefix",
-               "out"}
+_NON_PARAMS = {"command", "func", "out_dir", "csv", "csv_prefix", "out"}
 
 
 def _manifest(args, graph_info, seed=None, timestamp=False):
@@ -103,21 +101,7 @@ def _corrupt_graph(g, u, v, delta):
             break
     else:
         raise ValueError(f"no edge {u}->{v} to corrupt")
-    h = object.__new__(graph.WeightedGraph)
-    h.vertex_count = g.vertex_count
-    h.edges = g.edges
-    h.indptr = g.indptr
-    h.indices = g.indices
-    h.weights = w
-    mu = np.zeros(g.vertex_count)
-    for x in range(g.vertex_count):
-        mu[x] = w[g.indptr[x]:g.indptr[x + 1]].sum()
-    h.mu = mu
-    h._dist_cache = {}
-    h._dist_lock = threading.Lock()
-    h._profile = None
-    h._ecc_all = None
-    return h
+    return graph.WeightedGraph.from_csr(g.edges, g.indptr, g.indices, w)
 
 
 def _parse_radii(text):
@@ -143,14 +127,6 @@ def _parse_centers(g, text, path):
     return [int(t) for t in text.split(",") if t]
 
 
-def _threads(args):
-    t = getattr(args, "threads", None)
-    if t is not None:
-        return t
-    env = os.environ.get("EINSTEIN_LAB_THREADS")
-    return int(env) if env else 1
-
-
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -172,9 +148,20 @@ def cmd_generate(args):
     return EXIT_OK
 
 
+# flags each compute quantity needs; resistance with --annulus needs no ball
+_COMPUTE_FLAGS = {"exit": ("x", "R"), "resistance": ("A_ball", "B_ball"),
+                  "green": ("A_ball", "y", "z"), "lambda": ("ball",),
+                  "harnack": ("x", "R"), "hg": ("x", "R")}
+
+
 def cmd_compute(args):
-    g, info = _load_graph(args.graph)
     q = args.quantity
+    needed = () if q == "resistance" and args.annulus else _COMPUTE_FLAGS[q]
+    missing = ["--" + name.replace("_", "-") for name in needed
+               if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"compute {q} needs {' and '.join(missing)}")
+    g, info = _load_graph(args.graph)
     if q == "exit":
         result = {"E": potential.mean_exit_time(g, args.x, args.R)}
     elif q == "resistance":
@@ -190,8 +177,8 @@ def cmd_compute(args):
             result = {"rho": rho, "convention": "set-poles"}
     elif q == "green":
         ax, ar = (int(t) for t in args.A_ball.split(","))
-        op = potential.green(g, graph.ball(g, ax, ar))
-        result = {"g": potential.green_kernel(op, args.y, args.z),
+        op = potential.GreenOperator(g, graph.ball(g, ax, ar))
+        result = {"g": op.kernel(args.y, args.z),
                   "G": op.visits(args.y, args.z)}
     elif q == "lambda":
         bx, br = (int(t) for t in args.ball.split(","))
@@ -204,8 +191,6 @@ def cmd_compute(args):
         lo, hi = potential.g_condition(g, args.x, args.R)
         result = {"hg": potential.hg_constant(g, args.x, args.R),
                   "g_low": lo, "g_high": hi}
-    else:
-        raise ValueError(f"unknown quantity {q!r}")
     _dump_json({"manifest": _manifest(args, info), "result": result})
     return EXIT_OK
 
@@ -223,15 +208,13 @@ def _grid_for(args, g, path):
 def cmd_verify(args):
     g, info = _load_graph(args.graph)
     grid = _grid_for(args, g, args.graph)
-    threads = _threads(args)
     cache = conditions.QuantityCache(g)
-    checks = conditions.verify_inequalities(g, grid, cache=cache,
-                                            threads=threads)
+    checks = conditions.verify_inequalities(g, grid, cache=cache)
     reports = {}
     for tag in conditions.CONDITION_TAGS:
         try:
-            reports[tag] = conditions.measure_condition(
-                g, grid, tag, cache=cache, threads=threads)
+            reports[tag] = conditions.measure_condition(g, grid, tag,
+                                                        cache=cache)
         except (ValueError, MarginError, ConvergenceError) as exc:
             reports[tag] = None
             print(f"condition {tag}: skipped ({exc})", file=sys.stderr)
@@ -283,8 +266,7 @@ def cmd_verify(args):
 def cmd_einstein(args):
     g, info = _load_graph(args.graph)
     grid = _grid_for(args, g, args.graph)
-    records, summary = conditions.einstein_report(
-        g, grid, threads=_threads(args))
+    records, summary = conditions.einstein_report(g, grid)
     payload = {
         "manifest": _manifest(args, info),
         "records": [asdict(r) for r in records],
@@ -394,8 +376,6 @@ def build_parser():
         sp.add_argument("--graph", required=True)
         sp.add_argument("--centers", default="auto5")
         sp.add_argument("--radii", default=None)
-        sp.add_argument("--threads", type=int, default=None,
-                        help="workers (default: EINSTEIN_LAB_THREADS or 1)")
         if name == "verify":
             sp.add_argument("--out-dir", dest="out_dir", required=True)
         else:

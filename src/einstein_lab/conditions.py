@@ -7,21 +7,26 @@ host (see ball_inside_host); everything else is excluded with a
 recorded reason.  Constant-free theorem inequalities are asserted at
 1e-8 relative tolerance; constant-bearing statements are reported as
 measured constants, never pass/failed.
+
+Both sweeps are tables.  CONDITIONS gives each ratio-type tag its
+margin, its pairing of cells and its value; CHECKS lists the proved
+inequalities in report order with their margins, cell sources and
+observers.  Entries look up cache methods and module functions when
+they run, never at import.
 """
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, MarginError, UnreachableError
 from .graph import (annulus_volume, ball, eccentricities, host_frontier,
-                    shrink, sphere, volume)
+                    min_transition, shrink, sphere, volume)
 from .potential import (
     GreenOperator,
-    distance_to_complement,
     exit_time,
     g_condition,
     harnack_constant,
@@ -37,16 +42,8 @@ from .potential import (
 REL_TOL = 1e-8
 REVERSIBILITY_TOL = 1e-12
 
-# margin multiplier per check; time-comparison checks get the wider
-# lmarkov-style margin, resistance doubling needs 4R, te<rv needs 5R
-MARGINS = {
-    "p0": 0, "VD": 2, "wVC": 2, "BC": 2,
-    "TC": 3, "wTC": 3, "TD": 3, "Ebar": 2, "E_hom": 3,
-    "ER": 2, "rho_v": 2, "H": 2, "HG": 2, "g": 2,
-    "llrv": 2, "lrvb": 2, "lebar": 2, "lmarkov": 3, "lE<rm": 2,
-    "cE<rm": 2, "lminE<rv": 2, "pra>l2": 2, "layered": 2, "crv>r2": 2,
-    "te<rv": 5, "series": 4, "llcce": 2,
-}
+# per-cell solver breakdowns the suite records as failing rows
+SOLVER_ERRORS = (ConvergenceError, UnreachableError, MarginError)
 
 CONDITION_TAGS = ("BC", "VD", "wVC", "TC", "wTC", "TD", "ER", "rho_v",
                   "E_hom", "p0", "H", "Ebar", "HG", "g", "aVD", "adrv")
@@ -59,10 +56,6 @@ CONDITION_TAGS = ("BC", "VD", "wVC", "TC", "wTC", "TD", "ER", "rho_v",
 class SweepGrid:
     centers: tuple
     radii: tuple
-    margins: dict = field(default_factory=lambda: dict(MARGINS))
-
-    def margin(self, tag):
-        return self.margins.get(tag, 2)
 
 
 @dataclass(frozen=True)
@@ -206,6 +199,15 @@ class QuantityCache:
             lambda: resistance(self.g, ball(self.g, x, r), ball(self.g, x, R)),
         )
 
+    def layered(self, x, r, R):
+        """(layered bound, shell count) between B(x,r) and the exterior
+        of B(x,R)."""
+        return self._get(
+            ("layered", x, r, R),
+            lambda: layered_lower_bound(self.g, ball(self.g, x, r),
+                                        ball(self.g, x, R)),
+        )
+
     def lam(self, x, R):
         return self._get(("lam", x, R),
                          lambda: lambda_min(self.g, ball(self.g, x, R)).lam)
@@ -224,13 +226,6 @@ class QuantityCache:
         return self._get(("g", x, R), lambda: g_condition(self.g, x, R))
 
 
-def _map_cells(fn, items, threads):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- condition measurement ------------------------------------------------------
 
 
@@ -245,205 +240,151 @@ class ConditionReport:
     rows: list = field(default_factory=list, repr=False)
 
 
-def _max_ratio_report(tag, triples, cells_evaluated):
-    """triples: (ratio, extremizer, row); report the maximum."""
-    if not triples:
-        raise MarginError(f"no valid cells for condition {tag}")
-    best = max(range(len(triples)), key=lambda i: triples[i][0])
+@dataclass(frozen=True)
+class Condition:
+    """A ratio-type condition.  Its constant is the largest
+    num(x, R) / den(y, R) over the grid, where y is paired with the cell
+    (x, R) as ``pairs`` says: "self" (y = x), "ball" (y in B(x,R)) or
+    "centers" (every other grid center that keeps the margin).  Without
+    ``den`` the value is num itself."""
+    margin: int
+    pairs: str
+    num: Callable
+    den: Callable | None = None
+    detail: str = ""
+    spread: bool = False        # report max/min over the grid instead (ER)
+
+
+def _cover_count(g, x, R):
+    """Greedy number of R-balls that cover B(x,2R)."""
+    uncovered = set(int(v) for v in ball(g, x, 2 * R))
+    K = 0
+    while uncovered:
+        uncovered -= set(int(v) for v in ball(g, min(uncovered), R))
+        K += 1
+    return float(K)
+
+
+# the time comparisons TC, wTC, TD and E_hom take the wider 3R margin
+CONDITIONS = {
+    "BC": Condition(2, "self", lambda c, x, R: _cover_count(c.g, x, R),
+                    detail="greedy"),
+    "VD": Condition(2, "self", lambda c, x, R: c.V(x, 2 * R),
+                    lambda c, y, R: c.V(y, R)),
+    "wVC": Condition(2, "ball", lambda c, x, R: c.V(x, R),
+                     lambda c, y, R: c.V(y, R)),
+    "TC": Condition(3, "ball", lambda c, x, R: c.E(x, 2 * R),
+                    lambda c, y, R: c.E(y, R)),
+    "wTC": Condition(3, "ball", lambda c, x, R: c.E(x, R),
+                     lambda c, y, R: c.E(y, R)),
+    "TD": Condition(3, "self", lambda c, x, R: c.E(x, 2 * R),
+                    lambda c, y, R: c.E(y, R)),
+    "ER": Condition(2, "self", lambda c, x, R: c.E(x, 2 * R),
+                    lambda c, y, R: c.w(y, R), detail="Q", spread=True),
+    "rho_v": Condition(2, "centers", lambda c, x, R: c.w(x, R),
+                       lambda c, y, R: c.w(y, R)),
+    "E_hom": Condition(3, "centers", lambda c, x, R: c.E(x, R),
+                       lambda c, y, R: c.E(y, R)),
+    "H": Condition(2, "self", lambda c, x, R: c.harnack(x, R)),
+    "Ebar": Condition(2, "self", lambda c, x, R: c.Ebar(x, R),
+                      lambda c, y, R: c.E(y, R)),
+    "HG": Condition(2, "self", lambda c, x, R: c.hg(x, R)),
+}
+
+
+def _cells_with_note(g, grid, m):
+    cells, skipped = valid_cells(g, grid, m)
+    return cells, "; ".join(f"skip ({s.x},{s.R}): {s.reason}"
+                            for s in skipped)
+
+
+def _partners(g, grid, cond, x, R):
+    """The y that a "ball" or "centers" condition pairs with (x, R)."""
+    if cond.pairs == "ball":
+        return [int(y) for y in ball(g, x, R)]
+    return [int(y) for y in grid.centers
+            if y != x and ball_inside_host(g, y, cond.margin * R)]
+
+
+def _p0_report(g):
+    p0, edge = min_transition(g)
+    return ConditionReport("p0", p0, edge, g.vertex_count,
+                           details={"max_degree": int(np.diff(g.indptr).max()),
+                                    "degree_bound": 1.0 / p0})
+
+
+def _anti_doubling_report(g, grid, tag, cache):
+    """Smallest dyadic A with 2 q(x,R) <= q(x,AR) on every cell where
+    B(x, k*A*R) fits: q = V with k = 1 (aVD), q = rho v with k = 2 (adrv)."""
+    cells, note = _cells_with_note(g, grid, 2)
+    k = 1 if tag == "aVD" else 2
+    q = cache.V if tag == "aVD" else cache.w
+    for A in (2, 4, 8, 16):
+        sub = [(x, R) for (x, R) in cells
+               if ball_inside_host(g, x, k * A * R)]
+        if not sub:
+            break
+        if all(2 * q(x, R) <= q(x, A * R) * (1 + REL_TOL) for x, R in sub):
+            return ConditionReport(tag, float(A), None, len(sub), note=note)
+    return ConditionReport(tag, float("nan"), None, len(cells),
+                           note=(note + "; " if note else "")
+                           + "not achieved in range")
+
+
+def _g_report(g, grid, cache):
+    """Green bounds (c_low, C_high) per cell; the constant is max C_high."""
+    cells, note = _cells_with_note(g, grid, 2)
+    if not cells:
+        raise MarginError("no valid cells for condition g")
+    bounds = [cache.gcond(x, R) for x, R in cells]
+    los = [lo for lo, _ in bounds]
+    his = [hi for _, hi in bounds]
+    k = int(np.argmax(his))
+    rows = [("g", x, R, R, "c_low", lo) for (x, R), lo in zip(cells, los)] \
+        + [("g", x, R, R, "C_high", hi) for (x, R), hi in zip(cells, his)]
     return ConditionReport(
-        tag=tag,
-        constant=float(triples[best][0]),
-        extremizer=triples[best][1],
-        cells=cells_evaluated,
-        rows=[t[2] for t in triples],
+        "g", float(his[k]), cells[k], len(cells), note=note,
+        details={"c_low_min": float(min(los)), "C_high_max": float(max(his))},
+        rows=rows,
     )
 
 
-def measure_condition(g, grid, tag, cache=None, threads=1):
+def measure_condition(g, grid, tag, cache=None):
     """Empirical best constant for one lettered condition over the grid."""
     cache = cache or QuantityCache(g)
-    m = grid.margin(tag)
-
     if tag == "p0":
-        best = None
-        for x in range(g.vertex_count):
-            lo, hi = g.indptr[x], g.indptr[x + 1]
-            k = int(np.argmin(g.weights[lo:hi]))
-            val = float(g.weights[lo + k] / g.mu[x])
-            if best is None or val < best[0]:
-                best = (val, (x, int(g.indices[lo + k])))
-        max_deg = max(int(g.indptr[x + 1] - g.indptr[x])
-                      for x in range(g.vertex_count))
-        return ConditionReport("p0", best[0], best[1], g.vertex_count,
-                               details={"max_degree": max_deg,
-                                        "degree_bound": 1.0 / best[0]})
-
-    cells, skipped = valid_cells(g, grid, m)
-    note = "; ".join(f"skip ({s.x},{s.R}): {s.reason}" for s in skipped)
-
+        return _p0_report(g)
     if tag in ("aVD", "adrv"):
-        for A in (2, 4, 8, 16):
-            need = 2 * A if tag == "adrv" else A
-            sub = [(x, R) for (x, R) in cells
-                   if ball_inside_host(g, x, need * R)]
-            if not sub:
-                break
-            if tag == "aVD":
-                ok = all(2 * cache.V(x, R) <= cache.V(x, A * R) * (1 + REL_TOL)
-                         for x, R in sub)
-            else:
-                ok = all(2 * cache.w(x, R) <= cache.w(x, A * R) * (1 + REL_TOL)
-                         for x, R in sub)
-            if ok:
-                return ConditionReport(tag, float(A), None, len(sub),
-                                       note=note)
-        return ConditionReport(tag, float("nan"), None, len(cells),
-                               note=(note + "; " if note else "")
-                               + "not achieved in range")
-
-    if not cells:
-        raise MarginError(f"no valid cells for condition {tag}")
-
-    def ratio_rows(fn):
-        out = []
-        for res in _map_cells(fn, cells, threads):
-            out.extend(res)
-        return out
-
-    if tag == "VD":
-        def cell(c):
-            x, R = c
-            val = cache.V(x, 2 * R) / cache.V(x, R)
-            return [(val, (x, R), (tag, x, R, R, "", val))]
-        trips = ratio_rows(cell)
-    elif tag == "wVC":
-        def cell(c):
-            x, R = c
-            vx = cache.V(x, R)
-            out = []
-            for y in ball(g, x, R):
-                val = vx / cache.V(int(y), R)
-                out.append((val, (x, int(y), R), (tag, x, int(y), R, "", val)))
-            return out
-        trips = ratio_rows(cell)
-    elif tag == "BC":
-        def cell(c):
-            x, R = c
-            big = ball(g, x, 2 * R)
-            uncovered = set(int(v) for v in big)
-            K = 0
-            while uncovered:
-                u = min(uncovered)
-                uncovered -= set(int(v) for v in ball(g, u, R))
-                K += 1
-            return [(float(K), (x, R), (tag, x, R, R, "greedy", float(K)))]
-        trips = ratio_rows(cell)
-    elif tag == "TC":
-        def cell(c):
-            x, R = c
-            e2 = cache.E(x, 2 * R)
-            return [
-                (e2 / cache.E(int(y), R), (x, int(y), R),
-                 (tag, x, int(y), R, "", e2 / cache.E(int(y), R)))
-                for y in ball(g, x, R)
-            ]
-        trips = ratio_rows(cell)
-    elif tag == "wTC":
-        def cell(c):
-            x, R = c
-            ex = cache.E(x, R)
-            return [
-                (ex / cache.E(int(y), R), (x, int(y), R),
-                 (tag, x, int(y), R, "", ex / cache.E(int(y), R)))
-                for y in ball(g, x, R)
-            ]
-        trips = ratio_rows(cell)
-    elif tag == "TD":
-        def cell(c):
-            x, R = c
-            val = cache.E(x, 2 * R) / cache.E(x, R)
-            return [(val, (x, R), (tag, x, R, R, "", val))]
-        trips = ratio_rows(cell)
-    elif tag == "Ebar":
-        def cell(c):
-            x, R = c
-            val = cache.Ebar(x, R) / cache.E(x, R)
-            return [(val, (x, R), (tag, x, R, R, "", val))]
-        trips = ratio_rows(cell)
-    elif tag == "E_hom":
-        def cell(c):
-            x, R = c
-            ex = cache.E(x, R)
-            out = []
-            for y in grid.centers:
-                if y == x or not ball_inside_host(g, y, m * R):
-                    continue
-                val = ex / cache.E(int(y), R)
-                out.append((val, (x, int(y), R), (tag, x, int(y), R, "", val)))
-            return out
-        trips = ratio_rows(cell)
-    elif tag == "rho_v":
-        def cell(c):
-            x, R = c
-            wx = cache.w(x, R)
-            out = []
-            for y in grid.centers:
-                if y == x or not ball_inside_host(g, y, m * R):
-                    continue
-                val = wx / cache.w(int(y), R)
-                out.append((val, (x, int(y), R), (tag, x, int(y), R, "", val)))
-            return out
-        trips = ratio_rows(cell)
-    elif tag == "ER":
-        def cell(c):
-            x, R = c
-            q = cache.E(x, 2 * R) / cache.w(x, R)
-            return [(q, (x, R), (tag, x, R, R, "Q", q))]
-        trips = ratio_rows(cell)
-        qs = [t[0] for t in trips]
-        spread = max(qs) / min(qs)
-        best = trips[int(np.argmax(qs))]
-        return ConditionReport("ER", float(spread), best[1], len(cells),
-                               note=note,
-                               details={"min_Q": float(min(qs)),
-                                        "max_Q": float(max(qs))},
-                               rows=[t[2] for t in trips])
-    elif tag == "H":
-        def cell(c):
-            x, R = c
-            val = cache.harnack(x, R)
-            return [(val, (x, R), (tag, x, R, R, "", val))]
-        trips = ratio_rows(cell)
-    elif tag == "HG":
-        def cell(c):
-            x, R = c
-            val = cache.hg(x, R)
-            return [(val, (x, R), (tag, x, R, R, "", val))]
-        trips = ratio_rows(cell)
-    elif tag == "g":
-        def cell(c):
-            x, R = c
-            lo, hi = cache.gcond(x, R)
-            return [(hi, lo, (x, R), (tag, x, R, R, "c_low", lo),
-                     (tag, x, R, R, "C_high", hi))]
-        raw = _map_cells(cell, cells, threads)
-        flat = [r[0] for r in raw]
-        los = [f[1] for f in flat]
-        his = [f[0] for f in flat]
-        k = int(np.argmax(his))
-        rows = [f[3] for f in flat] + [f[4] for f in flat]
-        return ConditionReport(
-            "g", float(his[k]), flat[k][2], len(cells), note=note,
-            details={"c_low_min": float(min(los)),
-                     "C_high_max": float(max(his))},
-            rows=rows,
-        )
-    else:
+        return _anti_doubling_report(g, grid, tag, cache)
+    if tag == "g":
+        return _g_report(g, grid, cache)
+    cond = CONDITIONS.get(tag)
+    if cond is None:
         raise ValueError(f"unknown condition tag {tag!r}")
 
-    rep = _max_ratio_report(tag, trips, len(cells))
-    return ConditionReport(rep.tag, rep.constant, rep.extremizer, rep.cells,
-                           note=note, rows=rep.rows)
+    cells, note = _cells_with_note(g, grid, cond.margin)
+    found = []                  # (value, extremizer, csv row)
+    for x, R in cells:
+        top = cond.num(cache, x, R)
+        if cond.pairs == "self":
+            val = top if cond.den is None else top / cond.den(cache, x, R)
+            found.append((val, (x, R), (tag, x, R, R, cond.detail, val)))
+            continue
+        for y in _partners(g, grid, cond, x, R):
+            val = top / cond.den(cache, y, R)
+            found.append((val, (x, y, R), (tag, x, y, R, cond.detail, val)))
+    if not found:
+        raise MarginError(f"no valid cells for condition {tag}")
+    best = max(found, key=lambda f: f[0])
+    constant = best[0]
+    details = {}
+    if cond.spread:
+        low = min(f[0] for f in found)
+        constant = best[0] / low
+        details = {"min_Q": float(low), "max_Q": float(best[0])}
+    return ConditionReport(tag, float(constant), best[1], len(cells),
+                           note=note, details=details,
+                           rows=[f[2] for f in found])
 
 
 # -- inequality suite -----------------------------------------------------------
@@ -465,58 +406,72 @@ def _rel_slack(lhs, rhs):
     return (rhs - lhs) / scale
 
 
-class _Suite:
-    """Accumulates (lhs <= rhs) observations for one named check."""
+@dataclass(frozen=True)
+class Check:
+    """A proved inequality lhs <= rhs, asserted at REL_TOL on every cell
+    (x, r, R) that ``cells(g, grid, margin)`` lists; ``observe(cache, x,
+    r, R)`` yields the cell's (lhs, rhs, detail) observations."""
+    margin: int
+    cells: Callable
+    observe: Callable
 
-    def __init__(self, check, tol=REL_TOL):
-        self.check = check
-        self.tol = tol
-        self.rows = []
-        self.worst = math.inf
-        self.witness = None
-
-    def add(self, cell, lhs, rhs, detail=""):
-        slack = _rel_slack(lhs, rhs)
-        ok = slack >= -self.tol
-        self.rows.append((self.check, *cell, detail, lhs, rhs, slack, ok))
-        if slack < self.worst:
-            self.worst = slack
-            self.witness = cell
-        return ok
-
-    def guard(self, cell, fn):
-        """Run one cell; solver breakdown becomes a failing data row
-        (the suite reports, it never aborts mid-sweep)."""
-        try:
-            fn()
-        except (ConvergenceError, UnreachableError, MarginError) as exc:
-            self.rows.append((self.check, *cell, f"solver: {exc}",
-                              math.nan, math.nan, -math.inf, False))
-            self.worst = -math.inf
-            self.witness = cell
-
-    def result(self):
-        if not self.rows:
-            return InequalityResult(self.check, True, math.inf, None, None, 0)
-        passed = all(r[-1] for r in self.rows)
-        return InequalityResult(self.check, passed, self.worst, self.witness,
-                                None, len(self.rows), self.rows)
+    def __call__(self, name, g, grid, cache):
+        rows = []
+        worst, witness = math.inf, None
+        for cell in self.cells(g, grid, self.margin):
+            try:
+                for lhs, rhs, detail in self.observe(cache, *cell):
+                    slack = _rel_slack(lhs, rhs)
+                    rows.append((name, *cell, detail, lhs, rhs, slack,
+                                 slack >= -REL_TOL))
+                    if slack < worst:
+                        worst, witness = slack, cell
+            except SOLVER_ERRORS as exc:
+                # a solver breakdown is a failing data row: the suite
+                # reports, it never aborts mid-sweep
+                rows.append((name, *cell, f"solver: {exc}",
+                             math.nan, math.nan, -math.inf, False))
+                worst, witness = -math.inf, cell
+        if not rows:
+            return InequalityResult(name, True, math.inf, None, None, 0)
+        return InequalityResult(name, all(r[-1] for r in rows), worst,
+                                witness, None, len(rows), rows)
 
 
-def _cells3(cell):
-    x, R = cell
-    return (x, R, R)
+def _ball_cells(g, grid, m):
+    return [(x, R, R) for x, R in valid_cells(g, grid, m)[0]]
 
 
-def verify_inequalities(g, grid, cache=None, threads=1):
-    """Run the proved-inequality suite; failures are data, not errors."""
-    cache = cache or QuantityCache(g)
-    results = []
+def _pair_cells(g, grid, m):
+    """Ball pairs B(x,r) in B(x,R) from the ladder where B(x, max(m r, R))
+    fits."""
+    pairs = radius_pairs(grid)
+    return [(x, r, R) for x in grid.centers for r, R in pairs
+            if ball_inside_host(g, x, max(m * r, R))]
 
-    # reversibility of the stored weights: mu(x)P(x,y) == mu(y)P(y,x)
-    rev = _Suite("reversibility", tol=REVERSIBILITY_TOL)
-    worst = 0.0
-    worst_pair = None
+
+def _lebar_cells(g, grid, m):
+    """Ball cells at R and at 2R, wherever the host reaches that far."""
+    return [(x, RR, RR) for x, R in valid_cells(g, grid, m)[0]
+            for RR in (R, 2 * R) if g.eccentricity(x) >= RR]
+
+
+def _lmarkov_cells(g, grid, m):
+    """(x, r, R) with r in {1, R/2, R} where B(x, R+r) fits."""
+    return [(x, r, R) for x, R in valid_cells(g, grid, m)[0]
+            for r in sorted({1, R // 2, R} - {0})
+            if ball_inside_host(g, x, R + r)]
+
+
+def _even_cells(g, grid, m):
+    """Ball cells whose radius halves to an integer."""
+    return [(x, R, R) for x, R in valid_cells(g, grid, m)[0] if R % 2 == 0]
+
+
+def _reversibility(name, g, grid, cache):
+    """mu(x)P(x,y) == mu(y)P(y,x) on the stored weights: one row for the
+    largest relative asymmetry, asserted at REVERSIBILITY_TOL."""
+    worst, pair = 0.0, (0, 0, 0)
     for x in range(g.vertex_count):
         for k in range(int(g.indptr[x]), int(g.indptr[x + 1])):
             y = int(g.indices[k])
@@ -527,193 +482,125 @@ def verify_inequalities(g, grid, cache=None, threads=1):
                 int(g.indices[lo + pos]) == x else 0.0
             asym = abs(wxy - wyx) / max(wxy, wyx, 1e-300)
             if asym > worst:
-                worst, worst_pair = asym, (x, y, 0)
-    rev.add(worst_pair or (0, 0, 0), worst, 0.0, "max relative asymmetry")
-    results.append(rev.result())
+                worst, pair = asym, (x, y, 0)
+    slack = _rel_slack(worst, 0.0)
+    ok = slack >= -REVERSIBILITY_TOL
+    return InequalityResult(name, ok, slack, pair, None, 1, [
+        (name, *pair, "max relative asymmetry", worst, 0.0, slack, ok)])
 
-    def cells_for(tag):
-        return valid_cells(g, grid, grid.margin(tag))[0]
 
-    pairs = radius_pairs(grid)
-
-    def pair_cells(tag):
-        m = grid.margin(tag)
-        out = []
-        for x in grid.centers:
-            for r, R in pairs:
-                if ball_inside_host(g, x, max(m * r, R)):
-                    out.append((x, r, R))
-        return out
-
-    # llrv: lambda(B) rho(A, complement B) mu(A) <= 1 on ball pairs
-    s = _Suite("llrv")
-    for x, r, R in pair_cells("llrv"):
-        def llrv_cell(x=x, r=r, R=R):
-            lhs = cache.lam(x, R) * cache.rho_set_balls(x, r, R) \
-                * cache.V(x, r)
-            s.add((x, r, R), lhs, 1.0)
-        s.guard((x, r, R), llrv_cell)
-    results.append(s.result())
-
-    # lrvb: lambda(x,2R) rho(x,R,2R) V(x,R) <= 1
-    s = _Suite("lrvb")
-    for cell in cells_for("lrvb"):
-        def lrvb_cell(cell=cell):
-            x, R = cell
-            lhs = cache.lam(x, 2 * R) * cache.rho(x, R, 2 * R) * cache.V(x, R)
-            s.add(_cells3(cell), lhs, 1.0)
-        s.guard(_cells3(cell), lrvb_cell)
-    results.append(s.result())
-
-    # lebar: 1/lambda(A) <= Ebar(A) on balls
-    s = _Suite("lebar")
-    for cell in cells_for("lebar"):
-        x, R = cell
-        for RR in (R, 2 * R):
-            if g.eccentricity(x) < RR:
-                continue
-
-            def lebar_cell(x=x, RR=RR):
-                s.add((x, RR, RR), 1.0 / cache.lam(x, RR), cache.Ebar(x, RR))
-            s.guard((x, RR, RR), lebar_cell)
-    results.append(s.result())
-
-    # lmarkov superadditivity: E(x,R+r) >= E(x,R) + min_{y in S(x,R)} E(y,r)
-    s = _Suite("lmarkov")
-    for cell in cells_for("lmarkov"):
-        x, R = cell
-        for r in sorted({1, R // 2, R} - {0}):
-            if not ball_inside_host(g, x, R + r):
-                continue
-            zs = sphere(g, x, R)
-            if zs.size == 0:
-                continue
-
-            def lmarkov_cell(x=x, r=r, R=R, zs=zs):
-                bump = min(cache.E(int(y), r) for y in zs)
-                s.add((x, r, R), cache.E(x, R) + bump, cache.E(x, R + r))
-            s.guard((x, r, R), lmarkov_cell)
-    results.append(s.result())
-
-    # lE<rm: E_x(T_A) <= rho({x}, complement A) mu(A) with A = B(x,R)
-    s = _Suite("lE<rm")
-    for cell in cells_for("lE<rm"):
-        def le_rm_cell(cell=cell):
-            x, R = cell
-            op = GreenOperator(g, ball(g, x, R))
-            s.add(_cells3(cell), cache.E(x, R),
-                  op.kernel(x, x) * cache.V(x, R))
-        s.guard(_cells3(cell), le_rm_cell)
-    results.append(s.result())
-
-    # cE<rm: on the shrunk graph, E_a(T_B) <= rho(A, complement B) v
-    s = _Suite("cE<rm")
-    for cell in cells_for("cE<rm"):
-        def ce_rm_cell(cell=cell):
-            x, R = cell
-            A = ball(g, x, R)
-            B = ball(g, x, 2 * R)
-            sr = shrink(g, A)
-            keep = sr.old_to_new[B]
-            region = np.sort(np.append(keep[keep >= 0], sr.a))
-            lhs = float(exit_time(sr.graph, region).values[sr.a])
-            rhs = cache.rho_set_balls(x, R, 2 * R) \
-                * annulus_volume(g, x, R, 2 * R)
-            s.add(_cells3(cell), lhs, rhs)
-        s.guard(_cells3(cell), ce_rm_cell)
-    results.append(s.result())
-
-    # lminE<rv: min_{z in S(x,3R/2)} E(z,R/2) <= rho(A, complement B) v
-    s = _Suite("lminE<rv")
-    for cell in cells_for("lminE<rv"):
-        x, R = cell
-        if R % 2:
-            continue
-        zs = sphere(g, x, 3 * R // 2)
-        if zs.size == 0:
-            continue
-
-        def lmin_cell(cell=cell, zs=zs):
-            x, R = cell
-            lhs = min(cache.E(int(z), R // 2) for z in zs)
-            rhs = cache.rho_set_balls(x, R, 2 * R) \
-                * annulus_volume(g, x, R, 2 * R)
-            s.add(_cells3(cell), lhs, rhs)
-        s.guard(_cells3(cell), lmin_cell)
-    results.append(s.result())
-
-    # pra>l2 and the layered shell bound
-    s_p = _Suite("pra>l2")
-    s_l = _Suite("layered")
-    for x, r, R in pair_cells("pra>l2"):
-        def pra_cell(x=x, r=r, R=R):
-            A = ball(g, x, r)
-            B = ball(g, x, R)
-            vol_ann = annulus_volume(g, x, r, R)
-            lay = layered_lower_bound(g, A, B)
-            L = distance_to_complement(g, A, B)
-            s_l.add((x, r, R), lay, cache.rho_set_balls(x, r, R),
-                    "bound<=rho")
-            s_p.add((x, r, R), float(L * L), lay * vol_ann)
-        s_p.guard((x, r, R), pra_cell)
-    results.append(s_p.result())
-    results.append(s_l.result())
-
-    # crv>r2: rho(x,r,R) v(x,r,R) >= (R-r)^2
-    s = _Suite("crv>r2")
-    for x, r, R in pair_cells("crv>r2"):
-        def crv_cell(x=x, r=r, R=R):
-            rhs = cache.rho(x, r, R) * annulus_volume(g, x, r, R)
-            s.add((x, r, R), float((R - r) ** 2), rhs)
-        s.guard((x, r, R), crv_cell)
-    results.append(s.result())
-
-    # te<rv: E(x,2R) <= C rho(x,R,5R) v(x,R,5R); constant reported
+def _te_rv(name, g, grid, cache):
+    """E(x,2R) <= C rho(x,R,5R) v(x,R,5R) on cells with a 5R margin; the
+    constant C is reported, not asserted."""
     rows = []
     best = None
-    for cell in cells_for("te<rv"):
-        x, R = cell
+    for x, R in valid_cells(g, grid, 5)[0]:
         try:
             val = cache.E(x, 2 * R) / (cache.rho(x, R, 5 * R)
                                        * annulus_volume(g, x, R, 5 * R))
-        except (ConvergenceError, UnreachableError, MarginError) as exc:
-            rows.append(("te<rv", x, R, R, f"solver: {exc}",
+        except SOLVER_ERRORS as exc:
+            rows.append((name, x, R, R, f"solver: {exc}",
                          math.nan, math.nan, math.nan, False))
             continue
-        rows.append(("te<rv", x, R, R, "C", val, math.nan, math.nan, True))
+        rows.append((name, x, R, R, "C", val, math.nan, math.nan, True))
         if best is None or val > best[0]:
-            best = (val, _cells3(cell))
-    results.append(InequalityResult(
-        "te<rv", None, math.inf, best[1] if best else None,
-        best[0] if best else None, len(rows), rows))
+            best = (val, (x, R, R))
+    return InequalityResult(
+        name, None, math.inf, best[1] if best else None,
+        best[0] if best else None, len(rows), rows)
 
+
+def _lmarkov(c, x, r, R):
+    """Superadditivity E(x,R+r) >= E(x,R) + min over S(x,R) of E(y,r)."""
+    zs = sphere(c.g, x, R)
+    if zs.size:
+        bump = min(c.E(int(y), r) for y in zs)
+        yield c.E(x, R) + bump, c.E(x, R + r), ""
+
+
+def _le_rm(c, x, r, R):
+    """E_x(T_A) <= rho({x}, complement A) mu(A) with A = B(x,R)."""
+    op = GreenOperator(c.g, ball(c.g, x, R))
+    yield c.E(x, R), op.kernel(x, x) * c.V(x, R), ""
+
+
+def _rho_v_sets(c, x, R):
+    """rho(A, complement B) v(x,R,2R) with A = B(x,R), B = B(x,2R)."""
+    return c.rho_set_balls(x, R, 2 * R) * annulus_volume(c.g, x, R, 2 * R)
+
+
+def _ce_rm(c, x, r, R):
+    """On the graph with A shrunk to a point a: E_a(T_B) <= rho v."""
+    g = c.g
+    A = ball(g, x, R)
+    B = ball(g, x, 2 * R)
+    sr = shrink(g, A)
+    keep = sr.old_to_new[B]
+    region = np.sort(np.append(keep[keep >= 0], sr.a))
+    yield (float(exit_time(sr.graph, region).values[sr.a]),
+           _rho_v_sets(c, x, R), "")
+
+
+def _lmin_e_rv(c, x, r, R):
+    """min over S(x,3R/2) of E(z,R/2) <= rho v."""
+    zs = sphere(c.g, x, 3 * R // 2)
+    if zs.size:
+        yield min(c.E(int(z), R // 2) for z in zs), _rho_v_sets(c, x, R), ""
+
+
+def _pra_l2(c, x, r, R):
+    """d(A, complement B)^2 <= (layered bound) v(x,r,R)."""
+    bound, L = c.layered(x, r, R)
+    yield float(L * L), bound * annulus_volume(c.g, x, r, R), ""
+
+
+def _llcce(c, x, r, R):
+    """The chain rho(x,R,2R) V(x,R) <= 1/lambda(x,2R) <= Ebar(x,2R)."""
+    lam_inv = 1.0 / c.lam(x, 2 * R)
+    yield c.rho(x, R, 2 * R) * c.V(x, R), lam_inv, "rhoV<=1/lam"
+    yield lam_inv, c.Ebar(x, 2 * R), "1/lam<=Ebar"
+
+
+# the suite in report order; te<rv needs a 5R margin, the series law 4R
+CHECKS = {
+    "reversibility": _reversibility,
+    # lambda(B) rho(A, complement B) mu(A) <= 1 on ball pairs
+    "llrv": Check(2, _pair_cells, lambda c, x, r, R: [(
+        c.lam(x, R) * c.rho_set_balls(x, r, R) * c.V(x, r), 1.0, "")]),
+    # lambda(x,2R) rho(x,R,2R) V(x,R) <= 1
+    "lrvb": Check(2, _ball_cells, lambda c, x, r, R: [(
+        c.lam(x, 2 * R) * c.rho(x, R, 2 * R) * c.V(x, R), 1.0, "")]),
+    # 1/lambda(A) <= Ebar(A) on balls
+    "lebar": Check(2, _lebar_cells, lambda c, x, r, R: [(
+        1.0 / c.lam(x, R), c.Ebar(x, R), "")]),
+    "lmarkov": Check(3, _lmarkov_cells, _lmarkov),
+    "lE<rm": Check(2, _ball_cells, _le_rm),
+    "cE<rm": Check(2, _ball_cells, _ce_rm),
+    "lminE<rv": Check(2, _even_cells, _lmin_e_rv),
+    "pra>l2": Check(2, _pair_cells, _pra_l2),
+    # the layered bound never exceeds rho(A, complement B)
+    "layered": Check(2, _pair_cells, lambda c, x, r, R: [(
+        c.layered(x, r, R)[0], c.rho_set_balls(x, r, R), "bound<=rho")]),
+    # rho(x,r,R) v(x,r,R) >= (R-r)^2
+    "crv>r2": Check(2, _pair_cells, lambda c, x, r, R: [(
+        float((R - r) ** 2), c.rho(x, r, R) * annulus_volume(c.g, x, r, R),
+        "")]),
+    "te<rv": _te_rv,
     # series law: rho(x,R,4R) >= rho(x,R,2R) + rho(x,2R,4R).
     # Exact under the annulus-surface convention: every unit of current
     # crosses S(x,2R), and shorting that sphere splits the annulus into
     # the two sub-annuli with no shared edge layer.
-    s = _Suite("series")
-    for cell in cells_for("series"):
-        def series_cell(cell=cell):
-            x, R = cell
-            lhs = cache.rho(x, R, 2 * R) + cache.rho(x, 2 * R, 4 * R)
-            s.add(_cells3(cell), lhs, cache.rho(x, R, 4 * R))
-        s.guard(_cells3(cell), series_cell)
-    results.append(s.result())
+    "series": Check(4, _ball_cells, lambda c, x, r, R: [(
+        c.rho(x, R, 2 * R) + c.rho(x, 2 * R, 4 * R), c.rho(x, R, 4 * R),
+        "")]),
+    "llcce": Check(2, _ball_cells, _llcce),
+}
 
-    # llcce chain: rho(x,R,2R) V(x,R) <= 1/lambda(x,2R) <= Ebar(x,2R)
-    s = _Suite("llcce")
-    for cell in cells_for("llcce"):
-        def llcce_cell(cell=cell):
-            x, R = cell
-            lam_inv = 1.0 / cache.lam(x, 2 * R)
-            s.add(_cells3(cell), cache.rho(x, R, 2 * R) * cache.V(x, R),
-                  lam_inv, "rhoV<=1/lam")
-            s.add(_cells3(cell), lam_inv, cache.Ebar(x, 2 * R),
-                  "1/lam<=Ebar")
-        s.guard(_cells3(cell), llcce_cell)
-    results.append(s.result())
 
-    return results
+def verify_inequalities(g, grid, cache=None):
+    """Run the proved-inequality suite; failures are data, not errors."""
+    cache = cache or QuantityCache(g)
+    return [check(name, g, grid, cache) for name, check in CHECKS.items()]
 
 
 # -- Einstein relation -----------------------------------------------------------
@@ -740,10 +627,10 @@ class EinsteinSummary:
     skipped: tuple
 
 
-def einstein_report(g, grid, cache=None, threads=1):
+def einstein_report(g, grid, cache=None):
     """Per-cell Einstein records Q = E(x,2R)/(rho v) and the spread."""
     cache = cache or QuantityCache(g)
-    cells, skipped = valid_cells(g, grid, grid.margin("ER"))
+    cells, skipped = valid_cells(g, grid, CONDITIONS["ER"].margin)
     if not cells:
         raise MarginError("empty grid: no valid Einstein cells")
 
@@ -757,7 +644,7 @@ def einstein_report(g, grid, cache=None, threads=1):
                 f"rho*v below the (R-r)^2 floor at ({x},{R})")
         return EinsteinRecord(x, R, e2, rho, v, e2 / (rho * v))
 
-    records = _map_cells(one, cells, threads)
+    records = [one(cell) for cell in cells]
     qs = [r.Q for r in records]
     i_min, i_max = int(np.argmin(qs)), int(np.argmax(qs))
     summary = EinsteinSummary(
@@ -840,11 +727,11 @@ class DoublingReport:
     cells: int
 
 
-def resistance_doubling(g, grid, cache=None, threads=1):
+def resistance_doubling(g, grid, cache=None):
     """Measured doubling constants C1, C2 of the annulus resistance and
     the exponents/bounds they imply."""
     cache = cache or QuantityCache(g)
-    cells, _ = valid_cells(g, grid, grid.margin("series"))
+    cells, _ = valid_cells(g, grid, CHECKS["series"].margin)
     if not cells:
         raise MarginError("margin exhaustion: no cells with ecc >= 4R")
 
@@ -853,7 +740,7 @@ def resistance_doubling(g, grid, cache=None, threads=1):
         r14 = cache.rho(x, R, 4 * R)
         return (r14 / cache.rho(x, R, 2 * R), r14 / cache.rho(x, 2 * R, 4 * R))
 
-    ratios = _map_cells(one, cells, threads)
+    ratios = [one(cell) for cell in cells]
     i1 = int(np.argmax([r[0] for r in ratios]))
     i2 = int(np.argmax([r[1] for r in ratios]))
     c1, c2 = float(ratios[i1][0]), float(ratios[i2][1])
@@ -861,7 +748,7 @@ def resistance_doubling(g, grid, cache=None, threads=1):
     gamma2 = math.log2(c2 - 1) if c2 > 1 else -math.inf
     product = (c1 - 1) * (c2 - 1)
 
-    h_cells, _ = valid_cells(g, grid, grid.margin("H"))
+    h_cells, _ = valid_cells(g, grid, CONDITIONS["H"].margin)
     h_measured = max(cache.harnack(x, R) for x, R in h_cells) if h_cells \
         else math.nan
     theta = math.log(h_measured, 3) if math.isfinite(h_measured) else math.nan

@@ -16,23 +16,6 @@ from . import _kernels
 from .errors import GraphFormatError
 
 
-@dataclass(frozen=True)
-class BallSpec:
-    center: int
-    radius: int
-
-
-@dataclass(frozen=True)
-class AnnulusSpec:
-    center: int
-    inner: int
-    outer: int
-
-    def __post_init__(self):
-        if not (self.outer > self.inner >= 0):
-            raise ValueError("annulus requires R > r >= 0")
-
-
 class WeightedGraph:
     """Immutable connected graph with symmetric positive edge weights.
 
@@ -57,13 +40,12 @@ class WeightedGraph:
             if key in canon:
                 raise GraphFormatError(f"duplicate edge {key}")
             canon[key] = w
-        self.vertex_count = n
-        self.edges = sorted((u, v, w) for (u, v), w in canon.items())
+        edges = sorted((u, v, w) for (u, v), w in canon.items())
 
         rows = []
         cols = []
         vals = []
-        for u, v, w in self.edges:
+        for u, v, w in edges:
             rows.append(u)
             cols.append(v)
             vals.append(w)
@@ -75,13 +57,31 @@ class WeightedGraph:
         rows = np.asarray(rows, dtype=np.int64)[order]
         cols = np.asarray(cols, dtype=np.int64)[order]
         vals = np.asarray(vals, dtype=np.float64)[order]
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.indptr, rows + 1, 1)
-        self.indptr = np.cumsum(self.indptr)
-        self.indices = cols
-        self.weights = vals
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(indptr, rows + 1, 1)
+        self._init_csr(edges, np.cumsum(indptr), cols, vals)
+
+    @classmethod
+    def from_csr(cls, edges, indptr, indices, weights):
+        """Graph over ready CSR arrays, taken as given: they are not checked
+        against ``edges`` or for symmetry, so a caller can store a
+        deliberately non-reversible walk.  ``edges`` is the undirected
+        edge list that ``save`` and ``shrink`` read."""
+        g = cls.__new__(cls)
+        g._init_csr(list(edges), indptr, indices, weights)
+        return g
+
+    def _init_csr(self, edges, indptr, indices, weights):
+        """The one construction path: measure, frozen arrays, caches and
+        the connectivity check."""
+        n = int(indptr.shape[0]) - 1
+        self.vertex_count = n
+        self.edges = edges
+        self.indptr = indptr
+        self.indices = indices
+        self.weights = weights
         self.mu = np.zeros(n, dtype=np.float64)
-        np.add.at(self.mu, rows, vals)
+        np.add.at(self.mu, np.repeat(np.arange(n), np.diff(indptr)), weights)
         if np.any(self.mu <= 0):
             raise GraphFormatError("isolated vertex (graph must be connected)")
 
@@ -141,10 +141,6 @@ class WeightedGraph:
         return int(self.distances(x).max())
 
 
-def distances(g, x):
-    return g.distances(x)
-
-
 def eccentricities(g):
     """Eccentricity of every vertex (BFS per vertex, cached once)."""
     if g._ecc_all is None:
@@ -176,13 +172,8 @@ def host_frontier(g):
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def ball(g, x, radius=None):
-    """Open ball {y : d(x,y) < radius} as a sorted vertex array.
-
-    Accepts either (center, radius) or a BallSpec.
-    """
-    if isinstance(x, BallSpec):
-        x, radius = x.center, x.radius
+def ball(g, x, radius):
+    """Open ball {y : d(x,y) < radius} as a sorted vertex array."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if radius == 0:
@@ -199,15 +190,13 @@ def sphere(g, x, radius):
     return np.flatnonzero(d == radius).astype(np.int64)
 
 
-def volume(g, x, radius=None):
-    """mu-measure V(x,R) of the open ball; accepts a BallSpec."""
+def volume(g, x, radius):
+    """mu-measure V(x,R) of the open ball."""
     return float(g.mu[ball(g, x, radius)].sum())
 
 
-def annulus_volume(g, x, r=None, R=None):
-    """v(x,r,R) = V(x,R) - V(x,r); accepts an AnnulusSpec."""
-    if isinstance(x, AnnulusSpec):
-        x, r, R = x.center, x.inner, x.outer
+def annulus_volume(g, x, r, R):
+    """v(x,r,R) = V(x,R) - V(x,r)."""
     if not (R > r >= 0):
         raise ValueError("annulus requires R > r >= 0")
     return volume(g, x, R) - volume(g, x, r)
@@ -277,16 +266,24 @@ def shrink(g, A):
     return ShrinkResult(WeightedGraph(a + 1, edges), a, old_to_new)
 
 
-def check_p0(g):
-    """Smallest one-step transition probability min mu_xy / mu(x).
-
-    Also verifies the degree bound |{y : y ~ x}| <= 1/p0 that the minimum
-    implies for every vertex.
-    """
-    p0 = 1.0
+def min_transition(g):
+    """Smallest one-step transition probability p0 = min mu_xy / mu(x) and
+    the first directed edge (x, y) attaining it."""
+    best = None
     for x in range(g.vertex_count):
         lo, hi = g.indptr[x], g.indptr[x + 1]
-        p0 = min(p0, float(g.weights[lo:hi].min() / g.mu[x]))
+        k = int(np.argmin(g.weights[lo:hi]))
+        val = float(g.weights[lo + k] / g.mu[x])
+        if best is None or val < best[0]:
+            best = (val, (x, int(g.indices[lo + k])))
+    return best
+
+
+def check_p0(g):
+    """p0 of ``min_transition``, after verifying the degree bound
+    |{y : y ~ x}| <= 1/p0 that the minimum implies for every vertex.
+    """
+    p0 = min_transition(g)[0]
     for x in range(g.vertex_count):
         deg = int(g.indptr[x + 1] - g.indptr[x])
         if deg > 1.0 / p0 + 1e-9:

@@ -26,8 +26,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from ._kernels import multi_source_distances_numpy
 from .errors import ConvergenceError, MarginError, UnreachableError
-from .graph import ball, boundary, sphere, volume
+from .graph import ball, boundary, volume
 
 DIRECT_SOLVE_LIMIT = 5000
 SOLVE_TOL = 1e-10
@@ -196,10 +197,9 @@ def layered_lower_bound(g, A, B_outer):
 
     Shells are distance classes from A; shorting each class gives a
     series chain whose resistance sum_i 1/mu(E_i) can only be smaller
-    than the true rho(A, complement of B_outer).
+    than the true rho(A, complement of B_outer).  Returns the bound and
+    the shell count L = d(A, complement of B_outer).
     """
-    from ._kernels import multi_source_distances_numpy
-
     A = _as_vertex_set(g, A)
     B = _as_vertex_set(g, B_outer)
     if A.size == 0:
@@ -221,20 +221,7 @@ def layered_lower_bound(g, A, B_outer):
             cross[lo] += w
     if np.any(cross <= 0):
         raise UnreachableError("empty shell crossing")
-    return float(np.sum(1.0 / cross))
-
-
-def distance_to_complement(g, A, B_outer):
-    """d(A, Gamma \\ B_outer): the shell count L used by the layered bound."""
-    from ._kernels import multi_source_distances_numpy
-
-    A = _as_vertex_set(g, A)
-    B = _as_vertex_set(g, B_outer)
-    inB = np.zeros(g.vertex_count, dtype=bool)
-    inB[B] = True
-    sink = np.flatnonzero(~inB)
-    dA = multi_source_distances_numpy(g.indptr, g.indices, A, g.vertex_count)
-    return int(dA[sink].min())
+    return float(np.sum(1.0 / cross)), L
 
 
 # -- Green operator -----------------------------------------------------------
@@ -291,14 +278,6 @@ class GreenOperator:
 
     def solve(self, rhs):
         return self._solve(rhs)
-
-
-def green(g, A):
-    return GreenOperator(g, A)
-
-
-def green_kernel(op, y, z):
-    return op.kernel(y, z)
 
 
 # -- exit times ----------------------------------------------------------------

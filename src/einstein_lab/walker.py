@@ -3,7 +3,7 @@
 Used as an independent cross-check of the exact solvers.  Randomness is
 counter-based: the uniform driving step t of walk w is a pure function
 of (seed, w, t), so results are reproducible bit-for-bit regardless of
-scheduling and identical on the numba and numpy kernel paths.
+scheduling.
 """
 
 from dataclasses import dataclass, field

@@ -185,17 +185,17 @@ def test_7_resistance_doubling_and_harnack(fixtures):
     report(7, ok, "; ".join(lines))
 
 
-def test_8_thread_determinism(tmp_path):
+def test_8_report_determinism(tmp_path):
     g, c = lattice_box(2, 41)
     path = tmp_path / "z41.txt"
     save(g, path)
     outs = []
-    for t in ("1", "8"):
-        out = tmp_path / f"rep{t}"
+    for run in ("1", "2"):
+        out = tmp_path / f"rep{run}"
         r = subprocess.run(
             [sys.executable, "-m", "einstein_lab.cli", "verify",
              "--graph", str(path), "--out-dir", str(out),
-             "--radii", "2,4,8", "--threads", t],
+             "--radii", "2,4,8"],
             capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         outs.append(out)
@@ -208,5 +208,5 @@ def test_8_thread_determinism(tmp_path):
     same_csv = (outs[0] / "verify.csv").read_bytes() == \
         (outs[1] / "verify.csv").read_bytes()
     report(8, same_json and same_csv,
-           "verify reports byte-identical for --threads 1 vs 8 "
+           "verify reports byte-identical across two runs "
            "(timestamp excluded)")

@@ -72,6 +72,24 @@ class TestCompute:
         lam = json.loads(r.stdout)["result"]["lambda"]
         assert 0 < lam <= 1
 
+    @pytest.mark.parametrize("quantity, given, flag", [
+        ("exit", ["--R", "3"], "--x"),
+        ("exit", ["--x", "0"], "--R"),
+        ("resistance", [], "--A-ball"),
+        ("resistance", ["--A-ball", "220,2"], "--B-ball"),
+        ("green", ["--A-ball", "220,3", "--y", "220"], "--z"),
+        ("green", ["--y", "220", "--z", "220"], "--A-ball"),
+        ("lambda", [], "--ball"),
+        ("harnack", ["--R", "2"], "--x"),
+        ("hg", ["--x", "220"], "--R"),
+    ])
+    def test_missing_flag_usage_error(self, z21_file, capsys, quantity,
+                                      given, flag):
+        path, g, c = z21_file
+        code = cli.main(["compute", quantity, "--graph", path, *given])
+        assert code == cli.EXIT_USAGE
+        assert flag in capsys.readouterr().err
+
     def test_margin_exit_code(self, z21_file):
         path, g, c = z21_file
         r = run_cli(["compute", "exit", "--graph", path,
@@ -173,18 +191,3 @@ class TestMc:
                      "--A-ball", f"{c},2", "--B-ball", f"{c},5"])
         rho = json.loads(r.stdout)["result"]["rho"]
         assert rho == float(f"{rho:.12g}")
-
-
-def test_threads_flag_reports_identical(z21_file, tmp_path):
-    path, g, c = z21_file
-    for t in ("1", "4"):
-        r = run_cli(["verify", "--graph", path, "--out-dir",
-                     str(tmp_path / f"t{t}"), "--radii", "2,4",
-                     "--threads", t])
-        assert r.returncode == 0
-    strip = lambda p: "\n".join(
-        ln for ln in p.read_text().splitlines() if "timestamp" not in ln)
-    assert strip(tmp_path / "t1" / "verify.json") == \
-        strip(tmp_path / "t4" / "verify.json")
-    assert (tmp_path / "t1" / "verify.csv").read_bytes() == \
-        (tmp_path / "t4" / "verify.csv").read_bytes()

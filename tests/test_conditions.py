@@ -141,12 +141,20 @@ class TestMeasureCondition:
                                  cache=cache)
         assert fine.constant >= coarse.constant
 
-    def test_threads_do_not_change_result(self, z41):
-        g, c, cache = z41
-        grid = default_grid(g)
-        a = measure_condition(g, grid, "TC", cache=cache, threads=1)
-        b = measure_condition(g, grid, "TC", cache=cache, threads=8)
-        assert a.constant == b.constant and a.extremizer == b.extremizer
+    def test_tables_look_up_names_at_call_time(self, z41, monkeypatch):
+        # tracers wrap cache methods and module functions after import;
+        # a table entry holding the original would bypass the wrapper
+        g, c, _ = z41
+        seen = []
+        harnack, volume = QuantityCache.harnack, conditions.annulus_volume
+        monkeypatch.setattr(QuantityCache, "harnack", lambda self, x, R:
+                            seen.append("H") or harnack(self, x, R))
+        monkeypatch.setattr(conditions, "annulus_volume", lambda *a:
+                            seen.append("v") or volume(*a))
+        grid = SweepGrid((c,), (2, 4))
+        measure_condition(g, grid, "H")
+        conditions.CHECKS["crv>r2"]("crv>r2", g, grid, QuantityCache(g))
+        assert seen == ["H", "H", "v"]
 
     def test_unknown_tag(self, z41):
         g, c, cache = z41

@@ -9,9 +9,8 @@ from einstein_lab.generators import lattice_box, sierpinski_gasket
 from einstein_lab.graph import WeightedGraph, ball, volume
 from einstein_lab import potential
 from einstein_lab.potential import (GreenOperator, dirichlet_potential,
-                                    distance_to_complement, exit_time,
-                                    exit_time_inverse, g_condition, green,
-                                    green_kernel, harmonic_measure,
+                                    exit_time, exit_time_inverse,
+                                    g_condition, harmonic_measure,
                                     harnack_constant, hg_constant, lambda_min,
                                     layered_lower_bound, max_exit_time,
                                     mean_exit_time, resistance,
@@ -107,22 +106,23 @@ class TestResistance:
 class TestLayeredBound:
     def test_path_exact(self):
         g = path_graph(5)
-        assert layered_lower_bound(g, [0], [0, 1, 2, 3]) == pytest.approx(4.0)
+        bound, L = layered_lower_bound(g, [0], [0, 1, 2, 3])
+        assert bound == pytest.approx(4.0)
+        assert L == 4
 
     def test_k4(self):
         g = WeightedGraph(4, [(0, 1, 1), (0, 2, 1), (0, 3, 1),
                               (1, 2, 1), (1, 3, 1), (2, 3, 1)])
-        bound = layered_lower_bound(g, [0], [0, 1, 2])
+        bound, _ = layered_lower_bound(g, [0], [0, 1, 2])
         assert bound == pytest.approx(1 / 3)
         assert bound <= resistance(g, [0], [0, 1, 2]) + 1e-12
 
     def test_lattice_annulus(self):
         g, c = lattice_box(2, 41)
         A, B = ball(g, c, 2), ball(g, c, 8)
-        bound = layered_lower_bound(g, A, B)
+        bound, L = layered_lower_bound(g, A, B)
         rho = resistance(g, A, B)
         assert bound <= rho * (1 + 1e-9)
-        L = distance_to_complement(g, A, B)
         assert L == 7     # from the closed ball {d<=1} to {d>=8}
         v = volume(g, c, 8) - volume(g, c, 2)
         assert bound * v >= L * L * (1 - 1e-9)
@@ -131,13 +131,13 @@ class TestLayeredBound:
 class TestGreen:
     def test_singleton_one_visit(self):
         g = path_graph(3)
-        op = green(g, [1])
+        op = GreenOperator(g, [1])
         assert op.visits(1, 1) == pytest.approx(1.0)
-        assert green_kernel(op, 1, 1) == pytest.approx(0.5)
+        assert op.kernel(1, 1) == pytest.approx(0.5)
 
     def test_diagonal_is_point_resistance(self):
         g, c = lattice_box(2, 21)
-        op = green(g, ball(g, c, 4))
+        op = GreenOperator(g, ball(g, c, 4))
         rho = resistance(g, [c], ball(g, c, 4))
         assert op.kernel(c, c) == pytest.approx(rho, rel=1e-8)
 
@@ -158,7 +158,7 @@ class TestGreen:
     def test_whole_graph_rejected(self):
         g = path_graph(3)
         with pytest.raises(ValueError):
-            green(g, [0, 1, 2])
+            GreenOperator(g, [0, 1, 2])
 
 
 class TestExitTimes:

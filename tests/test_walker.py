@@ -9,10 +9,6 @@ from einstein_lab.potential import harmonic_measure, mean_exit_time
 from einstein_lab.walker import (RngStream, WalkConfig, mc_exit_sample,
                                  mc_exit_time, step)
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA,
-                                 reason="numba not importable")
-
-
 def test_u01_scalar_vector_agree():
     walks = np.arange(64, dtype=np.uint64)
     for seed in (0, 7, 2 ** 63 + 11):
@@ -23,27 +19,6 @@ def test_u01_scalar_vector_agree():
             assert vec.tolist() == sca
     u = _kernels._u01_np(_kernels.stream_keys_np(3, walks), 5)
     assert np.all((0 <= u) & (u < 1))
-
-
-@needs_numba
-def test_kernel_paths_bit_identical():
-    g, c = lattice_box(2, 21)
-    prof = g.transition_profile()
-    in_region = np.zeros(g.vertex_count, dtype=bool)
-    in_region[ball(g, c, 5)] = True
-    args = (g.indptr, g.indices, prof, in_region, c, 400, 50_000, 123)
-    s_np, e_np = _kernels.simulate_exits_numpy(*args)
-    s_nb, e_nb = _kernels.simulate_exits_numba(*args)
-    assert np.array_equal(s_np, s_nb)
-    assert np.array_equal(e_np, e_nb)
-
-
-@needs_numba
-def test_bfs_paths_identical():
-    g, c = lattice_box(2, 21)
-    d1 = _kernels.bfs_distances_numpy(g.indptr, g.indices, c, g.vertex_count)
-    d2 = _kernels.bfs_distances_numba(g.indptr, g.indices, c, g.vertex_count)
-    assert np.array_equal(d1, d2)
 
 
 class TestStep:
