@@ -1,11 +1,12 @@
-"""Hot inner loops: BFS distances and random-walk simulation, vectorized
-with numpy.  The walk kernel draws from a counter-based generator
-(splitmix64-style finalizer keyed by ``(seed, walk, step)``), so a
-simulation result does not depend on batching or call order, and the
-scalar generator below reproduces any single draw.
+"""Hot inner loops.  BFS distances are scipy's csgraph over the graph's
+weight CSR; the random-walk kernel is vectorized numpy and draws from a
+counter-based generator (splitmix64-style finalizer keyed by ``(seed,
+walk, step)``), so a simulation result does not depend on batching or
+call order, and the scalar generator below reproduces any single draw.
 """
 
 import numpy as np
+from scipy.sparse import csgraph
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -61,49 +62,13 @@ def _u01_np(keys: np.ndarray, step: int) -> np.ndarray:
 # -- BFS distances -----------------------------------------------------------
 
 
-def bfs_distances(indptr, indices, source, n):
-    """Hop distances from ``source``; frontier expansion with gathers."""
-    dist = np.full(n, -1, dtype=np.int32)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        # flat gather of all neighbour slices without a per-vertex loop:
-        # position j of group i maps to starts[i] + (j - exclusive_cum[i])
-        excl = np.cumsum(counts) - counts
-        flat = np.arange(total, dtype=np.int64) + np.repeat(starts - excl, counts)
-        nbrs = indices[flat]
-        nbrs = nbrs[dist[nbrs] < 0]
-        if nbrs.size:
-            nbrs = np.unique(nbrs)
-            dist[nbrs] = level + 1
-        frontier = nbrs
-        level += 1
-    return dist
-
-
-def multi_source_distances_numpy(indptr, indices, sources, n):
-    dist = np.full(n, -1, dtype=np.int32)
-    dist[sources] = 0
-    frontier = np.asarray(sources, dtype=np.int64)
-    level = 0
-    while frontier.size:
-        nxt = []
-        for v in frontier:
-            nxt.append(indices[indptr[v]:indptr[v + 1]])
-        nbrs = np.concatenate(nxt) if nxt else np.empty(0, dtype=indices.dtype)
-        nbrs = nbrs[dist[nbrs] < 0]
-        if nbrs.size:
-            nbrs = np.unique(nbrs)
-            dist[nbrs] = level + 1
-        frontier = nbrs
-        level += 1
-    return dist
+def bfs_distances(W, sources):
+    """Hop distances over the adjacency ``W`` from one source vertex or,
+    for several, from the nearest of them; -1 where no source reaches.
+    Stored weights play no role."""
+    dist = csgraph.dijkstra(W, indices=sources, unweighted=True, min_only=True)
+    dist[np.isinf(dist)] = -1
+    return dist.astype(np.int32)
 
 
 # -- walk simulation ---------------------------------------------------------

@@ -2,10 +2,11 @@
 
 Exit codes are a stable contract: 0 success (all asserted inequalities
 pass), 1 verified violation, 2 usage error, 3 margin violation, 4 solver
-non-convergence.  JSON on stdout is the machine interface (numbers at 12
-significant digits, no timestamp, so identical runs are byte-identical);
-CSV files are the plotting interface.  File reports embed a manifest
-with a timestamp; reports are otherwise reproducible byte-for-byte.
+non-convergence or no current between the poles.  JSON on stdout is the
+machine interface (numbers at 12 significant digits, no timestamp, so
+identical runs are byte-identical); CSV files are the plotting
+interface.  File reports embed a manifest with a timestamp; reports are
+otherwise reproducible byte-for-byte.
 """
 
 import argparse
@@ -20,7 +21,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, conditions, generators, graph, potential, walker
-from .errors import ConvergenceError, GraphFormatError, MarginError
+from .errors import (ConvergenceError, GraphFormatError, MarginError,
+                     UnreachableError)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -215,7 +217,7 @@ def cmd_verify(args):
         try:
             reports[tag] = conditions.measure_condition(g, grid, tag,
                                                         cache=cache)
-        except (ValueError, MarginError, ConvergenceError) as exc:
+        except (ValueError, *conditions.SOLVER_ERRORS) as exc:
             reports[tag] = None
             print(f"condition {tag}: skipped ({exc})", file=sys.stderr)
 
@@ -411,6 +413,9 @@ def main(argv=None):
     except ConvergenceError as exc:
         print(f"convergence error: {exc} (residual={exc.residual})",
               file=sys.stderr)
+        return EXIT_CONVERGENCE
+    except UnreachableError as exc:
+        print(f"unreachable: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except (ValueError, GraphFormatError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

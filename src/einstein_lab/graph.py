@@ -11,6 +11,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import _kernels
 from .errors import GraphFormatError
@@ -19,10 +20,14 @@ from .errors import GraphFormatError
 class WeightedGraph:
     """Immutable connected graph with symmetric positive edge weights.
 
-    Safe to share across threads: all arrays are frozen after construction
-    and every operation is a pure read.  Per-center distance arrays are
-    cached; concurrent fill-or-read is harmless because BFS is
-    deterministic, so racing fills write identical values.
+    The adjacency is held once: the CSR arrays ``indptr``, ``indices`` and
+    ``weights`` that the walk kernel reads, and ``matrix``, a scipy CSR
+    over them that every BFS and every Dirichlet block slices.
+
+    Safe to share across threads: all arrays, ``matrix``'s included, are
+    frozen after construction and every operation is a pure read.
+    Per-center distance arrays are cached; racing fills are harmless
+    because BFS is deterministic, so they write identical values.
     """
 
     def __init__(self, vertex_count, edges):
@@ -85,7 +90,11 @@ class WeightedGraph:
         if np.any(self.mu <= 0):
             raise GraphFormatError("isolated vertex (graph must be connected)")
 
-        for arr in (self.indptr, self.indices, self.weights, self.mu):
+        # scipy may copy the index arrays and views ``weights``: freeze
+        # the matrix's own arrays, not only the ones it was built from
+        self.matrix = sp.csr_matrix((weights, indices, indptr), shape=(n, n))
+        for arr in (self.indptr, self.indices, self.weights, self.mu,
+                    self.matrix.data, self.matrix.indices, self.matrix.indptr):
             arr.setflags(write=False)
 
         self._dist_cache = {}
@@ -129,9 +138,7 @@ class WeightedGraph:
         cached = self._dist_cache.get(x)
         if cached is not None:
             return cached
-        dist = _kernels.bfs_distances(
-            self.indptr, self.indices, x, self.vertex_count
-        )
+        dist = _kernels.bfs_distances(self.matrix, x)
         dist.setflags(write=False)
         with self._dist_lock:
             self._dist_cache.setdefault(x, dist)
@@ -146,9 +153,7 @@ def eccentricities(g):
     if g._ecc_all is None:
         out = np.empty(g.vertex_count, dtype=np.int64)
         for v in range(g.vertex_count):
-            dist = _kernels.bfs_distances(g.indptr, g.indices, v,
-                                          g.vertex_count)
-            out[v] = dist.max()
+            out[v] = _kernels.bfs_distances(g.matrix, v).max()
         out.setflags(write=False)
         g._ecc_all = out
     return g._ecc_all
@@ -207,20 +212,12 @@ def closure(g, A):
     A = np.asarray(A, dtype=np.int64)
     if A.size == 0:
         raise ValueError("closure of the empty set")
-    mark = np.zeros(g.vertex_count, dtype=bool)
-    mark[A] = True
-    for x in A:
-        mark[g.neighbors(x)] = True
-    return np.flatnonzero(mark).astype(np.int64)
+    return np.union1d(A, g.matrix[A].indices)
 
 
 def boundary(g, A):
     """External boundary: closure(A) minus A."""
-    A = np.asarray(A, dtype=np.int64)
-    clo = closure(g, A)
-    inA = np.zeros(g.vertex_count, dtype=bool)
-    inA[A] = True
-    return clo[~inA[clo]]
+    return np.setdiff1d(closure(g, A), A)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._kernels import multi_source_distances_numpy
+from ._kernels import bfs_distances
 from .errors import ConvergenceError, MarginError, UnreachableError
 from .graph import ball, boundary, volume
 
@@ -39,18 +39,9 @@ EIGEN_MAXITER = 10_000
 # -- linear algebra plumbing -------------------------------------------------
 
 
-def _weight_matrix(g):
-    return sp.csr_matrix(
-        (g.weights, g.indices, g.indptr),
-        shape=(g.vertex_count, g.vertex_count),
-    )
-
-
 def _dirichlet_matrix(g, region):
     """(D - W) restricted to ``region`` (rows and columns)."""
-    W = _weight_matrix(g)
-    sub = W[region][:, region]
-    return sp.diags(g.mu[region]) - sub
+    return sp.diags(g.mu[region]) - g.matrix[region][:, region]
 
 
 def _make_solver(M, checked=True):
@@ -149,9 +140,8 @@ def dirichlet_potential(g, A, B_outer):
     interior = np.flatnonzero(inB & ~inA).astype(np.int64)
     residual = 0.0
     if interior.size:
-        W = _weight_matrix(g)
-        M = sp.diags(g.mu[interior]) - W[interior][:, interior]
-        rhs = np.asarray(W[interior][:, A].sum(axis=1)).ravel()
+        M = _dirichlet_matrix(g, interior)
+        rhs = np.asarray(g.matrix[interior][:, A].sum(axis=1)).ravel()
         x = _make_solver(M)(rhs)
         residual = _relative_residual(M, x, rhs)
         values[interior] = x
@@ -209,16 +199,17 @@ def layered_lower_bound(g, A, B_outer):
     sink = np.flatnonzero(~inB)
     if sink.size == 0:
         raise ValueError("sink is empty")
-    dA = multi_source_distances_numpy(g.indptr, g.indices, A, g.vertex_count)
+    dA = bfs_distances(g.matrix, A)
     L = int(dA[sink].min())
     if L <= 0:
         raise ValueError("source touches the sink")
-    cross = np.zeros(L, dtype=np.float64)
-    for u, v, w in g.edges:
-        du, dv = int(dA[u]), int(dA[v])
-        lo, hi = (du, dv) if du <= dv else (dv, du)
-        if hi == lo + 1 and lo < L:
-            cross[lo] += w
+    # each edge once, as its upper-triangle entry in CSR order: the
+    # sorted edge order, so the sums match a loop over the edge list
+    U = sp.triu(g.matrix, k=1, format="coo")
+    du, dv = dA[U.row], dA[U.col]
+    lo = np.minimum(du, dv)
+    step = (np.abs(du - dv) == 1) & (lo < L)
+    cross = np.bincount(lo[step], weights=U.data[step], minlength=L)
     if np.any(cross <= 0):
         raise UnreachableError("empty shell crossing")
     return float(np.sum(1.0 / cross)), L
@@ -415,12 +406,10 @@ def harmonic_measure(g, x, R):
     B = _require_proper_ball(g, x, R)
     bnd = boundary(g, B)
     op = GreenOperator(g, B)
-    W = _weight_matrix(g).tocsc()
+    W = g.matrix[B][:, bnd].tocsc()
     omega = np.empty((B.size, bnd.size), dtype=np.float64)
-    for k, z in enumerate(bnd):
-        col = W[:, int(z)].toarray().ravel()
-        rhs = col[B]
-        omega[:, k] = op.solve(rhs)
+    for k in range(bnd.size):
+        omega[:, k] = op.solve(W[:, k].toarray().ravel())
     return HarmonicMeasure(B, bnd, omega)
 
 

@@ -5,9 +5,10 @@ import sys
 
 import pytest
 
-from einstein_lab import cli, potential
+from einstein_lab import cli, conditions, potential
+from einstein_lab.errors import UnreachableError
 from einstein_lab.generators import lattice_box
-from einstein_lab.graph import ball, load, save
+from einstein_lab.graph import WeightedGraph, ball, load, save
 
 
 def run_cli(args, **kw):
@@ -103,6 +104,17 @@ class TestCompute:
                          "--ball", f"{c},5"])
         assert code == cli.EXIT_CONVERGENCE
 
+    def test_unreachable_exit_code(self, tmp_path, capsys):
+        # the 1e-320 edge carries no current that float64 can resolve
+        path = tmp_path / "path6.txt"
+        save(WeightedGraph(6, [(i, i + 1, 1e-320 if i == 2 else 1.0)
+                               for i in range(5)]), path)
+        code = cli.main(["compute", "resistance", "--graph", str(path),
+                         "--annulus", "1,0,3"])
+        assert code == cli.EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("unreachable: ") and err.count("\n") == 1
+
     def test_missing_graph_usage(self):
         r = run_cli(["compute", "exit", "--graph", "/nonexistent",
                      "--x", "0", "--R", "1"])
@@ -110,6 +122,26 @@ class TestCompute:
 
 
 class TestVerify:
+    def test_unreachable_condition_skipped(self, z21_file, tmp_path,
+                                           monkeypatch, capsys):
+        path, g, c = z21_file
+        measure = conditions.measure_condition
+
+        def measure_or_unreachable(g, grid, tag, cache=None):
+            if tag == "ER":
+                raise UnreachableError("no current flows from source to sink")
+            return measure(g, grid, tag, cache=cache)
+
+        monkeypatch.setattr(conditions, "measure_condition",
+                            measure_or_unreachable)
+        code = cli.main(["verify", "--graph", path, "--out-dir",
+                         str(tmp_path / "rep"), "--radii", "2"])
+        assert code == cli.EXIT_OK
+        assert "condition ER: skipped (no current" in capsys.readouterr().err
+        rep = json.loads((tmp_path / "rep" / "verify.json").read_text())
+        assert rep["conditions"]["ER"] is None
+        assert rep["conditions"]["VD"] is not None
+
     def test_clean_graph_passes(self, z21_file, tmp_path):
         path, g, c = z21_file
         r = run_cli(["verify", "--graph", path, "--out-dir",

@@ -1,11 +1,14 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from einstein_lab._kernels import bfs_distances
 from einstein_lab.errors import GraphFormatError
 from einstein_lab.graph import (WeightedGraph, annulus_volume, ball, boundary,
-                                check_p0, closure, load, save, shrink, sphere,
-                                volume)
+                                check_p0, closure, eccentricities, load, save,
+                                shrink, sphere, volume)
 from einstein_lab.generators import lattice_box, vicsek_tree
 
 
@@ -31,6 +34,29 @@ def connected_graphs(draw):
         if key[0] != key[1] and key not in edges:
             edges[key] = draw(weights)
     return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+def adjacency(g):
+    """Neighbour lists read from the edge list, not from the CSR."""
+    adj = [[] for _ in range(g.vertex_count)]
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def bfs_reference(adj, sources):
+    dist = [-1] * len(adj)
+    queue = deque(sources)
+    for s in sources:
+        dist[s] = 0
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 class TestConstruction:
@@ -59,6 +85,10 @@ class TestConstruction:
         g = path_graph(3)
         with pytest.raises(ValueError):
             g.weights[0] = 2.0
+        with pytest.raises(ValueError):
+            g.matrix.data[0] = 2.0
+        with pytest.raises(ValueError):
+            g.matrix.indices[0] = 2
 
     @given(connected_graphs())
     @settings(max_examples=30, deadline=None)
@@ -110,6 +140,23 @@ class TestMetric:
         assert volume(g, c, 4) / volume(g, c, 2) == 5.0
         assert volume(g, c, 16) / volume(g, c, 8) == pytest.approx(4.2566, abs=1e-3)
         assert volume(g, c, 32) / volume(g, c, 16) <= 4.5
+
+    @given(connected_graphs(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_bfs_matches_deque_reference(self, g, data):
+        n = g.vertex_count
+        adj = adjacency(g)
+        ref = [bfs_reference(adj, [v]) for v in range(n)]
+        for v in range(n):
+            assert g.distances(v).tolist() == ref[v]
+        assert eccentricities(g).tolist() == [max(d) for d in ref]
+        A = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                               max_size=n, unique=True))
+        multi = bfs_distances(g.matrix, A).tolist()
+        assert multi == bfs_reference(adj, A)
+        assert multi == [min(ref[a][v] for a in A) for v in range(n)]
+        expect = sorted(set(A).union(*(adj[a] for a in A)))
+        assert closure(g, A).tolist() == expect
 
     @given(connected_graphs())
     @settings(max_examples=25, deadline=None)

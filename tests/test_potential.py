@@ -15,6 +15,7 @@ from einstein_lab.potential import (GreenOperator, dirichlet_potential,
                                     layered_lower_bound, max_exit_time,
                                     mean_exit_time, resistance,
                                     resistance_annulus)
+from test_graph import adjacency, bfs_reference, connected_graphs
 
 
 def path_graph(n, w=1.0):
@@ -103,7 +104,44 @@ class TestResistance:
             resistance_annulus(g, 2, 1, 10)
 
 
+def layered_reference(g, A, B):
+    """The bound as a loop over the edge list, in its sorted order."""
+    dA = bfs_reference(adjacency(g), A)
+    sink = set(range(g.vertex_count)) - set(B.tolist())
+    L = min(dA[v] for v in sink)
+    cross = [0.0] * L
+    for u, v, w in g.edges:
+        lo, hi = sorted((dA[u], dA[v]))
+        if hi == lo + 1 and lo < L:
+            cross[lo] += w
+    return float(np.sum(1.0 / np.array(cross))), L
+
+
 class TestLayeredBound:
+    @given(connected_graphs(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_edge_loop(self, g, data):
+        x = data.draw(st.integers(0, g.vertex_count - 1))
+        R = data.draw(st.integers(1, g.eccentricity(x)))
+        r = data.draw(st.integers(1, R))
+        A, B = ball(g, x, r), ball(g, x, R)
+        assert layered_lower_bound(g, A, B) == layered_reference(g, A, B)
+
+    def test_self_loops_and_sum_order(self):
+        # the first shell crossing sums to 1 + 2**-52 in edge order and
+        # to 1.0 when the 1.0 edge comes first: the order is observable
+        tiny = 2.0 ** -53
+        g = WeightedGraph(6, [(0, 0, 3.0), (0, 3, tiny), (0, 4, tiny),
+                              (1, 2, 1.0), (2, 2, 0.9), (2, 5, 1e6),
+                              (3, 5, 1e6), (4, 5, 1e6)])
+        A, B = np.array([0, 1]), np.arange(5)
+        bound, L = layered_lower_bound(g, A, B)
+        assert (bound, L) == layered_reference(g, A, B)
+        assert bound != 1.0 + 1.0 / 3e6
+        for r, R in ((1, 1), (1, 2), (2, 2)):
+            A, B = ball(g, 5, r), ball(g, 5, R)
+            assert layered_lower_bound(g, A, B) == layered_reference(g, A, B)
+
     def test_path_exact(self):
         g = path_graph(5)
         bound, L = layered_lower_bound(g, [0], [0, 1, 2, 3])
