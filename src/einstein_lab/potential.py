@@ -44,42 +44,31 @@ def _dirichlet_matrix(g, region):
     return sp.diags(g.mu[region]) - g.matrix[region][:, region]
 
 
-def _make_solver(M, checked=True):
-    """Return solve(b) honouring the residual contract.
+def _make_solver(M):
+    """Factor M once and return its raw solve(b).
 
-    Direct sparse LU below DIRECT_SOLVE_LIMIT unknowns, preconditioned
-    conjugate gradients above; the contract is the relative residual,
-    not the method.  With ``checked`` every solve verifies its residual
-    and raises instead of returning silently inaccurate values (extreme
-    weight ratios can push even a pivoted LU past float64).
+    Direct sparse LU below DIRECT_SOLVE_LIMIT unknowns, Jacobi-
+    preconditioned conjugate gradients above.  The residual contract is
+    checked by the caller: GreenOperator.solve for every Dirichlet
+    solve, the Rayleigh residual for lambda_min.
     """
     n = M.shape[0]
     M = M.tocsc()
     if n < DIRECT_SOLVE_LIMIT:
-        lu = spla.splu(M)
-        raw = lu.solve
-    else:
-        diag = M.diagonal()
-        precond = spla.LinearOperator(M.shape, matvec=lambda v: v / diag)
-
-        def raw(b):
-            x, info = spla.cg(M, b, rtol=1e-12, atol=0.0, maxiter=20_000,
-                              M=precond)
-            if info != 0:
-                raise ConvergenceError(f"CG failed on {n} unknowns",
-                                       iterations=info)
-            return x
-
-    if not checked:
-        return raw
+        try:
+            return spla.splu(M).solve
+        except RuntimeError as exc:     # "Factor is exactly singular"
+            raise ConvergenceError(
+                f"LU factor of {n} unknowns failed: {exc}") from None
+    diag = M.diagonal()
+    precond = spla.LinearOperator(M.shape, matvec=lambda v: v / diag)
 
     def solve(b):
-        x = raw(b)
-        res = _relative_residual(M, x, b)
-        if res > SOLVE_TOL:
-            raise ConvergenceError(
-                f"linear solve on {n} unknowns missed the residual "
-                f"contract", residual=res)
+        x, info = spla.cg(M, b, rtol=1e-12, atol=0.0, maxiter=20_000,
+                          M=precond)
+        if info != 0:
+            raise ConvergenceError(f"CG failed on {n} unknowns",
+                                   iterations=info)
         return x
 
     return solve
@@ -99,6 +88,24 @@ def _as_vertex_set(g, A):
     return A
 
 
+def _killed_region(g, region):
+    """The sorted region of a killed walk: non-empty and proper."""
+    region = _as_vertex_set(g, region)
+    if region.size == 0:
+        raise ValueError("region is empty")
+    if region.size == g.vertex_count:
+        raise ValueError("region must be a proper subset (killed walk)")
+    return region
+
+
+def _locate(region, v):
+    """Position of vertex v in the sorted region."""
+    i = int(np.searchsorted(region, v))
+    if i == region.size or region[i] != v:
+        raise ValueError(f"vertex {v} not in region")
+    return i
+
+
 def _require_proper_ball(g, x, R, what="ball"):
     B = ball(g, x, R)
     if B.size == 0:
@@ -115,7 +122,6 @@ def _require_proper_ball(g, x, R, what="ball"):
 class PotentialField:
     values: np.ndarray        # one value per vertex; 1 on source, 0 on sink
     source: np.ndarray
-    sink: np.ndarray
     residual: float
 
 
@@ -125,27 +131,21 @@ def dirichlet_potential(g, A, B_outer):
     B = _as_vertex_set(g, B_outer)
     if A.size == 0:
         raise ValueError("source set is empty")
-    inB = np.zeros(g.vertex_count, dtype=bool)
-    inB[B] = True
-    if not inB[A].all():
+    interior = np.setdiff1d(B, A, assume_unique=True)
+    if interior.size != B.size - A.size:
         raise ValueError("source must lie inside B_outer")
-    sink = np.flatnonzero(~inB).astype(np.int64)
-    if sink.size == 0:
+    if B.size == g.vertex_count:
         raise ValueError("sink is empty (B_outer covers the host)")
 
     values = np.zeros(g.vertex_count, dtype=np.float64)
     values[A] = 1.0
-    inA = np.zeros(g.vertex_count, dtype=bool)
-    inA[A] = True
-    interior = np.flatnonzero(inB & ~inA).astype(np.int64)
     residual = 0.0
     if interior.size:
-        M = _dirichlet_matrix(g, interior)
+        op = GreenOperator(g, interior)
         rhs = np.asarray(g.matrix[interior][:, A].sum(axis=1)).ravel()
-        x = _make_solver(M)(rhs)
-        residual = _relative_residual(M, x, rhs)
-        values[interior] = x
-    return PotentialField(values, A, sink, residual)
+        values[interior] = op.solve(rhs)
+        residual = op.residual
+    return PotentialField(values, A, residual)
 
 
 def current_out(g, A, values):
@@ -219,31 +219,37 @@ def layered_lower_bound(g, A, B_outer):
 
 
 class GreenOperator:
-    """Factorized killed-walk solver for a region A, reusable across
-    right-hand sides.  kernel(y,z) is g^A(y,z) = M^{-1}(y,z); it is
+    """The Dirichlet system M = (D - W)|_A of a region A, assembled and
+    factored once and reused across right-hand sides.  Every solve is
+    checked against the relative residual SOLVE_TOL; ``residual`` is the
+    worst one seen so far.  kernel(y,z) is g^A(y,z) = M^{-1}(y,z); it is
     exactly symmetric because M is."""
 
     def __init__(self, g, region):
-        region = _as_vertex_set(g, region)
-        if region.size == 0:
-            raise ValueError("region is empty")
-        if region.size == g.vertex_count:
-            raise ValueError("region must be a proper subset (killed walk)")
+        region = _killed_region(g, region)
         self.graph = g
         self.region = region
         self.size = int(region.size)
-        self._loc = np.full(g.vertex_count, -1, dtype=np.int64)
-        self._loc[region] = np.arange(self.size, dtype=np.int64)
-        self._M = _dirichlet_matrix(g, region).tocsc()
-        self._solve = _make_solver(self._M)
         self.mu = g.mu[region]
+        self._M = _dirichlet_matrix(g, region).tocsc()
+        self._raw_solve = _make_solver(self._M)
+        self.residual = 0.0
         self._columns = {}
 
     def local(self, v):
-        i = int(self._loc[v])
-        if i < 0:
-            raise ValueError(f"vertex {v} not in region")
-        return i
+        return _locate(self.region, v)
+
+    def solve(self, rhs):
+        """M^{-1} rhs, refused when it misses the residual contract
+        (extreme weight ratios can push even a pivoted LU past float64)."""
+        x = self._raw_solve(rhs)
+        res = _relative_residual(self._M, x, rhs)
+        if res > SOLVE_TOL:
+            raise ConvergenceError(
+                f"linear solve on {self.size} unknowns missed the residual "
+                f"contract", residual=res)
+        self.residual = max(self.residual, res)
+        return x
 
     def column(self, z):
         """g^A(., z) over the region, cached per z."""
@@ -252,7 +258,7 @@ class GreenOperator:
         if col is None:
             rhs = np.zeros(self.size)
             rhs[j] = 1.0
-            col = self._solve(rhs)
+            col = self.solve(rhs)
             self._columns[j] = col
         return col
 
@@ -265,10 +271,7 @@ class GreenOperator:
 
     def exit_times(self):
         """E_z(T_A) for z in the region: solves M E = mu."""
-        return self._solve(self.mu.copy())
-
-    def solve(self, rhs):
-        return self._solve(rhs)
+        return self.solve(self.mu)
 
 
 # -- exit times ----------------------------------------------------------------
@@ -345,18 +348,14 @@ def lambda_min(g, A):
     eigenvalue is similarity-invariant, so the reported value belongs to
     the original operator.  Stops on the Rayleigh residual.
     """
-    region = _as_vertex_set(g, A)
-    if region.size == 0:
-        raise ValueError("region is empty")
-    if region.size == g.vertex_count:
-        raise ValueError("region must be a proper subset")
+    region = _killed_region(g, A)
     M = _dirichlet_matrix(g, region).tocsr()
     d = np.sqrt(g.mu[region])
     S = sp.diags(1.0 / d) @ M @ sp.diags(1.0 / d)
     S = S.tocsc()
     # inner solves only steer the iteration; the Rayleigh residual and
     # the positivity guard below are the actual quality contract
-    solve = _make_solver(S, checked=False)
+    solve = _make_solver(S)
 
     v = np.ones(region.size) / np.sqrt(region.size)
     lam = 0.0
@@ -394,10 +393,7 @@ class HarmonicMeasure:
     omega: np.ndarray         # shape (|region|, |boundary|), rows sum to 1
 
     def row(self, y):
-        idx = np.searchsorted(self.region, y)
-        if idx >= self.region.size or self.region[idx] != y:
-            raise ValueError(f"vertex {y} not in region")
-        return self.omega[idx]
+        return self.omega[_locate(self.region, y)]
 
 
 def harmonic_measure(g, x, R):
@@ -443,36 +439,29 @@ def harnack_constant(g, x, R):
 
 def _green_ball_profile(g, x, R):
     """One Green solve on B(x,2R): kernel row at x, split annulus/ball."""
+    if R < 1:
+        raise ValueError("radius must be >= 1")
     x = g.check_vertex(x)
     B2 = _require_proper_ball(g, x, 2 * R, what="outer ball")
-    inner = ball(g, x, R)
+    sel_inner = np.isin(B2, ball(g, x, R))
+    if sel_inner.all():
+        raise MarginError("annulus B(x,2R) \\ B(x,R) is empty")
     op = GreenOperator(g, B2)
     gx = op.column(x)
     e2r = float(gx @ op.mu)          # E(x,2R) via the visit identity
-    sel_inner = np.isin(B2, inner)
-    inf_ball = float(gx[sel_inner].min())
-    sup_ann = float(gx[~sel_inner].max()) if (~sel_inner).any() else np.nan
-    return inf_ball, sup_ann, e2r
+    return float(gx[sel_inner].min()), float(gx[~sel_inner].max()), e2r
 
 
 def hg_constant(g, x, R):
     """sup over the annulus of g^{B(x,2R)}(x,.) divided by the inf over
     B(x,R); the measured constant of the Green-kernel Harnack bound."""
-    if R < 1:
-        raise ValueError("radius must be >= 1")
     inf_ball, sup_ann, _ = _green_ball_profile(g, x, R)
-    if np.isnan(sup_ann):
-        raise MarginError("annulus B(x,2R) \\ B(x,R) is empty")
     return sup_ann / inf_ball
 
 
 def g_condition(g, x, R):
     """Dimensionless Green bounds (lower, upper):
     (min over B(x,R) of g) V/E  and  (max over the annulus of g) V/E."""
-    if R < 1:
-        raise ValueError("radius must be >= 1")
     inf_ball, sup_ann, e2r = _green_ball_profile(g, x, R)
-    if np.isnan(sup_ann):
-        raise MarginError("annulus B(x,2R) \\ B(x,R) is empty")
     V = volume(g, x, R)
     return inf_ball * V / e2r, sup_ann * V / e2r

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from einstein_lab import cli, conditions, potential
 from einstein_lab.errors import UnreachableError
 from einstein_lab.generators import lattice_box
 from einstein_lab.graph import WeightedGraph, ball, load, save
+from test_potential import split_path
 
 
 def run_cli(args, **kw):
@@ -22,6 +24,13 @@ def z21_file(tmp_path_factory):
     g, c = lattice_box(2, 21)
     save(g, path)
     return str(path), g, c
+
+
+@pytest.fixture(scope="module")
+def split_path_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("graphs") / "split65.txt"
+    save(split_path(), path)
+    return str(path)
 
 
 class TestGenerate:
@@ -115,6 +124,25 @@ class TestCompute:
         err = capsys.readouterr().err
         assert err.startswith("unreachable: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("given", [["lambda", "--ball", "32,8"],
+                                       ["exit", "--x", "32", "--R", "8"]])
+    def test_singular_factor_exit_code(self, split_path_file, capsys, given):
+        code = cli.main(["compute", given[0], "--graph", split_path_file,
+                         *given[1:]])
+        assert code == cli.EXIT_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("convergence error: LU factor of 15 unknowns")
+        assert "exactly singular" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("y", ["-1", "129"])
+    def test_green_vertex_outside_region(self, tmp_path, capsys, y):
+        path = tmp_path / "z1.txt"
+        save(lattice_box(1, 129)[0], path)
+        code = cli.main(["compute", "green", "--graph", str(path),
+                         "--A-ball", "128,3", "--y", y, "--z", "128"])
+        assert code == cli.EXIT_USAGE
+        assert f"error: vertex {y} not in region" in capsys.readouterr().err
+
     def test_missing_graph_usage(self):
         r = run_cli(["compute", "exit", "--graph", "/nonexistent",
                      "--x", "0", "--R", "1"])
@@ -141,6 +169,15 @@ class TestVerify:
         rep = json.loads((tmp_path / "rep" / "verify.json").read_text())
         assert rep["conditions"]["ER"] is None
         assert rep["conditions"]["VD"] is not None
+
+    def test_singular_factor_solver_rows(self, split_path_file, tmp_path):
+        code = cli.main(["verify", "--graph", split_path_file, "--centers",
+                         "32", "--out-dir", str(tmp_path / "rep")])
+        assert code == cli.EXIT_VIOLATION
+        rows = (tmp_path / "rep" / "verify.csv").read_text().splitlines()
+        assert any(row.startswith("llrv,32,") and
+                   "solver: LU factor of" in row and
+                   "exactly singular" in row for row in rows)
 
     def test_clean_graph_passes(self, z21_file, tmp_path):
         path, g, c = z21_file
@@ -223,3 +260,25 @@ class TestMc:
                      "--A-ball", f"{c},2", "--B-ball", f"{c},5"])
         rho = json.loads(r.stdout)["result"]["rho"]
         assert rho == float(f"{rho:.12g}")
+
+
+# verify.csv digests of the `generate` fixtures, pinned with numpy 2.4.6
+# and scipy 1.17.1; other builds may legitimately move the last bits
+@pytest.mark.parametrize("family, digest", [
+    (["sierpinski", "--level", "5"],
+     "74de1c970f31fce37c4688042a67ab289bba77156cae7f09b5118ff271bf87ef"),
+    (["vicsek", "--level", "3"],
+     "d79277d906a62a5fd7b4849b5f98ac6f4d2a19bbcc9e06a85d98b3e66b513c3a"),
+    (["binary_tree", "--depth", "7"],
+     "e826c45098fa80cf654a920fb75321fee23bab85ebdfae67dbe36167840b47ea"),
+    (["lattice", "--dim", "1", "--side", "129"],
+     "c50d9a32182b2358bc569a48611ad1bede91d06658395ac3935994f8959fcf36"),
+], ids=["sierpinski5", "vicsek3", "binary_tree7", "line129"])
+def test_verify_report_digest(tmp_path, family, digest):
+    path = str(tmp_path / "host.txt")
+    assert cli.main(["generate", "--family", family[0], *family[1:],
+                     "--out", path]) == cli.EXIT_OK
+    assert cli.main(["verify", "--graph", path,
+                     "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_OK
+    report = (tmp_path / "rep" / "verify.csv").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == digest

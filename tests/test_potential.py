@@ -22,6 +22,13 @@ def path_graph(n, w=1.0):
     return WeightedGraph(n, [(i, i + 1, w) for i in range(n - 1)])
 
 
+def split_path():
+    """65-vertex unit path with weight 1e-320 on edges 28-29 and 35-36:
+    the block on 29..35 is decoupled in float64, so M is singular."""
+    return WeightedGraph(65, [(i, i + 1, 1e-320 if i in (28, 35) else 1.0)
+                              for i in range(64)])
+
+
 @st.composite
 def small_graphs(draw):
     n = draw(st.integers(min_value=3, max_value=16))
@@ -198,6 +205,47 @@ class TestGreen:
         with pytest.raises(ValueError):
             GreenOperator(g, [0, 1, 2])
 
+    @pytest.mark.parametrize("v", [-1, 0, 1, 5, 7, 8, 10, 11])
+    def test_ids_outside_region_rejected(self, v):
+        # below, between and above the region; -1 must not wrap to 9
+        g = path_graph(10)
+        op = GreenOperator(g, [2, 3, 4, 6, 9])
+        with pytest.raises(ValueError, match="not in region"):
+            op.local(v)
+        with pytest.raises(ValueError, match="not in region"):
+            op.kernel(v, 3)
+        assert [op.local(y) for y in (2, 3, 4, 6, 9)] == [0, 1, 2, 3, 4]
+
+    def test_residual_is_worst_checked_solve(self):
+        g, c = lattice_box(2, 21)
+        op = GreenOperator(g, ball(g, c, 5))
+        assert op.residual == 0.0
+        rhs = np.zeros(op.size)
+        rhs[op.local(c)] = 1.0
+        seen = [potential._relative_residual(op._M, op.column(c), rhs),
+                potential._relative_residual(op._M, op.exit_times(), op.mu)]
+        assert op.residual == max(seen)
+        assert 0.0 < op.residual <= potential.SOLVE_TOL
+
+    def test_potential_reports_operator_residual(self):
+        g, c = lattice_box(2, 21)
+        A, B = ball(g, c, 2), ball(g, c, 6)
+        f = dirichlet_potential(g, A, B)
+        op = GreenOperator(g, np.setdiff1d(B, A))
+        x = op.solve(np.asarray(g.matrix[op.region][:, A].sum(axis=1)).ravel())
+        assert np.array_equal(f.values[op.region], x)
+        assert f.residual == op.residual
+        assert 0.0 < f.residual <= potential.SOLVE_TOL
+
+    def test_singular_factor_is_convergence_error(self):
+        g = split_path()
+        with pytest.raises(ConvergenceError, match="exactly singular"):
+            GreenOperator(g, ball(g, 32, 8))
+        with pytest.raises(ConvergenceError, match="exactly singular"):
+            mean_exit_time(g, 32, 8)
+        with pytest.raises(ConvergenceError, match="exactly singular"):
+            lambda_min(g, ball(g, 32, 8))
+
 
 class TestExitTimes:
     def test_unit_ball_one_step(self):
@@ -347,8 +395,10 @@ class TestGreenRatios:
 
     def test_margin_guard(self):
         g = path_graph(7)
-        with pytest.raises(MarginError):
-            hg_constant(g, 3, 4)
+        for quantity in (hg_constant, g_condition):
+            for R, error in ((4, MarginError), (0, ValueError)):
+                with pytest.raises(error):
+                    quantity(g, 3, R)
 
 
 @pytest.fixture(scope="module")
