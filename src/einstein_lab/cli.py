@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Exit codes are a stable contract: 0 success (all asserted inequalities
-pass), 1 verified violation, 2 usage error, 3 margin violation, 4 solver
-non-convergence or no current between the poles.  JSON on stdout is the
-machine interface (numbers at 12 significant digits, no timestamp, so
-identical runs are byte-identical); CSV files are the plotting
-interface.  File reports embed a manifest with a timestamp; reports are
-otherwise reproducible byte-for-byte.
+pass), 1 verified violation, 2 usage error (bad arguments, an unreadable
+graph file or an unwritable output path), 3 margin violation, 4 solver
+non-convergence or no current between the poles, 5 internal error (any
+other exception, reported as one line, never a traceback).  JSON on
+stdout is the machine interface (numbers at 12 significant digits, no
+timestamp, so identical runs are byte-identical); CSV files are the
+plotting interface.  File reports embed a manifest with a timestamp;
+reports are otherwise reproducible byte-for-byte.
 """
 
 import argparse
@@ -29,6 +31,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_MARGIN = 3
 EXIT_CONVERGENCE = 4
+EXIT_INTERNAL = 5
 
 
 def _sig12(x):
@@ -107,16 +110,19 @@ def _corrupt_graph(g, u, v, delta):
 
 
 def _parse_radii(text):
+    """A comma list, or a dyadic ladder lo..hi; every radius is >= 1."""
     if ".." in text:
-        lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
-        out = []
+        lo, hi = (int(t) for t in text.split(".."))
+        radii = []
         R = lo
-        while R <= hi:
-            out.append(R)
+        while 1 <= R <= hi:
+            radii.append(R)
             R *= 2
-        return out
-    return [int(t) for t in text.split(",") if t]
+    else:
+        radii = [int(t) for t in text.split(",") if t]
+    if not radii or min(radii) < 1:
+        raise ValueError(f"--radii {text}: need one or more radii, all >= 1")
+    return radii
 
 
 def _parse_centers(g, text, path):
@@ -417,9 +423,12 @@ def main(argv=None):
     except UnreachableError as exc:
         print(f"unreachable: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ValueError, GraphFormatError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, GraphFormatError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,15 +8,16 @@ recorded reason.  Constant-free theorem inequalities are asserted at
 1e-8 relative tolerance; constant-bearing statements are reported as
 measured constants, never pass/failed.
 
-Both sweeps are tables.  CONDITIONS gives each ratio-type tag its
-margin, its pairing of cells and its value; CHECKS lists the proved
-inequalities in report order with their margins, cell sources and
-observers.  Entries look up cache methods and module functions when
-they run, never at import.
+Both sweeps are tables in report order, and every entry is called as
+``entry(name, g, grid, cache)``.  CONDITIONS gives each ratio-type tag
+its margin, its pairing of cells and its value; CHECKS gives each proved
+inequality its margin, cell source and observer.  The few measurements
+of another shape sit in the same tables as plain functions.  Entries
+look up cache methods and module functions when they run, never at
+import.
 """
 
 import math
-import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -44,9 +45,6 @@ REVERSIBILITY_TOL = 1e-12
 
 # per-cell solver breakdowns the suite records as failing rows
 SOLVER_ERRORS = (ConvergenceError, UnreachableError, MarginError)
-
-CONDITION_TAGS = ("BC", "VD", "wVC", "TC", "wTC", "TD", "ER", "rho_v",
-                  "E_hom", "p0", "H", "Ebar", "HG", "g", "aVD", "adrv")
 
 
 # -- grids --------------------------------------------------------------------
@@ -130,12 +128,7 @@ def auto_centers(g, count=5):
             mids = np.flatnonzero((dc == h) & (dp == D - h))
             if mids.size:
                 out.append(int(mids[mids.size // 2]))
-    seen, dedup = set(), []
-    for v in out:
-        if v not in seen:
-            seen.add(v)
-            dedup.append(v)
-    return dedup[:count]
+    return list(dict.fromkeys(out))[:count]
 
 
 def dyadic_radii(g, centers, r0=2, m=2):
@@ -161,24 +154,16 @@ def default_grid(g, centers=None, radii=None):
 
 
 class QuantityCache:
-    """Memo for exact quantities over one graph.
-
-    Thread-safe: duplicate concurrent computations are benign because
-    every quantity is a deterministic pure function of (graph, key).
-    """
+    """Memo for exact quantities over one graph."""
 
     def __init__(self, g):
         self.g = g
         self._vals = {}
-        self._lock = threading.Lock()
 
     def _get(self, key, fn):
-        with self._lock:
-            if key in self._vals:
-                return self._vals[key]
-        val = fn()
-        with self._lock:
-            return self._vals.setdefault(key, val)
+        if key not in self._vals:
+            self._vals[key] = fn()
+        return self._vals[key]
 
     def V(self, x, R):
         return self._get(("V", x, R), lambda: volume(self.g, x, R))
@@ -254,6 +239,46 @@ class Condition:
     detail: str = ""
     spread: bool = False        # report max/min over the grid instead (ER)
 
+    def __call__(self, tag, g, grid, cache):
+        cells, note = _cells_with_note(g, grid, self.margin)
+        found = []                  # (value, extremizer, csv row)
+        for x, R in cells:
+            top = self.num(cache, x, R)
+            if self.pairs == "self":
+                val = top if self.den is None else top / self.den(cache, x, R)
+                found.append((val, (x, R), (tag, x, R, R, self.detail, val)))
+                continue
+            for y in _partners(g, grid, self, x, R):
+                val = top / self.den(cache, y, R)
+                found.append((val, (x, y, R),
+                              (tag, x, y, R, self.detail, val)))
+        if not found:
+            raise MarginError(f"no valid cells for condition {tag}")
+        best = max(found, key=lambda f: f[0])
+        constant = best[0]
+        details = {}
+        if self.spread:
+            low = min(f[0] for f in found)
+            constant = best[0] / low
+            details = {"min_Q": float(low), "max_Q": float(best[0])}
+        return ConditionReport(tag, float(constant), best[1], len(cells),
+                               note=note, details=details,
+                               rows=[f[2] for f in found])
+
+
+def _cells_with_note(g, grid, m):
+    cells, skipped = valid_cells(g, grid, m)
+    return cells, "; ".join(f"skip ({s.x},{s.R}): {s.reason}"
+                            for s in skipped)
+
+
+def _partners(g, grid, cond, x, R):
+    """The y that a "ball" or "centers" condition pairs with (x, R)."""
+    if cond.pairs == "ball":
+        return [int(y) for y in ball(g, x, R)]
+    return [int(y) for y in grid.centers
+            if y != x and ball_inside_host(g, y, cond.margin * R)]
+
 
 def _cover_count(g, x, R):
     """Greedy number of R-balls that cover B(x,2R)."""
@@ -265,7 +290,51 @@ def _cover_count(g, x, R):
     return float(K)
 
 
-# the time comparisons TC, wTC, TD and E_hom take the wider 3R margin
+def _p0_report(tag, g, grid, cache):
+    p0, edge = min_transition(g)
+    return ConditionReport(tag, p0, edge, g.vertex_count,
+                           details={"max_degree": int(np.diff(g.indptr).max()),
+                                    "degree_bound": 1.0 / p0})
+
+
+def _anti_doubling_report(tag, g, grid, cache):
+    """Smallest dyadic A with 2 q(x,R) <= q(x,AR) on every cell where
+    B(x, k*A*R) fits: q = V with k = 1 (aVD), q = rho v with k = 2 (adrv)."""
+    cells, note = _cells_with_note(g, grid, 2)
+    k = 1 if tag == "aVD" else 2
+    q = cache.V if tag == "aVD" else cache.w
+    for A in (2, 4, 8, 16):
+        sub = [(x, R) for (x, R) in cells
+               if ball_inside_host(g, x, k * A * R)]
+        if not sub:
+            break
+        if all(2 * q(x, R) <= q(x, A * R) * (1 + REL_TOL) for x, R in sub):
+            return ConditionReport(tag, float(A), None, len(sub), note=note)
+    return ConditionReport(tag, float("nan"), None, len(cells),
+                           note=(note + "; " if note else "")
+                           + "not achieved in range")
+
+
+def _g_report(tag, g, grid, cache):
+    """Green bounds (c_low, C_high) per cell; the constant is max C_high."""
+    cells, note = _cells_with_note(g, grid, 2)
+    if not cells:
+        raise MarginError(f"no valid cells for condition {tag}")
+    bounds = [cache.gcond(x, R) for x, R in cells]
+    los = [lo for lo, _ in bounds]
+    his = [hi for _, hi in bounds]
+    k = int(np.argmax(his))
+    rows = [(tag, x, R, R, "c_low", lo) for (x, R), lo in zip(cells, los)] \
+        + [(tag, x, R, R, "C_high", hi) for (x, R), hi in zip(cells, his)]
+    return ConditionReport(
+        tag, float(his[k]), cells[k], len(cells), note=note,
+        details={"c_low_min": float(min(los)), "C_high_max": float(max(his))},
+        rows=rows,
+    )
+
+
+# every tag in report order; the time comparisons TC, wTC, TD and E_hom
+# take the wider 3R margin
 CONDITIONS = {
     "BC": Condition(2, "self", lambda c, x, R: _cover_count(c.g, x, R),
                     detail="greedy"),
@@ -285,106 +354,24 @@ CONDITIONS = {
                        lambda c, y, R: c.w(y, R)),
     "E_hom": Condition(3, "centers", lambda c, x, R: c.E(x, R),
                        lambda c, y, R: c.E(y, R)),
+    "p0": _p0_report,
     "H": Condition(2, "self", lambda c, x, R: c.harnack(x, R)),
     "Ebar": Condition(2, "self", lambda c, x, R: c.Ebar(x, R),
                       lambda c, y, R: c.E(y, R)),
     "HG": Condition(2, "self", lambda c, x, R: c.hg(x, R)),
+    "g": _g_report,
+    "aVD": _anti_doubling_report,
+    "adrv": _anti_doubling_report,
 }
-
-
-def _cells_with_note(g, grid, m):
-    cells, skipped = valid_cells(g, grid, m)
-    return cells, "; ".join(f"skip ({s.x},{s.R}): {s.reason}"
-                            for s in skipped)
-
-
-def _partners(g, grid, cond, x, R):
-    """The y that a "ball" or "centers" condition pairs with (x, R)."""
-    if cond.pairs == "ball":
-        return [int(y) for y in ball(g, x, R)]
-    return [int(y) for y in grid.centers
-            if y != x and ball_inside_host(g, y, cond.margin * R)]
-
-
-def _p0_report(g):
-    p0, edge = min_transition(g)
-    return ConditionReport("p0", p0, edge, g.vertex_count,
-                           details={"max_degree": int(np.diff(g.indptr).max()),
-                                    "degree_bound": 1.0 / p0})
-
-
-def _anti_doubling_report(g, grid, tag, cache):
-    """Smallest dyadic A with 2 q(x,R) <= q(x,AR) on every cell where
-    B(x, k*A*R) fits: q = V with k = 1 (aVD), q = rho v with k = 2 (adrv)."""
-    cells, note = _cells_with_note(g, grid, 2)
-    k = 1 if tag == "aVD" else 2
-    q = cache.V if tag == "aVD" else cache.w
-    for A in (2, 4, 8, 16):
-        sub = [(x, R) for (x, R) in cells
-               if ball_inside_host(g, x, k * A * R)]
-        if not sub:
-            break
-        if all(2 * q(x, R) <= q(x, A * R) * (1 + REL_TOL) for x, R in sub):
-            return ConditionReport(tag, float(A), None, len(sub), note=note)
-    return ConditionReport(tag, float("nan"), None, len(cells),
-                           note=(note + "; " if note else "")
-                           + "not achieved in range")
-
-
-def _g_report(g, grid, cache):
-    """Green bounds (c_low, C_high) per cell; the constant is max C_high."""
-    cells, note = _cells_with_note(g, grid, 2)
-    if not cells:
-        raise MarginError("no valid cells for condition g")
-    bounds = [cache.gcond(x, R) for x, R in cells]
-    los = [lo for lo, _ in bounds]
-    his = [hi for _, hi in bounds]
-    k = int(np.argmax(his))
-    rows = [("g", x, R, R, "c_low", lo) for (x, R), lo in zip(cells, los)] \
-        + [("g", x, R, R, "C_high", hi) for (x, R), hi in zip(cells, his)]
-    return ConditionReport(
-        "g", float(his[k]), cells[k], len(cells), note=note,
-        details={"c_low_min": float(min(los)), "C_high_max": float(max(his))},
-        rows=rows,
-    )
+CONDITION_TAGS = tuple(CONDITIONS)
 
 
 def measure_condition(g, grid, tag, cache=None):
     """Empirical best constant for one lettered condition over the grid."""
-    cache = cache or QuantityCache(g)
-    if tag == "p0":
-        return _p0_report(g)
-    if tag in ("aVD", "adrv"):
-        return _anti_doubling_report(g, grid, tag, cache)
-    if tag == "g":
-        return _g_report(g, grid, cache)
     cond = CONDITIONS.get(tag)
     if cond is None:
         raise ValueError(f"unknown condition tag {tag!r}")
-
-    cells, note = _cells_with_note(g, grid, cond.margin)
-    found = []                  # (value, extremizer, csv row)
-    for x, R in cells:
-        top = cond.num(cache, x, R)
-        if cond.pairs == "self":
-            val = top if cond.den is None else top / cond.den(cache, x, R)
-            found.append((val, (x, R), (tag, x, R, R, cond.detail, val)))
-            continue
-        for y in _partners(g, grid, cond, x, R):
-            val = top / cond.den(cache, y, R)
-            found.append((val, (x, y, R), (tag, x, y, R, cond.detail, val)))
-    if not found:
-        raise MarginError(f"no valid cells for condition {tag}")
-    best = max(found, key=lambda f: f[0])
-    constant = best[0]
-    details = {}
-    if cond.spread:
-        low = min(f[0] for f in found)
-        constant = best[0] / low
-        details = {"min_Q": float(low), "max_Q": float(best[0])}
-    return ConditionReport(tag, float(constant), best[1], len(cells),
-                           note=note, details=details,
-                           rows=[f[2] for f in found])
+    return cond(tag, g, grid, cache or QuantityCache(g))
 
 
 # -- inequality suite -----------------------------------------------------------
@@ -424,7 +411,10 @@ class Check:
                     slack = _rel_slack(lhs, rhs)
                     rows.append((name, *cell, detail, lhs, rhs, slack,
                                  slack >= -REL_TOL))
-                    if slack < worst:
+                    # a NaN slack (an infinite side) fails and ranks
+                    # below every number
+                    if slack < worst or (math.isnan(slack) and
+                                         not math.isnan(worst)):
                         worst, witness = slack, cell
             except SOLVER_ERRORS as exc:
                 # a solver breakdown is a failing data row: the suite
@@ -471,18 +461,13 @@ def _even_cells(g, grid, m):
 def _reversibility(name, g, grid, cache):
     """mu(x)P(x,y) == mu(y)P(y,x) on the stored weights: one row for the
     largest relative asymmetry, asserted at REVERSIBILITY_TOL."""
-    worst, pair = 0.0, (0, 0, 0)
-    for x in range(g.vertex_count):
-        for k in range(int(g.indptr[x]), int(g.indptr[x + 1])):
-            y = int(g.indices[k])
-            wxy = float(g.weights[k])
-            lo, hi = int(g.indptr[y]), int(g.indptr[y + 1])
-            pos = np.searchsorted(g.indices[lo:hi], x)
-            wyx = float(g.weights[lo + pos]) if pos < hi - lo and \
-                int(g.indices[lo + pos]) == x else 0.0
-            asym = abs(wxy - wyx) / max(wxy, wyx, 1e-300)
-            if asym > worst:
-                worst, pair = asym, (x, y, 0)
+    W = g.matrix.tocoo()                # stored entries in CSR order
+    wxy = W.data
+    wyx = np.asarray(g.matrix.T[W.row, W.col]).ravel()
+    asym = np.abs(wxy - wyx) / np.maximum(np.maximum(wxy, wyx), 1e-300)
+    k = int(np.argmax(asym))
+    worst = float(asym[k])
+    pair = (int(W.row[k]), int(W.col[k]), 0) if worst > 0 else (0, 0, 0)
     slack = _rel_slack(worst, 0.0)
     ok = slack >= -REVERSIBILITY_TOL
     return InequalityResult(name, ok, slack, pair, None, 1, [

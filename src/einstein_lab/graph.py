@@ -7,7 +7,7 @@ mu_xy / mu(x).  Distances are hop counts (weights play no metric role), and
 balls are open: B(x, R) = {y : d(x, y) < R}.
 """
 
-import threading
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +22,9 @@ class WeightedGraph:
 
     The adjacency is held once: the CSR arrays ``indptr``, ``indices`` and
     ``weights`` that the walk kernel reads, and ``matrix``, a scipy CSR
-    over them that every BFS and every Dirichlet block slices.
-
-    Safe to share across threads: all arrays, ``matrix``'s included, are
-    frozen after construction and every operation is a pure read.
-    Per-center distance arrays are cached; racing fills are harmless
-    because BFS is deterministic, so they write identical values.
+    over them that every BFS and every Dirichlet block slices.  All
+    arrays, ``matrix``'s included, are frozen after construction, and
+    per-center distance arrays are cached.
     """
 
     def __init__(self, vertex_count, edges):
@@ -39,8 +36,9 @@ class WeightedGraph:
             u, v, w = int(u), int(v), float(w)
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"edge ({u},{v}) out of range")
-            if not (w > 0.0):
-                raise GraphFormatError(f"edge ({u},{v}) has non-positive weight")
+            if not 0.0 < w < math.inf:
+                raise GraphFormatError(f"edge ({u},{v}) has weight {w!r}, "
+                                       "not positive and finite")
             key = (u, v) if u <= v else (v, u)
             if key in canon:
                 raise GraphFormatError(f"duplicate edge {key}")
@@ -98,7 +96,6 @@ class WeightedGraph:
             arr.setflags(write=False)
 
         self._dist_cache = {}
-        self._dist_lock = threading.Lock()
         self._profile = None
         self._ecc_all = None
 
@@ -135,14 +132,12 @@ class WeightedGraph:
     def distances(self, x):
         """Hop distances from x to every vertex (BFS; weights ignored)."""
         x = self.check_vertex(x)
-        cached = self._dist_cache.get(x)
-        if cached is not None:
-            return cached
-        dist = _kernels.bfs_distances(self.matrix, x)
-        dist.setflags(write=False)
-        with self._dist_lock:
-            self._dist_cache.setdefault(x, dist)
-        return self._dist_cache[x]
+        dist = self._dist_cache.get(x)
+        if dist is None:
+            dist = _kernels.bfs_distances(self.matrix, x)
+            dist.setflags(write=False)
+            self._dist_cache[x] = dist
+        return dist
 
     def eccentricity(self, x):
         return int(self.distances(x).max())
@@ -266,14 +261,10 @@ def shrink(g, A):
 def min_transition(g):
     """Smallest one-step transition probability p0 = min mu_xy / mu(x) and
     the first directed edge (x, y) attaining it."""
-    best = None
-    for x in range(g.vertex_count):
-        lo, hi = g.indptr[x], g.indptr[x + 1]
-        k = int(np.argmin(g.weights[lo:hi]))
-        val = float(g.weights[lo + k] / g.mu[x])
-        if best is None or val < best[0]:
-            best = (val, (x, int(g.indices[lo + k])))
-    return best
+    p = np.minimum.reduceat(g.weights, g.indptr[:-1]) / g.mu
+    x = int(np.argmin(p))
+    lo, hi = g.indptr[x], g.indptr[x + 1]
+    return float(p[x]), (x, int(g.indices[lo + np.argmin(g.weights[lo:hi])]))
 
 
 def check_p0(g):
@@ -281,10 +272,9 @@ def check_p0(g):
     |{y : y ~ x}| <= 1/p0 that the minimum implies for every vertex.
     """
     p0 = min_transition(g)[0]
-    for x in range(g.vertex_count):
-        deg = int(g.indptr[x + 1] - g.indptr[x])
-        if deg > 1.0 / p0 + 1e-9:
-            raise AssertionError(f"degree bound violated at vertex {x}")
+    bad = np.flatnonzero(np.diff(g.indptr) > 1.0 / p0 + 1e-9)
+    if bad.size:
+        raise AssertionError(f"degree bound violated at vertex {bad[0]}")
     return p0
 
 

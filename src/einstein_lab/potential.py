@@ -212,7 +212,11 @@ def layered_lower_bound(g, A, B_outer):
     cross = np.bincount(lo[step], weights=U.data[step], minlength=L)
     if np.any(cross <= 0):
         raise UnreachableError("empty shell crossing")
-    return float(np.sum(1.0 / cross)), L
+    with np.errstate(over="ignore"):
+        bound = float(np.sum(1.0 / cross))
+    if bound == np.inf:
+        raise UnreachableError("shell crossing below float64 resolution")
+    return bound, L
 
 
 # -- Green operator -----------------------------------------------------------
@@ -244,7 +248,7 @@ class GreenOperator:
         (extreme weight ratios can push even a pivoted LU past float64)."""
         x = self._raw_solve(rhs)
         res = _relative_residual(self._M, x, rhs)
-        if res > SOLVE_TOL:
+        if not res <= SOLVE_TOL:        # a NaN residual fails too
             raise ConvergenceError(
                 f"linear solve on {self.size} unknowns missed the residual "
                 f"contract", residual=res)
@@ -427,14 +431,10 @@ def harnack_constant(g, x, R):
     rows = hm.omega[sel]
     top = rows.max(axis=0)
     bot = rows.min(axis=0)
-    H = 1.0
-    for hi, lo in zip(top, bot):
-        if lo <= 0.0:
-            if hi > 0.0:
-                return float("inf")
-            continue
-        H = max(H, hi / lo)
-    return float(H)
+    if np.any((bot <= 0.0) & (top > 0.0)):
+        return float("inf")
+    live = bot > 0.0
+    return float(np.max(top[live] / bot[live], initial=1.0))
 
 
 def _green_ball_profile(g, x, R):

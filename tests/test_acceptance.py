@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -205,8 +206,10 @@ def test_8_report_determinism(tmp_path):
                          .splitlines() if "timestamp" not in ln)
 
     same_json = stripped(outs[0]) == stripped(outs[1])
-    same_csv = (outs[0] / "verify.csv").read_bytes() == \
-        (outs[1] / "verify.csv").read_bytes()
-    report(8, same_json and same_csv,
+    csv_bytes = [(out / "verify.csv").read_bytes() for out in outs]
+    # pinned with numpy 2.4.6 and scipy 1.17.1, like test_cli's digests
+    pinned = hashlib.sha256(csv_bytes[0]).hexdigest() == \
+        "a1eb19fe5296662ee0d032de45bc734bc08f8b2e5afdfab52bde575f0af8f753"
+    report(8, same_json and csv_bytes[0] == csv_bytes[1] and pinned,
            "verify reports byte-identical across two runs "
-           "(timestamp excluded)")
+           "(timestamp excluded) and verify.csv at its pinned digest")

@@ -1,8 +1,10 @@
+import csv
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -10,7 +12,7 @@ from einstein_lab import cli, conditions, potential
 from einstein_lab.errors import UnreachableError
 from einstein_lab.generators import lattice_box
 from einstein_lab.graph import WeightedGraph, ball, load, save
-from test_potential import split_path
+from test_potential import split_path, subnormal_tail
 
 
 def run_cli(args, **kw):
@@ -134,6 +136,17 @@ class TestCompute:
         assert err.startswith("convergence error: LU factor of 15 unknowns")
         assert "exactly singular" in err and err.count("\n") == 1
 
+    def test_nan_solve_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "tail5.txt"
+        save(subnormal_tail(), path)
+        code = cli.main(["compute", "exit", "--graph", str(path),
+                         "--x", "2", "--R", "2"])
+        assert code == cli.EXIT_CONVERGENCE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("convergence error: linear solve on 3 unknowns "
+                           "missed the residual contract (residual=nan)\n")
+
     @pytest.mark.parametrize("y", ["-1", "129"])
     def test_green_vertex_outside_region(self, tmp_path, capsys, y):
         path = tmp_path / "z1.txt"
@@ -179,6 +192,30 @@ class TestVerify:
                    "solver: LU factor of" in row and
                    "exactly singular" in row for row in rows)
 
+    def test_subnormal_crossing_witness(self, split_path_file, tmp_path,
+                                        capsys):
+        # the pra>l2 witness must name a failing cell, not the passing
+        # (32, 8, 16), and the overflow must not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["verify", "--graph", split_path_file,
+                             "--centers", "32", "--out-dir",
+                             str(tmp_path / "rep")])
+        assert code == cli.EXIT_VIOLATION
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("VIOLATION pra>l2:"))
+        assert line.split(" at ")[1] in {
+            "(32, 2, 4)", "(32, 2, 8)", "(32, 2, 16)", "(32, 4, 8)",
+            "(32, 4, 16)"}
+        with open(tmp_path / "rep" / "verify.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        pra = {(row["r"], row["R"]): row["ok"] for row in rows
+               if row["check"] == "pra>l2"}
+        assert pra == {("2", "4"): "False", ("2", "8"): "False",
+                       ("2", "16"): "False", ("4", "8"): "False",
+                       ("4", "16"): "False", ("8", "16"): "True"}
+        assert all(row["rhs"] != "inf" for row in rows)
+
     def test_clean_graph_passes(self, z21_file, tmp_path):
         path, g, c = z21_file
         r = run_cli(["verify", "--graph", path, "--out-dir",
@@ -207,6 +244,54 @@ class TestVerify:
         r = run_cli(["verify", "--graph", str(p), "--out-dir",
                      str(tmp_path / "rep"), "--radii", "32"])
         assert r.returncode == cli.EXIT_MARGIN
+
+
+class TestExitCodes:
+    def test_graph_directory_usage_error(self, tmp_path, capsys):
+        code = cli.main(["verify", "--graph", str(tmp_path), "--out-dir",
+                         str(tmp_path / "rep")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and "Is a directory" in err
+        assert err.count("\n") == 1
+
+    def test_out_dir_under_file_usage_error(self, z21_file, tmp_path,
+                                            capsys):
+        path, g, c = z21_file
+        code = cli.main(["verify", "--graph", path, "--radii", "2",
+                         "--out-dir", os.path.join(path, "sub")])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno") and "Not a directory" in err
+        assert err.count("\n") == 1
+
+    def test_unexpected_exception_is_internal_error(self, z21_file,
+                                                    monkeypatch, capsys):
+        path, g, c = z21_file
+
+        def broken(g, x, R):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(potential, "mean_exit_time", broken)
+        code = cli.main(["compute", "exit", "--graph", path,
+                         "--x", str(c), "--R", "2"])
+        assert code == cli.EXIT_INTERNAL == 5
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize("command", ["verify", "fit"])
+    @pytest.mark.parametrize("radii", ["0..8", "-2..8", "5..2", "0,2", ","])
+    def test_radii_usage_error(self, z21_file, tmp_path, capsys, command,
+                               radii):
+        # doubling from R < 1 never passes hi, and an empty ladder must
+        # not fall back to the default one
+        path, g, c = z21_file
+        out = ["--out-dir", str(tmp_path / "rep")] if command == "verify" \
+            else []
+        code = cli.main([command, "--graph", path, f"--radii={radii}", *out])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: --radii {radii}: need one or more radii, all >= 1\n"
 
 
 class TestEinsteinFit:
@@ -282,3 +367,15 @@ def test_verify_report_digest(tmp_path, family, digest):
                      "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_OK
     report = (tmp_path / "rep" / "verify.csv").read_bytes()
     assert hashlib.sha256(report).hexdigest() == digest
+
+
+def test_verify_corrupted_report_digest(z21_file, tmp_path, monkeypatch):
+    # the reversibility row reads the stored, corrupted weights; pinned
+    # like the fixture digests above
+    path, g, c = z21_file
+    monkeypatch.setenv("EINSTEIN_LAB_CORRUPT", f"{c},{c + 1},0.5")
+    assert cli.main(["verify", "--graph", path,
+                     "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_VIOLATION
+    report = (tmp_path / "rep" / "verify.csv").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == \
+        "015b96bc6a1bd08520ebc8334bf548363a9bae3399d2ec516ece2e7c92f48935"

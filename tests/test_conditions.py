@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings
 
 from einstein_lab import conditions
 from einstein_lab.conditions import (QuantityCache, SweepGrid, auto_centers,
@@ -15,6 +16,25 @@ from einstein_lab.generators import (apply_radial_weights, binary_tree,
                                      vicsek_tree)
 from einstein_lab.graph import WeightedGraph
 from einstein_lab.potential import resistance_annulus
+from test_graph import stored_walks
+
+
+def reversibility_reference(g):
+    """Per-edge loop: the largest relative asymmetry of the stored weights
+    and the first directed edge attaining it, (0, 0) when none is
+    asymmetric."""
+    worst, pair = 0.0, (0, 0)
+    for x in range(g.vertex_count):
+        for k in range(g.indptr[x], g.indptr[x + 1]):
+            y = int(g.indices[k])
+            row = range(g.indptr[y], g.indptr[y + 1])
+            wyx = next((float(g.weights[j]) for j in row
+                        if g.indices[j] == x), 0.0)
+            wxy = float(g.weights[k])
+            asym = abs(wxy - wyx) / max(wxy, wyx, 1e-300)
+            if asym > worst:
+                worst, pair = asym, (x, y)
+    return worst, pair
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +176,18 @@ class TestMeasureCondition:
         conditions.CHECKS["crv>r2"]("crv>r2", g, grid, QuantityCache(g))
         assert seen == ["H", "H", "v"]
 
+    def test_one_dispatch_in_report_order(self, z41, monkeypatch):
+        assert conditions.CONDITION_TAGS == (
+            "BC", "VD", "wVC", "TC", "wTC", "TD", "ER", "rho_v", "E_hom",
+            "p0", "H", "Ebar", "HG", "g", "aVD", "adrv")
+        g, c, cache = z41
+        grid = SweepGrid((c,), (2,))
+        calls = []
+        monkeypatch.setitem(conditions.CONDITIONS, "p0", lambda *a:
+                            calls.append(a) or "report")
+        assert measure_condition(g, grid, "p0", cache=cache) == "report"
+        assert calls == [("p0", g, grid, cache)]
+
     def test_unknown_tag(self, z41):
         g, c, cache = z41
         with pytest.raises(ValueError):
@@ -218,6 +250,31 @@ class TestVerifySuite:
         # sane cells are still evaluated and pass
         crv = next(r for r in results if r.check == "crv>r2")
         assert crv.passed
+
+    @given(stored_walks())
+    @settings(max_examples=60, deadline=None)
+    def test_reversibility_matches_loop(self, g):
+        worst, (x, y) = reversibility_reference(g)
+        got = conditions.CHECKS["reversibility"]("reversibility", g, None,
+                                                 None)
+        slack = -worst / max(worst, 1e-300)
+        ok = slack >= -conditions.REVERSIBILITY_TOL
+        assert (got.passed, got.worst_slack, got.witness) == \
+            (ok, slack, (x, y, 0))
+        assert got.rows == [("reversibility", x, y, 0,
+                             "max relative asymmetry", worst, 0.0, slack, ok)]
+
+    def test_nan_slack_takes_witness(self):
+        # rhs = inf makes the slack NaN: the row fails and must name the
+        # witness even though the passing rows have finite slacks
+        check = conditions.Check(
+            1, lambda g, grid, m: [(0, 1, 1), (0, 2, 2), (0, 3, 3)],
+            lambda c, x, r, R: [(1.0, math.inf if r == 2 else 2.0 - r / 4,
+                                 "")])
+        res = check("nan", None, None, None)
+        assert [row[-1] for row in res.rows] == [True, False, True]
+        assert res.passed is False
+        assert res.witness == (0, 2, 2) and math.isnan(res.worst_slack)
 
     def test_corrupted_weights_fail_reversibility(self, z41):
         from einstein_lab.cli import _corrupt_graph

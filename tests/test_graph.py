@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from einstein_lab import graph
 from einstein_lab._kernels import bfs_distances
 from einstein_lab.errors import GraphFormatError
 from einstein_lab.graph import (WeightedGraph, annulus_volume, ball, boundary,
-                                check_p0, closure, eccentricities, load, save,
-                                shrink, sphere, volume)
+                                check_p0, closure, eccentricities, load,
+                                min_transition, save, shrink, sphere, volume)
 from einstein_lab.generators import lattice_box, vicsek_tree
 
 
@@ -34,6 +35,50 @@ def connected_graphs(draw):
         if key[0] != key[1] and key not in edges:
             edges[key] = draw(weights)
     return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
+
+
+@st.composite
+def stored_walks(draw):
+    """Graphs built by ``from_csr`` over a connected pattern whose two
+    directions carry independent weights from a small set, so tied minima
+    and asymmetric stored weights are common, plus a few one-way
+    entries (self-loops among them)."""
+    base = draw(connected_graphs())
+    n = base.vertex_count
+    weights = st.sampled_from([0.5, 1.0, 1.0 + 2.0 ** -40, 2.0])
+    symmetric = draw(st.booleans())
+    W = {}
+    for u, v, _ in base.edges:
+        W[(u, v)] = draw(weights)
+        W[(v, u)] = W[(u, v)] if symmetric else draw(weights)
+    for _ in range(draw(st.integers(0, 3))):
+        key = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+        W.setdefault(key, draw(weights))
+    keys = sorted(W)
+    rows = np.array([x for x, _ in keys], dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return WeightedGraph.from_csr(
+        base.edges, indptr, np.array([y for _, y in keys], dtype=np.int64),
+        np.array([W[k] for k in keys], dtype=np.float64))
+
+
+def min_transition_reference(g):
+    """Per-vertex loop: the first vertex, then the first edge in its row,
+    that attains the smallest transition probability."""
+    best = None
+    for x in range(g.vertex_count):
+        for k in range(g.indptr[x], g.indptr[x + 1]):
+            val = float(g.weights[k] / g.mu[x])
+            if best is None or val < best[0]:
+                best = (val, (x, int(g.indices[k])))
+    return best
+
+
+def check_p0_reference(g, p0):
+    for x in range(g.vertex_count):
+        if int(g.indptr[x + 1] - g.indptr[x]) > 1.0 / p0 + 1e-9:
+            raise AssertionError(f"degree bound violated at vertex {x}")
+    return p0
 
 
 def adjacency(g):
@@ -63,6 +108,15 @@ class TestConstruction:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(GraphFormatError):
             WeightedGraph(2, [(0, 1, 0.0)])
+
+    @pytest.mark.parametrize("w", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_nonfinite_weight(self, w, tmp_path):
+        with pytest.raises(GraphFormatError, match="positive and finite"):
+            WeightedGraph(2, [(0, 1, w)])
+        path = tmp_path / "g.txt"
+        path.write_text(f"2 1\n0 1 {w!r}\n")
+        with pytest.raises(GraphFormatError):
+            load(path)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(GraphFormatError):
@@ -251,6 +305,27 @@ class TestP0:
     def test_vicsek_hub_degree(self):
         g, _ = vicsek_tree(3)
         assert check_p0(g) == pytest.approx(1 / 4)
+
+    @given(stored_walks())
+    @settings(max_examples=60, deadline=None)
+    def test_min_transition_matches_loop(self, g):
+        assert min_transition(g) == min_transition_reference(g)
+
+    @given(stored_walks(), st.sampled_from([None, 1.0, 0.5, 0.3, 0.25]))
+    @settings(max_examples=60, deadline=None)
+    def test_check_p0_matches_loop(self, g, forced):
+        # a forced p0 above the true minimum makes the degree bound fail;
+        # both must then name the same first vertex
+        p0 = min_transition(g)[0] if forced is None else forced
+        outcomes = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "min_transition", lambda g: (p0, None))
+            for fn in (check_p0, lambda g: check_p0_reference(g, p0)):
+                try:
+                    outcomes.append(fn(g))
+                except AssertionError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestTextFormat:

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from einstein_lab.errors import ConvergenceError, MarginError
+from einstein_lab.errors import ConvergenceError, MarginError, UnreachableError
 from einstein_lab.generators import lattice_box, sierpinski_gasket
 from einstein_lab.graph import WeightedGraph, ball, volume
 from einstein_lab import potential
@@ -20,6 +21,13 @@ from test_graph import adjacency, bfs_reference, connected_graphs
 
 def path_graph(n, w=1.0):
     return WeightedGraph(n, [(i, i + 1, w) for i in range(n - 1)])
+
+
+def subnormal_tail():
+    """5-vertex path with weights 1, 1, 1e-320, 1e-320: the exit-time
+    solve on {1, 2, 3} comes back NaN and infinite."""
+    return WeightedGraph(5, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1e-320),
+                             (3, 4, 1e-320)])
 
 
 def split_path():
@@ -149,6 +157,16 @@ class TestLayeredBound:
             A, B = ball(g, 5, r), ball(g, 5, R)
             assert layered_lower_bound(g, A, B) == layered_reference(g, A, B)
 
+    def test_subnormal_crossing_unreachable(self):
+        # the crossing 28-29 is 1e-320, whose reciprocal overflows
+        g = split_path()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnreachableError, match="below float64"):
+                layered_lower_bound(g, ball(g, 32, 2), ball(g, 32, 4))
+            assert layered_lower_bound(g, ball(g, 32, 8), ball(g, 32, 16)) \
+                == (4.5, 9)
+
     def test_path_exact(self):
         g = path_graph(5)
         bound, L = layered_lower_bound(g, [0], [0, 1, 2, 3])
@@ -236,6 +254,14 @@ class TestGreen:
         assert np.array_equal(f.values[op.region], x)
         assert f.residual == op.residual
         assert 0.0 < f.residual <= potential.SOLVE_TOL
+
+    def test_nan_solve_is_convergence_error(self):
+        # a NaN residual must fail the contract, not pass as 0.0
+        op = GreenOperator(subnormal_tail(), [1, 2, 3])
+        with pytest.raises(ConvergenceError) as exc:
+            op.exit_times()
+        assert math.isnan(exc.value.residual)
+        assert op.residual == 0.0
 
     def test_singular_factor_is_convergence_error(self):
         g = split_path()
@@ -365,6 +391,22 @@ class TestHarnack:
     def test_path_center_trivial_half_ball(self):
         g = path_graph(7)
         assert harnack_constant(g, 3, 1) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("omega, want", [
+        ([[0.5, 0.25], [0.25, 0.75]], 3.0),
+        ([[0.5, 0.0], [0.5, 0.0]], 1.0),          # a kernel zero everywhere
+        ([[0.5, 0.0], [0.25, 0.5]], math.inf),    # ... or only somewhere
+        ([[0.9, 0.1], [0.9, 0.1]], 1.0),
+    ])
+    def test_ratio_rule(self, monkeypatch, omega, want):
+        # inf where a kernel vanishes on part of the half ball, else the
+        # largest max/min ratio over kernels, never below 1
+        g = path_graph(5)
+        monkeypatch.setattr(potential, "harmonic_measure", lambda g, x, R:
+                            potential.HarmonicMeasure(np.array([1, 2]),
+                                                      np.array([0, 4]),
+                                                      np.array(omega)))
+        assert harnack_constant(g, 2, 2) == want
 
     def test_lattice_values(self):
         g, c = lattice_box(2, 41)
