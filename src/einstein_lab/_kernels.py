@@ -81,16 +81,16 @@ def bfs_distances(W, sources):
 
 
 def build_transition_profile(indptr, indices, weights, mu):
-    """aug array shared by the walk kernel and walker.step."""
-    n = indptr.shape[0] - 1
+    """aug array shared by the walk kernel and walker.step; rows of one
+    degree k are one (rows, k) block, summed left to right."""
+    deg = np.diff(indptr)
     aug = np.empty(weights.shape[0], dtype=np.float64)
-    for v in range(n):
-        lo, hi = indptr[v], indptr[v + 1]
-        if lo == hi:
-            continue
-        cum = np.cumsum(weights[lo:hi]) / mu[v]
-        cum[-1] = 1.0
-        aug[lo:hi] = v + cum
+    for k in np.unique(deg[deg > 0]):
+        rows = np.flatnonzero(deg == k)
+        at = indptr[rows, None] + np.arange(k)
+        cum = np.cumsum(weights[at], axis=1) / mu[rows, None]
+        cum[:, -1] = 1.0
+        aug[at] = rows[:, None] + cum
     return aug
 
 

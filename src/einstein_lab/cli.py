@@ -84,6 +84,9 @@ def _manifest(args, graph_info, seed=None, timestamp=False):
         man["seed"] = seed
     if timestamp:
         man["timestamp"] = datetime.now(timezone.utc).isoformat()
+        hook = os.environ.get("EINSTEIN_LAB_CORRUPT")
+        if hook:
+            man["EINSTEIN_LAB_CORRUPT"] = hook
     return man
 
 
@@ -91,6 +94,8 @@ def _load_graph(path):
     g = graph.load(path)
     hook = os.environ.get("EINSTEIN_LAB_CORRUPT")
     if hook:
+        print(f"note: EINSTEIN_LAB_CORRUPT={hook} bumps a stored weight; "
+              "results are not the graph file's", file=sys.stderr)
         u, v, delta = hook.split(",")
         g = _corrupt_graph(g, int(u), int(v), float(delta))
     return g, {"path": path, "vertices": g.vertex_count,
@@ -126,13 +131,19 @@ def _parse_radii(text):
 
 
 def _parse_centers(g, text, path):
+    """autoK, sidecar or a comma list; at least one center, never a
+    silent fall-back to the default ones."""
     if text.startswith("auto"):
         k = int(text[4:]) if len(text) > 4 else 5
-        return conditions.auto_centers(g, k)
-    if text == "sidecar":
+        centers = conditions.auto_centers(g, k) if k >= 1 else []
+    elif text == "sidecar":
         with open(path + ".center", encoding="utf-8") as f:
-            return [int(f.read().strip())]
-    return [int(t) for t in text.split(",") if t]
+            centers = [int(f.read().strip())]
+    else:
+        centers = [int(t) for t in text.split(",") if t]
+    if not centers:
+        raise ValueError(f"--centers {text}: need one or more centers")
+    return centers
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -301,7 +312,8 @@ def cmd_fit(args):
     else:
         x = int(args.x)
     radii = _parse_radii(args.radii)
-    summ = conditions.fit_exponents(g, x, radii)
+    cache = conditions.QuantityCache(g)
+    summ = conditions.fit_exponents(g, x, radii, cache=cache)
     payload = {
         "manifest": _manifest(args, info),
         "alpha": asdict(summ.alpha),
@@ -311,7 +323,6 @@ def cmd_fit(args):
     }
     _dump_json(payload)
     if args.csv_prefix:
-        cache = conditions.QuantityCache(g)
         series = {
             "volume": lambda R: cache.V(x, R),
             "exit": lambda R: cache.E(x, R),

@@ -406,26 +406,28 @@ class Check:
         rows = []
         worst, witness = math.inf, None
         for cell in self.cells(g, grid, self.margin):
-            try:
-                for lhs, rhs, detail in self.observe(cache, *cell):
-                    slack = _rel_slack(lhs, rhs)
-                    rows.append((name, *cell, detail, lhs, rhs, slack,
-                                 slack >= -REL_TOL))
-                    # a NaN slack (an infinite side) fails and ranks
-                    # below every number
-                    if slack < worst or (math.isnan(slack) and
-                                         not math.isnan(worst)):
-                        worst, witness = slack, cell
-            except SOLVER_ERRORS as exc:
-                # a solver breakdown is a failing data row: the suite
-                # reports, it never aborts mid-sweep
-                rows.append((name, *cell, f"solver: {exc}",
-                             math.nan, math.nan, -math.inf, False))
-                worst, witness = -math.inf, cell
+            for lhs, rhs, detail, slack in self._observations(cache, cell):
+                rows.append((name, *cell, detail, lhs, rhs, slack,
+                             slack >= -REL_TOL))
+                # a NaN slack (an infinite side) fails and ranks below
+                # every number; the first of equal slacks keeps the witness
+                if slack < worst or (math.isnan(slack) and
+                                     not math.isnan(worst)):
+                    worst, witness = slack, cell
         if not rows:
             return InequalityResult(name, True, math.inf, None, None, 0)
         return InequalityResult(name, all(r[-1] for r in rows), worst,
                                 witness, None, len(rows), rows)
+
+    def _observations(self, cache, cell):
+        """(lhs, rhs, detail, slack) per observation.  A solver breakdown
+        is a failing row of slack -inf, ranked like any other: the suite
+        reports, it never aborts mid-sweep."""
+        try:
+            for lhs, rhs, detail in self.observe(cache, *cell):
+                yield lhs, rhs, detail, _rel_slack(lhs, rhs)
+        except SOLVER_ERRORS as exc:
+            yield math.nan, math.nan, f"solver: {exc}", -math.inf
 
 
 def _ball_cells(g, grid, m):

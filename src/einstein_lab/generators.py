@@ -8,6 +8,8 @@ byte-for-byte.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import WeightedGraph
 
 RADIAL_LAMBDA_MIN = 0.25
@@ -25,40 +27,17 @@ class FamilySpec:
 
 def lattice_box(d, L):
     """L^d box of Z^d with nearest-neighbour unit edges; L odd so the
-    center is unique."""
+    center is unique.  Vertex ids are row-major coordinates."""
     if d not in (1, 2, 3):
         raise ValueError("dimension must be 1, 2 or 3")
     if L < 3 or L % 2 == 0:
         raise ValueError("side length must be odd and >= 3")
-    edges = []
-    if d == 1:
-        for i in range(L - 1):
-            edges.append((i, i + 1, 1.0))
-        center = L // 2
-    elif d == 2:
-        def vid(i, j):
-            return i * L + j
-        for i in range(L):
-            for j in range(L):
-                if j + 1 < L:
-                    edges.append((vid(i, j), vid(i, j + 1), 1.0))
-                if i + 1 < L:
-                    edges.append((vid(i, j), vid(i + 1, j), 1.0))
-        center = vid(L // 2, L // 2)
-    else:
-        def vid(i, j, k):
-            return (i * L + j) * L + k
-        for i in range(L):
-            for j in range(L):
-                for k in range(L):
-                    if k + 1 < L:
-                        edges.append((vid(i, j, k), vid(i, j, k + 1), 1.0))
-                    if j + 1 < L:
-                        edges.append((vid(i, j, k), vid(i, j + 1, k), 1.0))
-                    if i + 1 < L:
-                        edges.append((vid(i, j, k), vid(i + 1, j, k), 1.0))
-        center = vid(L // 2, L // 2, L // 2)
-    return WeightedGraph(L ** d, edges), center
+    ids = np.arange(L ** d).reshape((L,) * d)
+    # each vertex paired with its successor along every axis
+    u = np.concatenate([np.delete(ids, -1, axis=ax).ravel() for ax in range(d)])
+    v = np.concatenate([np.delete(ids, 0, axis=ax).ravel() for ax in range(d)])
+    edges = np.column_stack([u, v, np.ones(u.size)])
+    return WeightedGraph(L ** d, edges), (L ** d - 1) // 2
 
 
 def sierpinski_gasket(level):

@@ -20,49 +20,46 @@ from .errors import GraphFormatError
 class WeightedGraph:
     """Immutable connected graph with symmetric positive edge weights.
 
-    The adjacency is held once: the CSR arrays ``indptr``, ``indices`` and
-    ``weights`` that the walk kernel reads, and ``matrix``, a scipy CSR
-    over them that every BFS and every Dirichlet block slices.  All
-    arrays, ``matrix``'s included, are frozen after construction, and
-    per-center distance arrays are cached.
+    The adjacency is held once, as ``matrix``: a scipy CSR that every BFS
+    and every Dirichlet block slices, whose own arrays are the ``indptr``,
+    ``indices`` and ``weights`` that the walk kernel reads.  All arrays
+    are frozen after construction, and per-center distance arrays are
+    cached.
     """
 
     def __init__(self, vertex_count, edges):
         n = int(vertex_count)
         if n <= 0:
             raise GraphFormatError("vertex_count must be positive")
-        canon = {}
-        for u, v, w in edges:
-            u, v, w = int(u), int(v), float(w)
-            if not (0 <= u < n and 0 <= v < n):
+        uvw = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
+        ends = np.trunc(uvw[:, :2])
+        inside = ((ends >= 0) & (ends < n)).all(axis=1)
+        lo, hi = np.where(inside, np.sort(ends, axis=1).T, 0).astype(np.int64)
+        w = uvw[:, 2]
+        bad_w = ~((0.0 < w) & (w < math.inf))
+        dup = np.ones(w.size, dtype=bool)
+        dup[np.unique(lo * n + hi, return_index=True)[1]] = False
+        bad = ~inside | bad_w | dup
+        if bad.any():
+            # the first offending edge, its checks in the order above
+            i = int(np.argmax(bad))
+            u, v = int(edges[i][0]), int(edges[i][1])
+            if not inside[i]:
                 raise GraphFormatError(f"edge ({u},{v}) out of range")
-            if not 0.0 < w < math.inf:
-                raise GraphFormatError(f"edge ({u},{v}) has weight {w!r}, "
-                                       "not positive and finite")
-            key = (u, v) if u <= v else (v, u)
-            if key in canon:
-                raise GraphFormatError(f"duplicate edge {key}")
-            canon[key] = w
-        edges = sorted((u, v, w) for (u, v), w in canon.items())
-
-        rows = []
-        cols = []
-        vals = []
-        for u, v, w in edges:
-            rows.append(u)
-            cols.append(v)
-            vals.append(w)
-            if u != v:
-                rows.append(v)
-                cols.append(u)
-                vals.append(w)
-        order = np.lexsort((np.asarray(cols), np.asarray(rows)))
-        rows = np.asarray(rows, dtype=np.int64)[order]
-        cols = np.asarray(cols, dtype=np.int64)[order]
-        vals = np.asarray(vals, dtype=np.float64)[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        self._init_csr(edges, np.cumsum(indptr), cols, vals)
+            if bad_w[i]:
+                raise GraphFormatError(f"edge ({u},{v}) has weight "
+                                       f"{float(w[i])!r}, not positive and "
+                                       "finite")
+            raise GraphFormatError(f"duplicate edge {(min(u, v), max(u, v))}")
+        off = lo != hi
+        W = sp.csr_matrix((np.concatenate([w, w[off]]),
+                           (np.concatenate([lo, hi[off]]),
+                            np.concatenate([hi, lo[off]]))), shape=(n, n))
+        # the upper triangle in CSR order is the edge list sorted by (u, v)
+        rows = np.repeat(np.arange(n), np.diff(W.indptr))
+        up = rows <= W.indices
+        self._init_csr(list(zip(rows[up].tolist(), W.indices[up].tolist(),
+                                W.data[up].tolist())), W)
 
     @classmethod
     def from_csr(cls, edges, indptr, indices, weights):
@@ -70,29 +67,27 @@ class WeightedGraph:
         against ``edges`` or for symmetry, so a caller can store a
         deliberately non-reversible walk.  ``edges`` is the undirected
         edge list that ``save`` and ``shrink`` read."""
+        n = int(indptr.shape[0]) - 1
         g = cls.__new__(cls)
-        g._init_csr(list(edges), indptr, indices, weights)
+        g._init_csr(list(edges), sp.csr_matrix((weights, indices, indptr),
+                                               shape=(n, n)))
         return g
 
-    def _init_csr(self, edges, indptr, indices, weights):
+    def _init_csr(self, edges, matrix):
         """The one construction path: measure, frozen arrays, caches and
         the connectivity check."""
-        n = int(indptr.shape[0]) - 1
+        n = matrix.shape[0]
         self.vertex_count = n
         self.edges = edges
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
+        self.matrix = matrix
+        self.indptr, self.indices = matrix.indptr, matrix.indices
+        self.weights = matrix.data
         self.mu = np.zeros(n, dtype=np.float64)
-        np.add.at(self.mu, np.repeat(np.arange(n), np.diff(indptr)), weights)
+        np.add.at(self.mu, np.repeat(np.arange(n), np.diff(self.indptr)),
+                  self.weights)
         if np.any(self.mu <= 0):
             raise GraphFormatError("isolated vertex (graph must be connected)")
-
-        # scipy may copy the index arrays and views ``weights``: freeze
-        # the matrix's own arrays, not only the ones it was built from
-        self.matrix = sp.csr_matrix((weights, indices, indptr), shape=(n, n))
-        for arr in (self.indptr, self.indices, self.weights, self.mu,
-                    self.matrix.data, self.matrix.indices, self.matrix.indptr):
+        for arr in (self.indptr, self.indices, self.weights, self.mu):
             arr.setflags(write=False)
 
         self._dist_cache = {}
@@ -241,20 +236,18 @@ def shrink(g, A):
     old_to_new[keep] = np.arange(keep.size, dtype=np.int64)
     a = int(keep.size)
 
-    cross = {}
-    edges = []
-    for u, v, w in g.edges:
-        iu, iv = inA[u], inA[v]
-        if iu and iv:
-            continue
-        if not iu and not iv:
-            edges.append((int(old_to_new[u]), int(old_to_new[v]), w))
-        else:
-            x = v if iu else u
-            nx = int(old_to_new[x])
-            cross[nx] = cross.get(nx, 0.0) + w
-    for nx, w in sorted(cross.items()):
-        edges.append((nx, a, w))
+    u, v, w = np.asarray(g.edges, dtype=np.float64).reshape(-1, 3).T
+    u, v = u.astype(np.int64), v.astype(np.int64)
+    kept = ~inA[u] & ~inA[v]
+    cross = inA[u] != inA[v]
+    # merged weights summed in edge-list order
+    x = old_to_new[np.where(inA[u], v, u)[cross]]
+    merged = np.zeros(a)
+    np.add.at(merged, x, w[cross])
+    x = np.unique(x)
+    edges = np.concatenate([
+        np.column_stack([old_to_new[u[kept]], old_to_new[v[kept]], w[kept]]),
+        np.column_stack([x, np.full(x.size, a), merged[x]])])
     return ShrinkResult(WeightedGraph(a + 1, edges), a, old_to_new)
 
 

@@ -226,6 +226,10 @@ class TestVerify:
         assert "timestamp" in rep["manifest"]
         csv_text = (tmp_path / "rep" / "verify.csv").read_text()
         assert csv_text.startswith("check,x,r,R,detail,lhs,rhs,slack,ok")
+        # without the corruption hook neither stderr nor the manifest
+        # mentions it
+        assert "EINSTEIN_LAB_CORRUPT" not in r.stderr
+        assert "EINSTEIN_LAB_CORRUPT" not in rep["manifest"]
 
     def test_corruption_hook_fails_with_witness(self, z21_file, tmp_path):
         path, g, c = z21_file
@@ -293,6 +297,21 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"error: --radii {radii}: need one or more radii, all >= 1\n"
 
+    @pytest.mark.parametrize("command", ["verify", "einstein"])
+    @pytest.mark.parametrize("centers", ["auto0", ",", "auto-1"])
+    def test_centers_usage_error(self, z21_file, tmp_path, capsys, command,
+                                 centers):
+        # no center, or fewer than asked, must not fall back to or cut
+        # the auto ones
+        path, g, c = z21_file
+        out = ["--out-dir", str(tmp_path / "rep")] if command == "verify" \
+            else []
+        code = cli.main([command, "--graph", path, f"--centers={centers}",
+                         "--radii", "2", *out])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: --centers {centers}: need one or more centers\n"
+
 
 class TestEinsteinFit:
     def test_einstein_json_and_csv(self, z21_file, tmp_path):
@@ -321,6 +340,23 @@ class TestEinsteinFit:
             lines = (tmp_path / f"f_{name}.csv").read_text().splitlines()
             assert lines[0] == f"log_R,log_{name}"
             assert len(lines) == 1 + len(out["beta"]["radii"])
+
+    def test_fit_csv_solves_each_exit_time_once(self, tmp_path,
+                                                 monkeypatch):
+        # the fits and the CSV series share one cache
+        g, c = lattice_box(1, 129)
+        p = tmp_path / "z1.txt"
+        save(g, p)
+        solves = []
+
+        def counted(g, x, R):
+            solves.append((x, R))
+            return potential.mean_exit_time(g, x, R)
+
+        monkeypatch.setattr(conditions, "mean_exit_time", counted)
+        assert cli.main(["fit", "--graph", str(p), "--radii", "2..16",
+                         "--csv-prefix", str(tmp_path / "f")]) == cli.EXIT_OK
+        assert solves == [(c, 2), (c, 4), (c, 8), (c, 16)]
 
     def test_fit_insufficient_radii_usage(self, z21_file):
         path, g, c = z21_file
@@ -369,13 +405,37 @@ def test_verify_report_digest(tmp_path, family, digest):
     assert hashlib.sha256(report).hexdigest() == digest
 
 
-def test_verify_corrupted_report_digest(z21_file, tmp_path, monkeypatch):
+# `generate` files, pinned with the per-edge loop construction they must
+# keep matching
+@pytest.mark.parametrize("family, digest", [
+    (["lattice", "--side", "41"],
+     "69ca48b690ce682c7aa5c35fbd0189966561568bf8f024329fcb6e85647bac6e"),
+    (["lattice", "--dim", "3", "--side", "7"],
+     "b14fabbf35f7dc1e57e90763aade41468a928384e70957b3314e774fede885df"),
+], ids=["z41", "box7"])
+def test_generate_file_digest(tmp_path, family, digest):
+    path = tmp_path / "host.txt"
+    assert cli.main(["generate", "--family", family[0], *family[1:],
+                     "--out", str(path)]) == cli.EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_verify_corrupted_report_digest(z21_file, tmp_path, monkeypatch,
+                                       capsys):
     # the reversibility row reads the stored, corrupted weights; pinned
-    # like the fixture digests above
+    # like the fixture digests above.  The hook is named on stderr and in
+    # verify.json's manifest, never in verify.csv
     path, g, c = z21_file
-    monkeypatch.setenv("EINSTEIN_LAB_CORRUPT", f"{c},{c + 1},0.5")
+    hook = f"{c},{c + 1},0.5"
+    monkeypatch.setenv("EINSTEIN_LAB_CORRUPT", hook)
     assert cli.main(["verify", "--graph", path,
                      "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_VIOLATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"note: EINSTEIN_LAB_CORRUPT={hook} ")
+    assert err.count("\n") == 1
+    manifest = json.loads(
+        (tmp_path / "rep" / "verify.json").read_text())["manifest"]
+    assert manifest["EINSTEIN_LAB_CORRUPT"] == hook
     report = (tmp_path / "rep" / "verify.csv").read_bytes()
     assert hashlib.sha256(report).hexdigest() == \
         "015b96bc6a1bd08520ebc8334bf548363a9bae3399d2ec516ece2e7c92f48935"

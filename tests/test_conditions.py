@@ -10,7 +10,7 @@ from einstein_lab.conditions import (QuantityCache, SweepGrid, auto_centers,
                                      measure_condition, radius_pairs,
                                      resistance_doubling, strong_antidoubling,
                                      valid_cells, verify_inequalities)
-from einstein_lab.errors import MarginError
+from einstein_lab.errors import ConvergenceError, MarginError
 from einstein_lab.generators import (apply_radial_weights, binary_tree,
                                      lattice_box, sierpinski_gasket,
                                      vicsek_tree)
@@ -275,6 +275,30 @@ class TestVerifySuite:
         assert [row[-1] for row in res.rows] == [True, False, True]
         assert res.passed is False
         assert res.witness == (0, 2, 2) and math.isnan(res.worst_slack)
+
+    @staticmethod
+    def breakdown_check(cells, nan_cell=None):
+        """A check over ``cells`` whose observer raises ConvergenceError,
+        except at ``nan_cell``, whose rhs = inf gives a NaN slack."""
+        def observe(cache, x, r, R):
+            if (x, r, R) == nan_cell:
+                return [(1.0, math.inf, "")]
+            raise ConvergenceError(f"no convergence at {r}", residual=1.0)
+        return conditions.Check(1, lambda g, grid, m: cells, observe)
+
+    def test_solver_rows_keep_first_witness(self):
+        res = self.breakdown_check([(0, 1, 1), (0, 2, 2)])("cg", None, None,
+                                                            None)
+        assert [row[4] for row in res.rows] == \
+            ["solver: no convergence at 1", "solver: no convergence at 2"]
+        assert res.passed is False and res.worst_slack == -math.inf
+        assert res.witness == (0, 1, 1)
+
+    def test_nan_row_keeps_witness_over_solver_row(self):
+        res = self.breakdown_check([(0, 1, 1), (0, 2, 2)], nan_cell=(0, 1, 1))(
+            "cg", None, None, None)
+        assert [row[-1] for row in res.rows] == [False, False]
+        assert res.witness == (0, 1, 1) and math.isnan(res.worst_slack)
 
     def test_corrupted_weights_fail_reversibility(self, z41):
         from einstein_lab.cli import _corrupt_graph

@@ -1,8 +1,10 @@
+import itertools
+import math
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from einstein_lab import graph
 from einstein_lab._kernels import bfs_distances
@@ -38,12 +40,14 @@ def connected_graphs(draw):
 
 
 @st.composite
-def stored_walks(draw):
-    """Graphs built by ``from_csr`` over a connected pattern whose two
+def stored_walks(draw, bases=None):
+    """Graphs built by ``from_csr`` over a connected pattern (drawn from
+    ``connected_graphs`` or from ``bases``' edge lists) whose two
     directions carry independent weights from a small set, so tied minima
     and asymmetric stored weights are common, plus a few one-way
     entries (self-loops among them)."""
-    base = draw(connected_graphs())
+    base = draw(connected_graphs()) if bases is None else \
+        WeightedGraph(*draw(bases))
     n = base.vertex_count
     weights = st.sampled_from([0.5, 1.0, 1.0 + 2.0 ** -40, 2.0])
     symmetric = draw(st.booleans())
@@ -60,6 +64,136 @@ def stored_walks(draw):
     return WeightedGraph.from_csr(
         base.edges, indptr, np.array([y for _, y in keys], dtype=np.int64),
         np.array([W[k] for k in keys], dtype=np.float64))
+
+
+def graph_reference(n, edges):
+    """The per-edge loop construction: validation in input order, the
+    sorted edge list, the symmetric CSR and mu."""
+    canon = {}
+    for u, v, w in edges:
+        u, v, w = int(u), int(v), float(w)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"edge ({u},{v}) out of range")
+        if not 0.0 < w < math.inf:
+            raise GraphFormatError(f"edge ({u},{v}) has weight {w!r}, "
+                                   "not positive and finite")
+        key = (u, v) if u <= v else (v, u)
+        if key in canon:
+            raise GraphFormatError(f"duplicate edge {key}")
+        canon[key] = w
+    edges = sorted((u, v, w) for (u, v), w in canon.items())
+    entries = []
+    for u, v, w in edges:
+        entries.append((u, v, w))
+        if u != v:
+            entries.append((v, u, w))
+    entries.sort(key=lambda e: (e[0], e[1]))
+    indptr = [0] * (n + 1)
+    mu = [0.0] * n
+    for x, _, w in entries:
+        indptr[x + 1] += 1
+        mu[x] += w
+    for x in range(n):
+        indptr[x + 1] += indptr[x]
+    return {"edges": edges, "indptr": indptr,
+            "indices": [y for _, y, _ in entries],
+            "weights": [w for _, _, w in entries], "mu": mu}
+
+
+def assert_matches_reference(g, ref):
+    assert g.edges == ref["edges"]
+    assert all(type(u) is int and type(v) is int and type(w) is float
+               for u, v, w in g.edges)
+    for name in ("indptr", "indices", "weights", "mu"):
+        assert getattr(g, name).tolist() == ref[name], name
+    assert g.indptr is g.matrix.indptr and g.indices is g.matrix.indices
+    assert g.weights is g.matrix.data
+
+
+def shrink_reference(g, A):
+    """The per-edge loop contraction: kept edges relabelled, crossing
+    weights summed per outside vertex in edge-list order."""
+    inA = [False] * g.vertex_count
+    for x in A:
+        inA[x] = True
+    old_to_new = [-1] * g.vertex_count
+    a = 0
+    for x in range(g.vertex_count):
+        if not inA[x]:
+            old_to_new[x] = a
+            a += 1
+    cross = {}
+    edges = []
+    for u, v, w in g.edges:
+        if inA[u] and inA[v]:
+            continue
+        if not inA[u] and not inA[v]:
+            edges.append((old_to_new[u], old_to_new[v], w))
+        else:
+            nx = old_to_new[v if inA[u] else u]
+            cross[nx] = cross.get(nx, 0.0) + w
+    for nx, w in sorted(cross.items()):
+        edges.append((nx, a, w))
+    return graph_reference(a + 1, edges), a, old_to_new
+
+
+def profile_reference(g):
+    """One cumulative sum per row."""
+    aug = np.empty(g.weights.shape[0])
+    for x in range(g.vertex_count):
+        lo, hi = g.indptr[x], g.indptr[x + 1]
+        cum = np.cumsum(g.weights[lo:hi]) / g.mu[x]
+        cum[-1] = 1.0
+        aug[lo:hi] = x + cum
+    return aug.tolist()
+
+
+def lattice_reference(d, L):
+    """Per-vertex loop over the box: row-major ids, one edge to the next
+    vertex along each axis."""
+    edges = []
+    for coords in itertools.product(range(L), repeat=d):
+        x = sum(c * L ** (d - 1 - ax) for ax, c in enumerate(coords))
+        for ax, c in enumerate(coords):
+            if c + 1 < L:
+                edges.append((x, x + L ** (d - 1 - ax), 1.0))
+    center = sum(L // 2 * L ** ax for ax in range(d))
+    return graph_reference(L ** d, edges), center
+
+
+# order-sensitive sums: 2**-53 twice then 1.0 is 1 + 2**-52, 1.0 first
+# absorbs both
+ORDER_WEIGHTS = st.sampled_from([1.0, 2.0 ** -53, 0.1, 0.7, 3.0])
+
+
+@st.composite
+def edge_lists(draw, hub=False):
+    """(n, edges) of a connected graph with self-loops, in shuffled order
+    and orientation; with ``hub`` vertex 0 has degree 8 or more."""
+    n = draw(st.integers(min_value=9 if hub else 2, max_value=14))
+    edges = {(0, k): draw(ORDER_WEIGHTS) for k in range(1, 9)} if hub else {}
+    for v in range(1, n):
+        u = draw(st.integers(min_value=0, max_value=v - 1))
+        edges.setdefault((u, v), draw(ORDER_WEIGHTS))
+    for _ in range(draw(st.integers(min_value=0, max_value=n))):
+        u, v = sorted(draw(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1))))
+        edges.setdefault((u, v), draw(ORDER_WEIGHTS))
+    items = draw(st.permutations(sorted(edges.items())))
+    flips = draw(st.lists(st.booleans(), min_size=len(items),
+                          max_size=len(items)))
+    return n, [(v, u, w) if f else (u, v, w)
+               for ((u, v), w), f in zip(items, flips)]
+
+
+@st.composite
+def malformed_edge_lists(draw):
+    """Edge lists mixing out-of-range ids, bad weights and duplicates."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    ends = st.integers(min_value=-1, max_value=n)
+    weights = st.sampled_from([1.0, 0.5, 0.0, -1.0, math.inf, -math.inf,
+                               math.nan])
+    return n, draw(st.lists(st.tuples(ends, ends, weights), max_size=10))
 
 
 def min_transition_reference(g):
@@ -154,6 +288,71 @@ class TestConstruction:
                 W[(x, int(g.indices[k]))] = float(g.weights[k])
         for (x, y), w in W.items():
             assert abs(w - W[(y, x)]) <= 1e-12 * w
+
+
+class TestArrayConstruction:
+    """The array code against the per-edge and per-vertex loops."""
+
+    @given(edge_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_graph_matches_loop(self, case):
+        n, edges = case
+        assert_matches_reference(WeightedGraph(n, edges),
+                                 graph_reference(n, edges))
+
+    @given(malformed_edge_lists())
+    @settings(max_examples=200, deadline=None)
+    @example((3, [(0, 3, math.nan), (0, 1, 1.0)]))
+    @example((3, [(0, 1, 1.0), (2, 2, 0.0), (1, 0, 1.0)]))
+    @example((3, [(1, 2, 1.0), (2, 1, math.inf), (0, 1, 1.0)]))
+    def test_first_error_matches_loop(self, case):
+        n, edges = case
+        messages = []
+        for build in (graph_reference, WeightedGraph):
+            try:
+                build(n, edges)
+                messages.append(None)
+            except GraphFormatError as exc:
+                messages.append(str(exc))
+        ref, got = messages
+        if ref is None:
+            # a well-formed list may still leave the graph disconnected
+            assert got in (None, "graph is not connected",
+                           "isolated vertex (graph must be connected)")
+        else:
+            assert got == ref
+
+    @given(edge_lists(), st.data())
+    @settings(max_examples=60, deadline=None)
+    @example((4, [(0, 1, 2.0 ** -53), (0, 2, 2.0 ** -53), (0, 3, 1.0),
+                  (1, 1, 0.7), (0, 0, 0.1)]), None)
+    def test_shrink_matches_loop(self, case, data):
+        g = WeightedGraph(*case)
+        n = g.vertex_count
+        A = [1, 2, 3] if data is None else data.draw(
+            st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1,
+                     unique=True))
+        if len(set(A)) == n:
+            return
+        ref, a, old_to_new = shrink_reference(g, A)
+        sr = shrink(g, A)
+        assert_matches_reference(sr.graph, ref)
+        assert (sr.a, sr.old_to_new.tolist()) == (a, old_to_new)
+
+    @given(st.one_of(edge_lists(hub=True).map(lambda c: WeightedGraph(*c)),
+                     stored_walks(edge_lists(hub=True))))
+    @settings(max_examples=60, deadline=None)
+    def test_transition_profile_matches_loop(self, g):
+        assert np.diff(g.indptr).max() >= 8
+        assert g.transition_profile().tolist() == profile_reference(g)
+
+    @given(st.sampled_from([1, 2, 3]), st.sampled_from([3, 5, 7, 9]))
+    @settings(max_examples=12, deadline=None)
+    def test_lattice_box_matches_loop(self, d, L):
+        g, c = lattice_box(d, L)
+        ref, center = lattice_reference(d, L)
+        assert_matches_reference(g, ref)
+        assert c == center
 
 
 class TestMetric:
