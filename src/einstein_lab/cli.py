@@ -104,13 +104,12 @@ def _load_graph(path):
 
 def _corrupt_graph(g, u, v, delta):
     """Test hook: bump one directed weight, breaking reversibility."""
-    w = g.weights.copy()
-    for k in range(int(g.indptr[u]), int(g.indptr[u + 1])):
-        if int(g.indices[k]) == v:
-            w[k] += delta
-            break
-    else:
+    lo, hi = g.indptr[u:u + 2] if 0 <= u < g.vertex_count else (0, 0)
+    hits = np.flatnonzero(g.indices[lo:hi] == v)
+    if hits.size == 0:
         raise ValueError(f"no edge {u}->{v} to corrupt")
+    w = g.weights.copy()
+    w[lo + hits[0]] += delta
     return graph.WeightedGraph.from_csr(g.edges, g.indptr, g.indices, w)
 
 
@@ -135,6 +134,8 @@ def _parse_centers(g, text, path):
     silent fall-back to the default ones."""
     if text.startswith("auto"):
         k = int(text[4:]) if len(text) > 4 else 5
+        if k > 5:   # the host center and four quarter-diagonal vertices
+            raise ValueError(f"--centers {text}: auto picks at most 5 centers")
         centers = conditions.auto_centers(g, k) if k >= 1 else []
     elif text == "sidecar":
         with open(path + ".center", encoding="utf-8") as f:

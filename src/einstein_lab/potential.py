@@ -39,21 +39,35 @@ EIGEN_MAXITER = 10_000
 # -- linear algebra plumbing -------------------------------------------------
 
 
+def _gather(g, rows, cols):
+    """W[rows][:, cols] as triplets (i, j, w) in CSR order, i indexing
+    ``rows`` and j the sorted ``cols``; reads the rows' entries only."""
+    hi = g.indptr[rows + 1]
+    counts = hi - g.indptr[rows]
+    i = np.repeat(np.arange(rows.size), counts)
+    pos = np.arange(i.size) + (hi - np.cumsum(counts))[i]
+    nbr = g.indices[pos]
+    j = np.searchsorted(cols, nbr)
+    hit = np.append(cols, -1)[j] == nbr
+    return i[hit], j[hit], g.weights[pos[hit]]
+
+
 def _dirichlet_matrix(g, region):
-    """(D - W) restricted to ``region`` (rows and columns)."""
-    return sp.diags(g.mu[region]) - g.matrix[region][:, region]
+    """(D - W)|_region in CSC: mu - w on a self-loop, exact zeros dropped."""
+    i, j, w = _gather(g, region, region)
+    k = np.arange(region.size)
+    M = sp.csc_matrix((np.r_[g.mu[region], -w], (np.r_[k, i], np.r_[k, j])),
+                      shape=(k.size, k.size))
+    M.eliminate_zeros()
+    return M
 
 
 def _make_solver(M):
-    """Factor M once and return its raw solve(b).
-
-    Direct sparse LU below DIRECT_SOLVE_LIMIT unknowns, Jacobi-
-    preconditioned conjugate gradients above.  The residual contract is
-    checked by the caller: GreenOperator.solve for every Dirichlet
-    solve, the Rayleigh residual for lambda_min.
+    """Factor M once and return its raw solve(b): sparse LU below
+    DIRECT_SOLVE_LIMIT unknowns, Jacobi-preconditioned conjugate gradients
+    above.  GreenOperator.solve checks the residual contract.
     """
     n = M.shape[0]
-    M = M.tocsc()
     if n < DIRECT_SOLVE_LIMIT:
         try:
             return spla.splu(M).solve
@@ -76,9 +90,7 @@ def _make_solver(M):
 
 def _relative_residual(M, x, b):
     bnorm = np.linalg.norm(b)
-    if bnorm == 0:
-        return 0.0
-    return float(np.linalg.norm(M @ x - b) / bnorm)
+    return float(np.linalg.norm(M @ x - b) / bnorm) if bnorm else 0.0
 
 
 def _as_vertex_set(g, A):
@@ -86,16 +98,6 @@ def _as_vertex_set(g, A):
     if A.size and (A[0] < 0 or A[-1] >= g.vertex_count):
         raise ValueError("vertex id out of range")
     return A
-
-
-def _killed_region(g, region):
-    """The sorted region of a killed walk: non-empty and proper."""
-    region = _as_vertex_set(g, region)
-    if region.size == 0:
-        raise ValueError("region is empty")
-    if region.size == g.vertex_count:
-        raise ValueError("region must be a proper subset (killed walk)")
-    return region
 
 
 def _locate(region, v):
@@ -142,24 +144,25 @@ def dirichlet_potential(g, A, B_outer):
     residual = 0.0
     if interior.size:
         op = GreenOperator(g, interior)
-        rhs = np.asarray(g.matrix[interior][:, A].sum(axis=1)).ravel()
+        # a row sums as its first entry plus the sum of the rest
+        # (np.add.reduceat, scipy's row-sum order): the order the pinned
+        # verify.csv digests were computed in
+        i, _, w = _gather(g, interior, A)
+        rows, starts = np.unique(i, return_index=True)
+        rhs = np.bincount(rows, np.add.reduceat(w, starts), interior.size)
         values[interior] = op.solve(rhs)
         residual = op.residual
     return PotentialField(values, A, residual)
 
 
 def current_out(g, A, values):
-    """Total current leaving A: sum of mu_xy (u(x) - u(y)) over the cut."""
-    inA = np.zeros(g.vertex_count, dtype=bool)
-    inA[A] = True
-    total = 0.0
-    for x in A:
-        lo, hi = g.indptr[x], g.indptr[x + 1]
-        nbr = g.indices[lo:hi]
-        w = g.weights[lo:hi]
-        outside = ~inA[nbr]
-        total += float(np.sum(w[outside] * (values[x] - values[nbr[outside]])))
-    return total
+    """Total current leaving A: sum of mu_xy (u(x) - u(y)) over the cut,
+    per row of A in CSR order, then row after row."""
+    A = np.asarray(A, dtype=np.int64)
+    cut = boundary(g, A)
+    i, j, w = _gather(g, A, cut)
+    flow = np.bincount(i, w * (values[A[i]] - values[cut[j]]), A.size)
+    return float(np.cumsum(flow)[-1])
 
 
 def resistance(g, A, B_outer):
@@ -230,12 +233,16 @@ class GreenOperator:
     exactly symmetric because M is."""
 
     def __init__(self, g, region):
-        region = _killed_region(g, region)
+        region = _as_vertex_set(g, region)
+        if region.size == 0:
+            raise ValueError("region is empty")
+        if region.size == g.vertex_count:
+            raise ValueError("region must be a proper subset (killed walk)")
         self.graph = g
         self.region = region
         self.size = int(region.size)
         self.mu = g.mu[region]
-        self._M = _dirichlet_matrix(g, region).tocsc()
+        self._M = _dirichlet_matrix(g, region)
         self._raw_solve = _make_solver(self._M)
         self.residual = 0.0
         self._columns = {}
@@ -305,8 +312,7 @@ def mean_exit_time(g, x, R):
         raise ValueError("radius must be >= 1")
     B = _require_proper_ball(g, x, R)
     op = GreenOperator(g, B)
-    e = op.exit_times()
-    return float(e[op.local(x)])
+    return float(op.exit_times()[op.local(x)])
 
 
 def max_exit_time(g, x, R):
@@ -348,26 +354,19 @@ class EigenResult:
 def lambda_min(g, A):
     """Smallest eigenvalue of (I - P^A)|_A via inverse iteration.
 
-    The operator is conjugated by mu^{1/2} into a symmetric matrix; the
-    eigenvalue is similarity-invariant, so the reported value belongs to
-    the original operator.  Stops on the Rayleigh residual.
+    The operator is conjugated by mu^{1/2} into S = D^{-1/2} M D^{-1/2},
+    whose eigenvalues are the original operator's; S^{-1} v = d M^{-1} d v
+    is solved through the region's GreenOperator.  Stops on the Rayleigh
+    residual.
     """
-    region = _killed_region(g, A)
-    M = _dirichlet_matrix(g, region).tocsr()
-    d = np.sqrt(g.mu[region])
-    S = sp.diags(1.0 / d) @ M @ sp.diags(1.0 / d)
-    S = S.tocsc()
-    # inner solves only steer the iteration; the Rayleigh residual and
-    # the positivity guard below are the actual quality contract
-    solve = _make_solver(S)
-
-    v = np.ones(region.size) / np.sqrt(region.size)
-    lam = 0.0
+    op = GreenOperator(g, A)
+    d = np.sqrt(op.mu)
+    v = np.ones(op.size) / np.sqrt(op.size)
     res = np.inf
     for it in range(1, EIGEN_MAXITER + 1):
-        w = solve(v)
+        w = d * op.solve(d * v)
         w /= np.linalg.norm(w)
-        Sw = S @ w
+        Sw = (op._M @ (w / d)) / d
         lam = float(w @ Sw)
         res = float(np.linalg.norm(Sw - lam * w))
         v = w
@@ -406,10 +405,11 @@ def harmonic_measure(g, x, R):
     B = _require_proper_ball(g, x, R)
     bnd = boundary(g, B)
     op = GreenOperator(g, B)
-    W = g.matrix[B][:, bnd].tocsc()
-    omega = np.empty((B.size, bnd.size), dtype=np.float64)
+    i, j, w = _gather(g, B, bnd)
+    omega = np.zeros((B.size, bnd.size), dtype=np.float64)
+    omega[i, j] = w
     for k in range(bnd.size):
-        omega[:, k] = op.solve(W[:, k].toarray().ravel())
+        omega[:, k] = op.solve(omega[:, k])
     return HarmonicMeasure(B, bnd, omega)
 
 
@@ -426,9 +426,7 @@ def harnack_constant(g, x, R):
     if R < 1:
         raise ValueError("radius must be >= 1")
     hm = harmonic_measure(g, x, 2 * R)
-    inner = ball(g, x, R)
-    sel = np.isin(hm.region, inner)
-    rows = hm.omega[sel]
+    rows = hm.omega[np.isin(hm.region, ball(g, x, R))]
     top = rows.max(axis=0)
     bot = rows.min(axis=0)
     if np.any((bot <= 0.0) & (top > 0.0)):

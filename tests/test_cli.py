@@ -298,19 +298,43 @@ class TestExitCodes:
             f"error: --radii {radii}: need one or more radii, all >= 1\n"
 
     @pytest.mark.parametrize("command", ["verify", "einstein"])
-    @pytest.mark.parametrize("centers", ["auto0", ",", "auto-1"])
+    @pytest.mark.parametrize("centers", ["auto0", ",", "auto-1", "auto6",
+                                         "auto9"])
     def test_centers_usage_error(self, z21_file, tmp_path, capsys, command,
                                  centers):
         # no center, or fewer than asked, must not fall back to or cut
-        # the auto ones
+        # the auto ones; auto picks at most the host center and four
+        # quarter-diagonal vertices
         path, g, c = z21_file
         out = ["--out-dir", str(tmp_path / "rep")] if command == "verify" \
             else []
         code = cli.main([command, "--graph", path, f"--centers={centers}",
                          "--radii", "2", *out])
         assert code == cli.EXIT_USAGE
+        why = "auto picks at most 5 centers" if centers in ("auto6", "auto9") \
+            else "need one or more centers"
         assert capsys.readouterr().err == \
-            f"error: --centers {centers}: need one or more centers\n"
+            f"error: --centers {centers}: {why}\n"
+
+    @pytest.mark.parametrize("command", [
+        ["compute", "exit", "--x", "220", "--R", "2"], ["verify"]],
+        ids=["compute", "verify"])
+    @pytest.mark.parametrize("hook", ["9999,0,0.5", "-2,439,0.5"])
+    def test_corruption_hook_vertex_outside_graph(self, z21_file, tmp_path,
+                                                  monkeypatch, capsys,
+                                                  command, hook):
+        # a vertex id past the end must not index out of range, and a
+        # negative one must not wrap around to another row
+        path, g, c = z21_file
+        monkeypatch.setenv("EINSTEIN_LAB_CORRUPT", hook)
+        out = ["--out-dir", str(tmp_path / "rep")] \
+            if command[0] == "verify" else []
+        code = cli.main([*command, "--graph", path, *out])
+        assert code == cli.EXIT_USAGE
+        u, v, _ = hook.split(",")
+        assert capsys.readouterr().err.splitlines()[1:] == \
+            [f"error: no edge {u}->{v} to corrupt"]
+        assert not (tmp_path / "rep").exists()
 
 
 class TestEinsteinFit:
@@ -394,7 +418,9 @@ class TestMc:
      "e826c45098fa80cf654a920fb75321fee23bab85ebdfae67dbe36167840b47ea"),
     (["lattice", "--dim", "1", "--side", "129"],
      "c50d9a32182b2358bc569a48611ad1bede91d06658395ac3935994f8959fcf36"),
-], ids=["sierpinski5", "vicsek3", "binary_tree7", "line129"])
+    (["lattice", "--dim", "3", "--side", "7"],
+     "c64a55e5f1cb9f39c61263e7b16affad3cc86a8cb18df781afd5b288291384f9"),
+], ids=["sierpinski5", "vicsek3", "binary_tree7", "line129", "box7"])
 def test_verify_report_digest(tmp_path, family, digest):
     path = str(tmp_path / "host.txt")
     assert cli.main(["generate", "--family", family[0], *family[1:],

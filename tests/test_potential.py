@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse as sp
+from hypothesis import assume, given, settings, strategies as st
 
 from einstein_lab.errors import ConvergenceError, MarginError, UnreachableError
 from einstein_lab.generators import lattice_box, sierpinski_gasket
-from einstein_lab.graph import WeightedGraph, ball, volume
+from einstein_lab.graph import WeightedGraph, ball, boundary, volume
 from einstein_lab import potential
 from einstein_lab.potential import (GreenOperator, dirichlet_potential,
                                     exit_time, exit_time_inverse,
@@ -16,7 +17,8 @@ from einstein_lab.potential import (GreenOperator, dirichlet_potential,
                                     layered_lower_bound, max_exit_time,
                                     mean_exit_time, resistance,
                                     resistance_annulus)
-from test_graph import adjacency, bfs_reference, connected_graphs
+from test_graph import (adjacency, bfs_reference, connected_graphs,
+                        edge_lists, stored_walks)
 
 
 def path_graph(n, w=1.0):
@@ -479,3 +481,255 @@ def test_exit_time_green_consistency_on_gasket():
     loc = op.local(corner)
     assert e[loc] == pytest.approx(mean_exit_time(g, corner, 6), rel=1e-10)
     assert float(op.column(corner) @ op.mu) == pytest.approx(e[loc], rel=1e-9)
+
+
+# -- the ball-local gather against the scipy slicing it replaced --------------
+
+# connected graphs, graphs with self-loops, a hub of degree >= 8 and weights
+# whose sums depend on their order (1 + 2**-53 + 2**-53), and ``from_csr``
+# walks whose two directions carry different weights
+GATHER_GRAPHS = st.one_of(
+    connected_graphs(),
+    edge_lists(hub=True).map(lambda c: WeightedGraph(*c)),
+    stored_walks(),
+    stored_walks(edge_lists(hub=True)),
+)
+
+
+def proper_subsets(data, g, min_size=1):
+    n = g.vertex_count
+    picked = data.draw(st.sets(st.integers(0, n - 1), min_size=min_size,
+                               max_size=n - 1))
+    return np.array(sorted(picked), dtype=np.int64)
+
+
+def dirichlet_matrix_reference(g, region):
+    M = (sp.diags(g.mu[region]) - g.matrix[region][:, region]).tocsc()
+    M.sort_indices()
+    return M
+
+
+def potential_rhs(g, A, B):
+    """The right-hand side dirichlet_potential solves for, captured
+    without factoring (a degenerate drawn graph may have no factor)."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(potential, "_make_solver", lambda M: None)
+        mp.setattr(GreenOperator, "solve", lambda op, rhs:
+                   seen.append(rhs.tolist()) or np.zeros(op.size))
+        dirichlet_potential(g, A, B)
+    [rhs] = seen
+    return rhs
+
+
+def rhs_reference(g, interior, A):
+    return np.asarray(g.matrix[interior][:, A].sum(axis=1)).ravel()
+
+
+def omega_reference(g, x, R):
+    """One sparse column of W[B, boundary] per solve."""
+    B = ball(g, x, R)
+    bnd = boundary(g, B)
+    op = GreenOperator(g, B)
+    W = g.matrix[B][:, bnd].tocsc()
+    omega = np.empty((B.size, bnd.size))
+    for k in range(bnd.size):
+        omega[:, k] = op.solve(W[:, k].toarray().ravel())
+    return omega
+
+
+def current_out_reference(g, A, values):
+    """A loop over the rows of A with a host-length membership mask."""
+    inA = np.zeros(g.vertex_count, dtype=bool)
+    inA[A] = True
+    total = 0.0
+    for x in A:
+        lo, hi = g.indptr[x], g.indptr[x + 1]
+        nbr = g.indices[lo:hi]
+        w = g.weights[lo:hi]
+        outside = ~inA[nbr]
+        total += float(np.sum(w[outside] * (values[x] - values[nbr[outside]])))
+    return total
+
+
+def resistance_reference(g, A, B):
+    """The current out of A for the potential solved from the reference
+    right-hand side."""
+    interior = np.setdiff1d(B, A)
+    values = np.zeros(g.vertex_count)
+    values[A] = 1.0
+    values[interior] = GreenOperator(g, interior).solve(
+        rhs_reference(g, interior, A))
+    return current_out_reference(g, A, values)
+
+
+def cut_degree(g, A):
+    """Most cut neighbours of one row of A."""
+    inA = np.isin(np.arange(g.vertex_count), A)
+    return max((int(np.sum(~inA[g.indices[g.indptr[x]:g.indptr[x + 1]]]))
+                for x in A), default=0)
+
+
+def lambda_min_reference(g, A):
+    """Inverse iteration on the conjugated S = D^-1/2 M D^-1/2 with its
+    own factor: (lam, iterations)."""
+    region = np.unique(np.asarray(A, dtype=np.int64))
+    M = (sp.diags(g.mu[region]) - g.matrix[region][:, region]).tocsr()
+    d = np.sqrt(g.mu[region])
+    S = (sp.diags(1.0 / d) @ M @ sp.diags(1.0 / d)).tocsc()
+    solve = potential._make_solver(S)
+    v = np.ones(region.size) / np.sqrt(region.size)
+    for it in range(1, potential.EIGEN_MAXITER + 1):
+        w = solve(v)
+        w /= np.linalg.norm(w)
+        Sw = S @ w
+        lam = float(w @ Sw)
+        if np.linalg.norm(Sw - lam * w) <= potential.EIGEN_TOL:
+            if lam <= 0.0:
+                raise ConvergenceError("below numerical resolution")
+            return lam, it
+        v = w
+    raise ConvergenceError("no convergence")
+
+
+def outcome(fn, *args):
+    """fn's value, or the ConvergenceError it raises."""
+    try:
+        return fn(*args)
+    except ConvergenceError as exc:
+        return exc
+
+
+class TestGather:
+    @given(GATHER_GRAPHS, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_dirichlet_matrix_matches_slicing(self, g, data):
+        region = proper_subsets(data, g)
+        M = potential._dirichlet_matrix(g, region)
+        ref = dirichlet_matrix_reference(g, region)
+        M.sort_indices()
+        assert M.format == "csc" and M.shape == ref.shape
+        assert M.indptr.tolist() == ref.indptr.tolist()
+        assert M.indices.tolist() == ref.indices.tolist()
+        assert M.data.tolist() == ref.data.tolist()
+
+    def test_dirichlet_matrix_cancelled_diagonal(self):
+        # mu(1) = 2**-53 + 1.0 rounds to 1.0, so mu - w_self is exactly 0
+        # and is no stored entry
+        g = WeightedGraph(3, [(0, 1, 2.0 ** -53), (1, 1, 1.0), (0, 2, 1.0)])
+        region = np.array([1])
+        M = potential._dirichlet_matrix(g, region)
+        assert M.nnz == 0 == dirichlet_matrix_reference(g, region).nnz
+
+    def test_potential_rhs_sums_in_scipy_order(self):
+        # vertex 0 sees the source {1, 2, 3} through 1, 2**-53, 2**-53:
+        # the first entry plus the sum of the rest is 1 + 2**-52, where a
+        # sequential sum rounds to 1.0
+        tiny = 2.0 ** -53
+        g = WeightedGraph(5, [(0, 1, 1.0), (0, 2, tiny), (0, 3, tiny),
+                              (0, 4, 1.0)])
+        assert potential_rhs(g, [1, 2, 3], [0, 1, 2, 3]) == \
+            [1.0 + 2.0 ** -52] == \
+            rhs_reference(g, np.array([0]), np.array([1, 2, 3])).tolist()
+
+    @given(GATHER_GRAPHS, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_potential_rhs_matches_row_sums(self, g, data):
+        assume(g.vertex_count >= 3)
+        B = proper_subsets(data, g, min_size=2)
+        A = np.array(sorted(data.draw(st.sets(st.sampled_from(B.tolist()),
+                                              min_size=1,
+                                              max_size=B.size - 1))))
+        assert potential_rhs(g, A, B) == \
+            rhs_reference(g, np.setdiff1d(B, A), A).tolist()
+
+    @given(GATHER_GRAPHS, st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_harmonic_measure_matches_column_loop(self, g, data):
+        # both solve through GreenOperator, so a weight ratio beyond
+        # float64 fails both alike
+        x = data.draw(st.integers(0, g.vertex_count - 1))
+        R = data.draw(st.integers(1, g.eccentricity(x)))
+        got = outcome(harmonic_measure, g, x, R)
+        want = outcome(omega_reference, g, x, R)
+        if isinstance(want, ConvergenceError):
+            assert str(got) == str(want)
+        else:
+            assert got.omega.tolist() == want.tolist()
+
+    @given(GATHER_GRAPHS, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_current_out_matches_row_loop(self, g, data):
+        # non-negative terms: values are 1 on A and in [0, 1) off it
+        A = proper_subsets(data, g)
+        values = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 0.1, 1 / 3, 0.7, 1 - 2.0 ** -52]),
+            min_size=g.vertex_count, max_size=g.vertex_count)))
+        values[A] = 1.0
+        got = potential.current_out(g, A, values)
+        want = current_out_reference(g, A, values)
+        if cut_degree(g, A) < 8:
+            assert got == want
+        else:
+            # numpy sums 8 or more terms pairwise; the row sum here is
+            # sequential
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_current_out_hub_row_sums_in_order(self):
+        # nine cut neighbours: the row sums in CSR order, so 1 + 7 * 2**-53
+        # + 1 rounds to 2.0; numpy's pairwise np.sum in the loop gives
+        # 2 + 2**-50
+        w = [1.0] + [2.0 ** -53] * 7 + [1.0]
+        g = WeightedGraph(10, [(0, k, w[k - 1]) for k in range(1, 10)])
+        values = np.zeros(10)
+        values[0] = 1.0
+        got = potential.current_out(g, [0], values)
+        assert got == 2.0
+        assert current_out_reference(g, [0], values) == 2.0 + 2.0 ** -50
+        assert got == pytest.approx(current_out_reference(g, [0], values),
+                                    rel=1e-12)
+
+    def test_current_out_empty_cut_is_zero(self):
+        g = path_graph(4)
+        values = np.array([1.0, 0.5, 0.25, 0.0])
+        assert potential.current_out(g, np.arange(4), values) == 0.0
+
+    @given(GATHER_GRAPHS, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_lambda_min_matches_conjugated_loop(self, g, data):
+        region = proper_subsets(data, g)
+        got = outcome(lambda_min, g, region)
+        want = outcome(lambda_min_reference, g, region)
+        if isinstance(want, ConvergenceError):
+            assert isinstance(got, ConvergenceError)
+        elif isinstance(got, ConvergenceError):
+            # the inner solves are checked now, so a region whose weights
+            # float64 cannot resolve is refused where the old loop
+            # returned a number; only an ill-conditioned M may do that
+            M = potential._dirichlet_matrix(g, region).toarray()
+            assert np.linalg.cond(M) * np.finfo(float).eps * M.shape[0] > \
+                potential.SOLVE_TOL
+        else:
+            assert got.lam == pytest.approx(want[0], rel=1e-12)
+
+    @pytest.mark.parametrize("host, R, limit", [
+        ((2, 21), 4, None), ((2, 21), 8, None), ((3, 9), 3, None),
+        ((2, 21), 6, 1), ((3, 9), 3, 1)],
+        ids=["z21-R4", "z21-R8", "box9-R3", "z21-R6-cg", "box9-R3-cg"])
+    def test_fixture_solves_match_references(self, monkeypatch, host, R,
+                                             limit):
+        # bit for bit where the arithmetic is unchanged, and the same
+        # eigen iteration count; the limit-1 cases run both on CG
+        if limit is not None:
+            monkeypatch.setattr(potential, "DIRECT_SOLVE_LIMIT", limit)
+        g, c = lattice_box(*host)
+        B = ball(g, c, R)
+        assert np.array_equal(harmonic_measure(g, c, R).omega,
+                              omega_reference(g, c, R))
+        A = ball(g, c, R // 2)
+        assert potential.current_out(g, A, dirichlet_potential(
+            g, A, B).values) == resistance_reference(g, A, B)
+        got = lambda_min(g, B)
+        lam, iterations = lambda_min_reference(g, B)
+        assert got.lam == pytest.approx(lam, rel=1e-12)
+        assert got.iterations == iterations
