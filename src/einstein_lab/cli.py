@@ -105,12 +105,15 @@ def _load_graph(path):
 def _corrupt_graph(g, u, v, delta):
     """Test hook: bump one directed weight, breaking reversibility."""
     lo, hi = g.indptr[u:u + 2] if 0 <= u < g.vertex_count else (0, 0)
-    hits = np.flatnonzero(g.indices[lo:hi] == v)
+    hits = lo + np.flatnonzero(g.indices[lo:hi] == v)
     if hits.size == 0:
         raise ValueError(f"no edge {u}->{v} to corrupt")
     w = g.weights.copy()
-    w[lo + hits[0]] += delta
-    return graph.WeightedGraph.from_csr(g.edges, g.indptr, g.indices, w)
+    w[hits[0]] += delta
+    if not 0.0 < w[hits[0]] < math.inf:     # a NaN weight is refused too
+        raise GraphFormatError(f"edge ({u},{v}) has weight "
+                               f"{w.item(hits[0])!r}, not positive and finite")
+    return graph.WeightedGraph.from_csr(g.indptr, g.indices, w)
 
 
 def _parse_radii(text):
@@ -151,10 +154,12 @@ def _parse_centers(g, text, path):
 
 
 def cmd_generate(args):
+    flag = dict(lattice="side", binary_tree="depth").get(args.family, "level")
+    if getattr(args, flag) is None:
+        raise ValueError(f"generate --family {args.family} needs --{flag}")
     spec = generators.FamilySpec(
         family=args.family,
-        size=args.side if args.family == "lattice" else
-        (args.level if args.family in ("sierpinski", "vicsek") else args.depth),
+        size=getattr(args, flag),
         dim=args.dim,
         weight_rule=args.weight_rule,
         radial_lambda=args.radial_lambda,

@@ -138,11 +138,12 @@ def apply_radial_weights(g, root, lam):
             f"radial lambda must lie in [{RADIAL_LAMBDA_MIN}, {RADIAL_LAMBDA_MAX}]"
         )
     d = g.distances(root)
-    edges = [
-        (u, v, w * lam ** int(min(d[u], d[v])))
-        for u, v, w in g.edges
-    ]
-    return WeightedGraph(g.vertex_count, edges)
+    u, v, w = g._upper()
+    # numpy's array power differs from Python's ``**`` in the last bit for
+    # some (lam, k), so the powers are one table built with ``**``
+    power = np.array([lam ** k for k in range(d.max() + 1)], dtype=float)
+    w = w * power[np.minimum(d[u], d[v])]
+    return WeightedGraph(g.vertex_count, np.column_stack([u, v, w]))
 
 
 def build(spec: FamilySpec):

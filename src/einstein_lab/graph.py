@@ -22,9 +22,9 @@ class WeightedGraph:
 
     The adjacency is held once, as ``matrix``: a scipy CSR that every BFS
     and every Dirichlet block slices, whose own arrays are the ``indptr``,
-    ``indices`` and ``weights`` that the walk kernel reads.  All arrays
-    are frozen after construction, and per-center distance arrays are
-    cached.
+    ``indices`` and ``weights`` that the walk kernel reads.  Every reader
+    of the edge set takes its upper triangle.  All arrays are frozen after
+    construction, and per-center distance arrays are cached.
     """
 
     def __init__(self, vertex_count, edges):
@@ -55,30 +55,22 @@ class WeightedGraph:
         W = sp.csr_matrix((np.concatenate([w, w[off]]),
                            (np.concatenate([lo, hi[off]]),
                             np.concatenate([hi, lo[off]]))), shape=(n, n))
-        # the upper triangle in CSR order is the edge list sorted by (u, v)
-        rows = np.repeat(np.arange(n), np.diff(W.indptr))
-        up = rows <= W.indices
-        self._init_csr(list(zip(rows[up].tolist(), W.indices[up].tolist(),
-                                W.data[up].tolist())), W)
+        self._init_csr(W)
 
     @classmethod
-    def from_csr(cls, edges, indptr, indices, weights):
-        """Graph over ready CSR arrays, taken as given: they are not checked
-        against ``edges`` or for symmetry, so a caller can store a
-        deliberately non-reversible walk.  ``edges`` is the undirected
-        edge list that ``save`` and ``shrink`` read."""
+    def from_csr(cls, indptr, indices, weights):
+        """CSR arrays taken as given, unchecked for symmetry, so a caller can
+        store a non-reversible walk; its edges are its upper triangle."""
         n = int(indptr.shape[0]) - 1
         g = cls.__new__(cls)
-        g._init_csr(list(edges), sp.csr_matrix((weights, indices, indptr),
-                                               shape=(n, n)))
+        g._init_csr(sp.csr_matrix((weights, indices, indptr), shape=(n, n)))
         return g
 
-    def _init_csr(self, edges, matrix):
+    def _init_csr(self, matrix):
         """The one construction path: measure, frozen arrays, caches and
         the connectivity check."""
         n = matrix.shape[0]
         self.vertex_count = n
-        self.edges = edges
         self.matrix = matrix
         self.indptr, self.indices = matrix.indptr, matrix.indices
         self.weights = matrix.data
@@ -97,6 +89,18 @@ class WeightedGraph:
         dist0 = self.distances(0)
         if int(dist0.min()) < 0:
             raise GraphFormatError("graph is not connected")
+
+    @property
+    def edges(self):
+        """Edge list [(u, v, w)] sorted by (u, v), rebuilt on each access."""
+        return list(zip(*(a.tolist() for a in self._upper())))
+
+    def _upper(self):
+        """The CSR's entries with u <= v as arrays (u, v, w) in CSR order:
+        the edge list sorted by (u, v), self-loops included."""
+        rows = np.repeat(np.arange(self.vertex_count), np.diff(self.indptr))
+        up = rows <= self.indices
+        return rows[up], self.indices[up], self.weights[up]
 
     # -- basic accessors ----------------------------------------------------
 
@@ -236,8 +240,7 @@ def shrink(g, A):
     old_to_new[keep] = np.arange(keep.size, dtype=np.int64)
     a = int(keep.size)
 
-    u, v, w = np.asarray(g.edges, dtype=np.float64).reshape(-1, 3).T
-    u, v = u.astype(np.int64), v.astype(np.int64)
+    u, v, w = g._upper()
     kept = ~inA[u] & ~inA[v]
     cross = inA[u] != inA[v]
     # merged weights summed in edge-list order

@@ -206,13 +206,12 @@ def layered_lower_bound(g, A, B_outer):
     L = int(dA[sink].min())
     if L <= 0:
         raise ValueError("source touches the sink")
-    # each edge once, as its upper-triangle entry in CSR order: the
-    # sorted edge order, so the sums match a loop over the edge list
-    U = sp.triu(g.matrix, k=1, format="coo")
-    du, dv = dA[U.row], dA[U.col]
+    # each edge once, in edge-list order; a self-loop never steps
+    u, v, w = g._upper()
+    du, dv = dA[u], dA[v]
     lo = np.minimum(du, dv)
     step = (np.abs(du - dv) == 1) & (lo < L)
-    cross = np.bincount(lo[step], weights=U.data[step], minlength=L)
+    cross = np.bincount(lo[step], weights=w[step], minlength=L)
     if np.any(cross <= 0):
         raise UnreachableError("empty shell crossing")
     with np.errstate(over="ignore"):
@@ -245,7 +244,6 @@ class GreenOperator:
         self._M = _dirichlet_matrix(g, region)
         self._raw_solve = _make_solver(self._M)
         self.residual = 0.0
-        self._columns = {}
 
     def local(self, v):
         return _locate(self.region, v)
@@ -263,15 +261,10 @@ class GreenOperator:
         return x
 
     def column(self, z):
-        """g^A(., z) over the region, cached per z."""
-        j = self.local(z)
-        col = self._columns.get(j)
-        if col is None:
-            rhs = np.zeros(self.size)
-            rhs[j] = 1.0
-            col = self.solve(rhs)
-            self._columns[j] = col
-        return col
+        """g^A(., z) over the region."""
+        rhs = np.zeros(self.size)
+        rhs[self.local(z)] = 1.0
+        return self.solve(rhs)
 
     def kernel(self, y, z):
         return float(self.column(z)[self.local(y)])

@@ -58,6 +58,21 @@ class TestGenerate:
                      "--out", str(tmp_path / "x.txt")])
         assert r.returncode == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("family, flag", [
+        (["lattice"], "--side"), (["sierpinski"], "--level"),
+        (["vicsek"], "--level"), (["binary_tree"], "--depth"),
+        (["sierpinski", "--side", "5"], "--level")],
+        ids=["lattice", "sierpinski", "vicsek", "binary_tree",
+             "sierpinski-side"])
+    def test_missing_size_flag_usage_error(self, tmp_path, capsys, family,
+                                           flag):
+        out = tmp_path / "x.txt"
+        code = cli.main(["generate", "--family", *family, "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: generate --family {family[0]} needs {flag}\n"
+        assert not out.exists()
+
 
 class TestCompute:
     def test_exit_unit_ball(self, z21_file):
@@ -336,6 +351,27 @@ class TestExitCodes:
             [f"error: no edge {u}->{v} to corrupt"]
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["compute", "exit", "--x", "220", "--R", "2"], ["verify"]],
+        ids=["compute", "verify"])
+    @pytest.mark.parametrize("delta, weight", [
+        ("nan", "nan"), ("inf", "inf"), ("-1", "0.0"), ("-1.5", "-0.5")])
+    def test_corruption_hook_weight_not_positive(self, z21_file, tmp_path,
+                                                 monkeypatch, capsys,
+                                                 command, delta, weight):
+        # a bumped weight the file format refuses is refused by the hook
+        # too, before any solve reads it
+        path, g, c = z21_file
+        monkeypatch.setenv("EINSTEIN_LAB_CORRUPT", f"220,221,{delta}")
+        out = ["--out-dir", str(tmp_path / "rep")] \
+            if command[0] == "verify" else []
+        code = cli.main([*command, "--graph", path, *out])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            f"error: edge (220,221) has weight {weight}, not positive and "
+            "finite"]
+        assert not (tmp_path / "rep").exists()
+
 
 class TestEinsteinFit:
     def test_einstein_json_and_csv(self, z21_file, tmp_path):
@@ -431,14 +467,27 @@ def test_verify_report_digest(tmp_path, family, digest):
     assert hashlib.sha256(report).hexdigest() == digest
 
 
-# `generate` files, pinned with the per-edge loop construction they must
-# keep matching
+# `generate` files, pinned with the per-edge loop construction and the
+# per-edge radial loop (Python's ``**``) they must keep matching
 @pytest.mark.parametrize("family, digest", [
     (["lattice", "--side", "41"],
      "69ca48b690ce682c7aa5c35fbd0189966561568bf8f024329fcb6e85647bac6e"),
     (["lattice", "--dim", "3", "--side", "7"],
      "b14fabbf35f7dc1e57e90763aade41468a928384e70957b3314e774fede885df"),
-], ids=["z41", "box7"])
+    (["sierpinski", "--level", "6"],
+     "bde671f10259a2e6d1903135d2a7e4ff166398b57abe2bdfeb94aba7357f7905"),
+    (["lattice", "--side", "15", "--weight-rule", "radial", "--lambda", "0.5"],
+     "b574ffbd281afa2c1b7d33c16193e7caa33d1851af86e0d6cdd04c63f8e7436a"),
+    (["lattice", "--side", "15", "--weight-rule", "radial", "--lambda", "3.7"],
+     "99eb291371e039acdce50aec3d84c5f967fc99427a05cc035f634cc1edf27040"),
+    (["sierpinski", "--level", "5", "--weight-rule", "radial",
+      "--lambda", "1.3"],
+     "415917d49553af53642ce3d6eba9934cdad3883869ec4304d04dce230c7c81d9"),
+    (["vicsek", "--level", "3", "--weight-rule", "radial",
+      "--lambda", "0.27"],
+     "8f23a583d0a098a2ed2b4eebd1ab71aeededdef6b2fa9b6489ee7091ab32a9d5"),
+], ids=["z41", "box7", "sierpinski6", "z15-radial0.5", "z15-radial3.7",
+        "sierpinski5-radial1.3", "vicsek3-radial0.27"])
 def test_generate_file_digest(tmp_path, family, digest):
     path = tmp_path / "host.txt"
     assert cli.main(["generate", "--family", family[0], *family[1:],

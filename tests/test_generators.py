@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from einstein_lab.conditions import _loglog_fit
 from einstein_lab.generators import (FamilySpec, apply_radial_weights,
@@ -108,6 +109,18 @@ class TestWeightRules:
         # edge level = min endpoint distance from the center
         want = {(0, 1): 2.0, (1, 2): 1.0, (2, 3): 1.0, (3, 4): 2.0}
         assert {(u, v): w for u, v, w in h.edges} == want
+
+    @given(st.floats(min_value=0.25, max_value=4.0),
+           st.sampled_from([(1, 31), (2, 9), (3, 5)]))
+    @settings(max_examples=40, deadline=None)
+    @example(0.7, (2, 9))       # numpy's 0.7 ** 4 is not Python's
+    @example(1.3, (1, 31))      # nor its 1.3 ** 7
+    def test_radial_weights_match_edge_loop(self, lam, box):
+        g, c = lattice_box(*box)
+        d = g.distances(c)
+        want = [(u, v, w * lam ** int(min(d[u], d[v])))
+                for u, v, w in g.edges]
+        assert apply_radial_weights(g, c, lam).edges == want
 
     def test_lambda_bounds(self):
         g, c = lattice_box(1, 5)

@@ -62,7 +62,7 @@ def stored_walks(draw, bases=None):
     rows = np.array([x for x, _ in keys], dtype=np.int64)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     return WeightedGraph.from_csr(
-        base.edges, indptr, np.array([y for _, y in keys], dtype=np.int64),
+        indptr, np.array([y for _, y in keys], dtype=np.int64),
         np.array([W[k] for k in keys], dtype=np.float64))
 
 
@@ -353,6 +353,38 @@ class TestArrayConstruction:
         ref, center = lattice_reference(d, L)
         assert_matches_reference(g, ref)
         assert c == center
+
+
+class TestOneAdjacency:
+    """The CSR is the only stored adjacency; the edge list is read off its
+    upper triangle."""
+
+    def test_no_stored_edge_list(self):
+        g = path_graph(4)
+        h = WeightedGraph.from_csr(g.indptr, g.indices, g.weights)
+        for x in (g, h, shrink(g, [0, 1]).graph, shrink(h, [3]).graph):
+            assert "edges" not in vars(x)
+            assert x.edges == x.edges and x.edges is not x.edges
+
+    @given(stored_walks())
+    @settings(max_examples=60, deadline=None)
+    def test_from_csr_edges_are_upper_triangle(self, g):
+        upper = [(x, int(y), float(w)) for x in range(g.vertex_count)
+                 for y, w in zip(g.indices[g.indptr[x]:g.indptr[x + 1]],
+                                 g.weights[g.indptr[x]:g.indptr[x + 1]])
+                 if x <= y]
+        assert g.edges == upper
+
+    @pytest.mark.parametrize("entry, merged", [(2, 1.5), (3, 1.0)],
+                             ids=["upper", "lower"])
+    def test_shrink_reads_stored_upper_entry(self, entry, merged):
+        # path 0-1-2-3 stores 1->2 at entry 2 and 2->1 at entry 3; the
+        # merged edge 1-a carries the upper entry's weight
+        g = path_graph(4)
+        w = g.weights.copy()
+        w[entry] = 1.5
+        h = WeightedGraph.from_csr(g.indptr, g.indices, w)
+        assert shrink(h, [2, 3]).graph.edges == [(0, 1, 1.0), (1, 2, merged)]
 
 
 class TestMetric:
