@@ -99,7 +99,7 @@ def _load_graph(path):
         u, v, delta = hook.split(",")
         g = _corrupt_graph(g, int(u), int(v), float(delta))
     return g, {"path": path, "vertices": g.vertex_count,
-               "edges": len(g.edges)}
+               "edges": g.edge_count}
 
 
 def _corrupt_graph(g, u, v, delta):
@@ -168,7 +168,7 @@ def cmd_generate(args):
     graph.save(g, args.out)
     with open(args.out + ".center", "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{center}\n")
-    print(f"{g.vertex_count} vertices, {len(g.edges)} edges, "
+    print(f"{g.vertex_count} vertices, {g.edge_count} edges, "
           f"center {center} -> {args.out}")
     return EXIT_OK
 

@@ -95,6 +95,11 @@ class WeightedGraph:
         """Edge list [(u, v, w)] sorted by (u, v), rebuilt on each access."""
         return list(zip(*(a.tolist() for a in self._upper())))
 
+    @property
+    def edge_count(self):
+        """Number of edges: the upper triangle's size, with no tuples built."""
+        return int(self._upper()[0].size)
+
     def _upper(self):
         """The CSR's entries with u <= v as arrays (u, v, w) in CSR order:
         the edge list sorted by (u, v), self-loops included."""
@@ -143,13 +148,37 @@ class WeightedGraph:
 
 
 def eccentricities(g):
-    """Eccentricity of every vertex (BFS per vertex, cached once)."""
+    """Exact eccentricity of every vertex from a few BFS, cached once.
+
+    Bounds lo <= ecc <= hi per vertex (Takes & Kosters, "Computing the
+    eccentricity distribution of large graphs", 2013): a source v of
+    eccentricity e gives every w max(d(w,v), e - d(v,w)) <= ecc(w) <=
+    e + d(w,v).  d(v,.) is a BFS over ``matrix``, d(.,v) one over its
+    transpose, so one-way stored entries bound correctly.  Sources
+    alternate between the open vertex of least lo and of greatest hi
+    (smallest id on ties); each source closes, so at most n steps.
+    """
     if g._ecc_all is None:
-        out = np.empty(g.vertex_count, dtype=np.int64)
-        for v in range(g.vertex_count):
-            out[v] = _kernels.bfs_distances(g.matrix, v).max()
-        out.setflags(write=False)
-        g._ecc_all = out
+        n = g.vertex_count
+        transpose = g.matrix.T.tocsr()
+        lo = np.zeros(n, dtype=np.int64)
+        hi = np.full(n, n, dtype=np.int64)
+        open_ = np.ones(n, dtype=bool)
+        least_lo = True
+        while open_.any():
+            v = int(np.argmin(np.where(open_, lo, n)) if least_lo
+                    else np.argmax(np.where(open_, hi, -1)))
+            least_lo = not least_lo
+            out = _kernels.bfs_distances(g.matrix, v)
+            into = _kernels.bfs_distances(transpose, v)
+            if min(out.min(), into.min()) < 0:
+                raise GraphFormatError("graph is not strongly connected")
+            e = int(out.max())
+            lo = np.maximum(lo, np.maximum(into, e - out))
+            hi = np.minimum(hi, e + into)
+            open_ &= lo != hi
+        lo.setflags(write=False)
+        g._ecc_all = lo
     return g._ecc_all
 
 
@@ -283,9 +312,10 @@ def check_p0(g):
 
 
 def save(g, path):
+    edges = g.edges
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"{g.vertex_count} {len(g.edges)}\n")
-        for u, v, w in g.edges:
+        f.write(f"{g.vertex_count} {len(edges)}\n")
+        for u, v, w in edges:
             f.write(f"{u} {v} {w!r}\n")
 
 

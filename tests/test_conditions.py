@@ -14,7 +14,7 @@ from einstein_lab.errors import ConvergenceError, MarginError
 from einstein_lab.generators import (apply_radial_weights, binary_tree,
                                      lattice_box, sierpinski_gasket,
                                      vicsek_tree)
-from einstein_lab.graph import WeightedGraph
+from einstein_lab.graph import WeightedGraph, host_frontier
 from einstein_lab.potential import resistance_annulus
 from test_graph import stored_walks
 
@@ -59,6 +59,27 @@ class TestGrids:
     def test_auto_centers_line(self, z129):
         g, c, _ = z129
         assert auto_centers(g) == [64, 32, 96]
+
+    # the sweep's centers and exclusion frontier, pinned on each family
+    @pytest.mark.parametrize("host, centers, frontier", [
+        ("gasket5", [82, 130, 258, 252, 136], [0, 185, 365]),
+        ("vicsek3", [0, 31, 35, 66, 70],
+         [2, 3, 4, 7, 8, 10, 12, 13, 14, 17, 18, 20, 28, 29, 30, 40, 41, 42,
+          62, 63, 64, 75, 76, 78, 86, 87, 88, 90, 91, 92, 94, 95, 96, 98, 99,
+          100]),
+        ("tree7", [0, 7, 11, 9, 13], list(range(127, 255))),
+        ("box7^3", [171, 107, 241, 109, 127],
+         [0, 6, 42, 48, 294, 300, 336, 342]),
+        ("z41", [840, 420, 1260, 440, 1240], [0, 40, 1640, 1680]),
+    ])
+    def test_sweep_choices_pinned(self, host, centers, frontier):
+        g = {"gasket5": lambda: sierpinski_gasket(5),
+             "vicsek3": lambda: vicsek_tree(3),
+             "tree7": lambda: binary_tree(7),
+             "box7^3": lambda: lattice_box(3, 7),
+             "z41": lambda: lattice_box(2, 41)}[host]()[0]
+        assert auto_centers(g) == centers
+        assert host_frontier(g).tolist() == frontier
 
     def test_dyadic_ladder_respects_margin(self, z41):
         g, c, _ = z41

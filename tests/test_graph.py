@@ -1,18 +1,23 @@
 import itertools
 import math
+import sys
 from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from einstein_lab import graph
+from einstein_lab import _kernels, graph
 from einstein_lab._kernels import bfs_distances
+from einstein_lab.cli import _corrupt_graph
+from einstein_lab.conditions import auto_centers
 from einstein_lab.errors import GraphFormatError
 from einstein_lab.graph import (WeightedGraph, annulus_volume, ball, boundary,
                                 check_p0, closure, eccentricities, load,
                                 min_transition, save, shrink, sphere, volume)
-from einstein_lab.generators import lattice_box, vicsek_tree
+from einstein_lab.generators import (apply_radial_weights, binary_tree,
+                                     lattice_box, sierpinski_gasket,
+                                     vicsek_tree)
 
 
 def path_graph(n, w=1.0):
@@ -374,6 +379,7 @@ class TestOneAdjacency:
                                  g.weights[g.indptr[x]:g.indptr[x + 1]])
                  if x <= y]
         assert g.edges == upper
+        assert g.edge_count == len(upper)
 
     @pytest.mark.parametrize("entry, merged", [(2, 1.5), (3, 1.0)],
                              ids=["upper", "lower"])
@@ -459,6 +465,79 @@ class TestMetric:
         for R in (1, 2, 4):
             expect = sum(float(g.mu[sphere(g, x, k)].sum()) for k in range(R))
             assert volume(g, x, R) == pytest.approx(expect)
+
+
+# hosts whose eccentricities the bound-based sweep must reproduce exactly
+ECC_HOSTS = {
+    "z41": lambda: lattice_box(2, 41)[0],
+    "line129": lambda: lattice_box(1, 129)[0],
+    "box7^3": lambda: lattice_box(3, 7)[0],
+    "gasket6": lambda: sierpinski_gasket(6)[0],
+    "vicsek4": lambda: vicsek_tree(4)[0],
+    "tree9": lambda: binary_tree(9)[0],
+    "radial_z41": lambda: apply_radial_weights(*lattice_box(2, 41), 0.5),
+    "z21_corrupt": lambda: _corrupt_graph(lattice_box(2, 21)[0], 220, 221,
+                                          0.5),
+}
+
+
+def eccentricities_reference(g):
+    """One BFS per vertex: the largest hop distance out of it."""
+    return [int(bfs_distances(g.matrix, v).max())
+            for v in range(g.vertex_count)]
+
+
+def count_bfs(monkeypatch):
+    """Route ``_kernels.bfs_distances`` through a counter of the calls
+    made from each function."""
+    calls = {}
+    bfs = _kernels.bfs_distances
+
+    def counted(W, sources):
+        caller = sys._getframe(1).f_code.co_name
+        calls[caller] = calls.get(caller, 0) + 1
+        return bfs(W, sources)
+
+    monkeypatch.setattr(_kernels, "bfs_distances", counted)
+    return calls
+
+
+class TestEccentricities:
+    """Exact eccentricities from BFS bounds, against one BFS per vertex."""
+
+    @given(st.one_of(stored_walks(), stored_walks(edge_lists(hub=True))))
+    @settings(max_examples=80, deadline=None)
+    def test_stored_walks_match_reference(self, g):
+        assert eccentricities(g).tolist() == eccentricities_reference(g)
+
+    @pytest.mark.parametrize("host", sorted(ECC_HOSTS))
+    def test_hosts_match_reference(self, host, monkeypatch):
+        g = ECC_HOSTS[host]()
+        calls = count_bfs(monkeypatch)
+        ecc = eccentricities(g)
+        assert calls["eccentricities"] <= 2 * g.vertex_count
+        monkeypatch.undo()
+        assert ecc.tolist() == eccentricities_reference(g)
+
+    def test_not_strongly_connected_raises(self):
+        # 0 reaches 1 and 2, but neither of them reaches 0
+        g = WeightedGraph.from_csr(np.array([0, 2, 3, 4]),
+                                   np.array([1, 2, 1, 2]), np.ones(4))
+        with pytest.raises(GraphFormatError, match="not strongly connected"):
+            eccentricities(g)
+
+    def test_few_bfs_on_z41(self, monkeypatch):
+        g, _ = lattice_box(2, 41)
+        calls = count_bfs(monkeypatch)
+        eccentricities(g)
+        assert calls["eccentricities"] <= 10
+
+    def test_few_bfs_for_sweep_choices_on_z201(self, monkeypatch):
+        g, _ = lattice_box(2, 201)
+        calls = count_bfs(monkeypatch)
+        auto_centers(g)
+        graph.host_frontier(g)
+        assert calls["eccentricities"] <= 16
 
 
 class TestBoundary:
