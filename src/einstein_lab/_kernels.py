@@ -41,22 +41,34 @@ def u01_py(seed: int, walk: int, step: int) -> float:
     return (word >> 11) * _INV53
 
 
+_S11, _S27, _S30, _S31 = (np.uint64(b) for b in (11, 27, 30, 31))
+
+
 def _mix_np(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """mix applied to ``z`` in place; returns ``z``."""
+    tmp = z >> _S30
+    z ^= tmp
+    z *= np.uint64(_MIX1)
+    np.right_shift(z, _S27, out=tmp)
+    z ^= tmp
+    z *= np.uint64(_MIX2)
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
+    return z
 
 
 def stream_keys_np(seed: int, walks: np.ndarray) -> np.ndarray:
-    w = walks.astype(np.uint64)
-    pre = _mix_np((w + np.uint64(1)) * np.uint64(_GAMMA))
-    return _mix_np(np.uint64(seed & _MASK) ^ pre)
+    pre = _mix_np((walks.astype(np.uint64) + np.uint64(1)) * np.uint64(_GAMMA))
+    pre ^= np.uint64(seed & _MASK)
+    return _mix_np(pre)
 
 
 def _u01_np(keys: np.ndarray, step: int) -> np.ndarray:
-    term = np.uint64(((step + 1) * _GAMMA) & _MASK)
-    word = _mix_np(keys + term)
-    return (word >> np.uint64(11)).astype(np.float64) * _INV53
+    word = _mix_np(keys + np.uint64(((step + 1) * _GAMMA) & _MASK))
+    word >>= _S11
+    u = word.astype(np.float64)
+    u *= _INV53
+    return u
 
 
 # -- BFS distances -----------------------------------------------------------
@@ -75,9 +87,11 @@ def bfs_distances(W, sources):
 #
 # ``aug`` is the per-row cumulative transition profile shifted by the row
 # index: aug[k] = source_vertex(k) + cum_prob(k), with the last entry of
-# each row forced to source_vertex + 1.0 exactly.  Neighbour choice at
-# vertex v with uniform u is the first k in row v with aug[k] > v + u,
-# clamped to the row end; walker.step applies the same rule.
+# each row forced to source_vertex + 1.0 exactly, so ``aug`` never
+# decreases.  Neighbour choice at vertex v with uniform u is the first k
+# in row v with aug[k] > v + u, clamped to the row's last entry (v + u can
+# round up to v + 1.0).  ``_row_choice`` is that rule, the one both
+# simulate_exits and walker.step call; it reads row v only.
 
 
 def build_transition_profile(indptr, indices, weights, mu):
@@ -94,32 +108,60 @@ def build_transition_profile(indptr, indices, weights, mu):
     return aug
 
 
+def _row_choice(indptr, aug, pos, key, span):
+    """CSR index of the neighbour taken by each walker at vertex ``pos``
+    with search key ``pos + u``: the first k in the row with aug[k] > key,
+    else the row's last entry.
+
+    Binary lifting over the row: the answer is the row start plus the
+    count of row entries <= key, found in span.bit_length() rounds of one
+    gather and compare, where ``span`` is at least every row's degree
+    minus one.  Probes are clamped to the row's last entry, so no entry
+    of another row is read.
+    """
+    k = indptr[pos]
+    last = indptr[pos + 1]
+    last -= 1
+    for b in reversed(range(int(span).bit_length())):
+        probe = k + ((1 << b) - 1)
+        np.minimum(probe, last, out=probe)
+        k += (aug[probe] <= key) << b
+    return np.minimum(k, last, out=k)
+
+
 def simulate_exits(indptr, indices, aug, in_region, start, n_walks,
                    step_cap, seed):
     """Simulate ``n_walks`` killed walks from ``start``; vectorized over walks.
+
+    Walker state (id, stream key, position) is compacted as walks exit,
+    and a step reads only the rows the walkers stand on, so its cost
+    follows the number of live walkers and the degrees in the region,
+    not the size of the host.
 
     Returns (steps, exit_vertex); exit_vertex is -1 for capped walks and
     steps then equals step_cap.
     """
     steps = np.full(n_walks, step_cap, dtype=np.int64)
     exit_vertex = np.full(n_walks, -1, dtype=np.int64)
+    indptr = indptr.astype(np.intp)
+    indices = indices.astype(np.intp)
+    deg = np.diff(indptr)
+    span = max(int(deg[in_region].max(initial=0)), int(deg[start])) - 1
     wid = np.arange(n_walks, dtype=np.int64)
     keys = stream_keys_np(seed, wid)
-    pos = np.full(n_walks, start, dtype=np.int64)
-    active = wid
+    pos = np.full(n_walks, start, dtype=np.intp)
     for t in range(step_cap):
-        if active.size == 0:
+        if wid.size == 0:
             break
-        u = _u01_np(keys[active], t)
-        key = pos[active].astype(np.float64) + u
-        k = np.searchsorted(aug, key, side="right")
-        k = np.minimum(k, indptr[pos[active] + 1] - 1)
-        nxt = indices[k].astype(np.int64)
-        pos[active] = nxt
+        key = _u01_np(keys, t)
+        key += pos
+        nxt = indices[_row_choice(indptr, aug, pos, key, span)]
         out = ~in_region[nxt]
         if out.any():
-            done = active[out]
+            done = wid[out]
             steps[done] = t + 1
             exit_vertex[done] = nxt[out]
-            active = active[~out]
+            stay = ~out
+            wid, keys, nxt = wid[stay], keys[stay], nxt[stay]
+        pos = nxt
     return steps, exit_vertex

@@ -85,6 +85,7 @@ class WeightedGraph:
         self._dist_cache = {}
         self._profile = None
         self._ecc_all = None
+        self._frontier = None
 
         dist0 = self.distances(0)
         if int(dist0.min()) < 0:
@@ -192,12 +193,16 @@ def host_frontier(g):
     trees carry legitimate low-degree tips deep inside - so the frontier
     is their intersection: path endpoints, box corners, the far corners
     of a gasket, the extreme tips of a fractal tree.  Degree-regular
-    hosts have an empty frontier.
+    hosts have an empty frontier.  Computed once per graph and cached, as
+    the eccentricities are.
     """
-    ecc = eccentricities(g)
-    deg = np.diff(g.indptr)
-    mask = (deg < deg.max()) & (ecc == ecc.max())
-    return np.flatnonzero(mask).astype(np.int64)
+    if g._frontier is None:
+        ecc = eccentricities(g)
+        deg = np.diff(g.indptr)
+        mask = (deg < deg.max()) & (ecc == ecc.max())
+        g._frontier = np.flatnonzero(mask).astype(np.int64)
+        g._frontier.setflags(write=False)
+    return g._frontier
 
 
 def ball(g, x, radius):

@@ -22,6 +22,8 @@ class WalkConfig:
     step_cap: int | None = None     # None: 100 * R^2 at simulation time
 
     def __post_init__(self):
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed {self.seed} outside [0, 2^64)")
         if self.n_walks <= 0:
             raise ValueError("n_walks must be positive")
         if self.step_cap is not None and self.step_cap <= 0:
@@ -52,16 +54,13 @@ class RngStream:
 
 def step(g, x, rng: RngStream):
     """One step of the walk from x: neighbour y with probability
-    mu_xy / mu(x).  Uses the same selection rule as the batch kernels."""
+    mu_xy / mu(x), chosen by the batch kernel's ``_row_choice``."""
     x = g.check_vertex(x)
-    u = rng.next_u01()
-    aug = g.transition_profile()
-    target = float(x) + u
-    k = int(g.indptr[x])
-    last = int(g.indptr[x + 1]) - 1
-    while k < last and aug[k] <= target:
-        k += 1
-    return int(g.indices[k])
+    key = np.array([x + rng.next_u01()])
+    k = _kernels._row_choice(g.indptr, g.transition_profile(),
+                             np.array([x]), key,
+                             g.indptr[x + 1] - g.indptr[x] - 1)
+    return int(g.indices[k[0]])
 
 
 @dataclass(frozen=True)

@@ -435,6 +435,16 @@ class TestMc:
         assert est["n"] == 2000
         assert est["valid"] is True
 
+    # seeds are taken mod 2^64 by the generator, so one outside [0, 2^64)
+    # would give another seed's walks under its own name in the manifest
+    @pytest.mark.parametrize("seed", ["18446744073709551617", "-5"])
+    def test_seed_out_of_range_usage_error(self, z21_file, capsys, seed):
+        path, g, c = z21_file
+        code = cli.main(["mc", "--graph", path, "--x", str(c), "--R", "4",
+                         "--n", "10", f"--seed={seed}"])
+        assert code == cli.EXIT_USAGE
+        assert f"seed {seed} outside [0, 2^64)" in capsys.readouterr().err
+
     def test_twelve_significant_digits(self, z21_file):
         path, g, c = z21_file
         r = run_cli(["compute", "resistance", "--graph", path,

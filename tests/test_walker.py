@@ -1,10 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from einstein_lab import _kernels
 from einstein_lab.errors import MarginError
-from einstein_lab.generators import lattice_box
-from einstein_lab.graph import WeightedGraph, ball
+from einstein_lab.generators import (apply_radial_weights, binary_tree,
+                                     lattice_box, sierpinski_gasket)
+from einstein_lab.graph import WeightedGraph, ball, shrink
 from einstein_lab.potential import harmonic_measure, mean_exit_time
 from einstein_lab.walker import (RngStream, WalkConfig, mc_exit_sample,
                                  mc_exit_time, step)
@@ -21,6 +24,86 @@ def test_u01_scalar_vector_agree():
     assert np.all((0 <= u) & (u < 1))
 
 
+# the largest uniform the generator can return: (2^53 - 1) * 2^-53
+U_MAX = 1.0 - 2.0 ** -53
+
+
+def walk_hosts():
+    """(graph, start) pairs with unequal weights, a hub and a self-loop."""
+    z21, c21 = lattice_box(2, 21)
+    shrunk = shrink(z21, ball(z21, 220, 4)).graph      # merged hub: degree 16
+    tree, root = binary_tree(7)
+    loops = WeightedGraph(21, [(i, i + 1, 1.0 + i % 3) for i in range(20)]
+                          + [(i, i, 0.5) for i in range(0, 21, 2)])
+    return [(z21, c21), (apply_radial_weights(z21, c21, 0.5), c21),
+            (shrunk, shrunk.vertex_count - 1), (tree, root), (loops, 10)]
+
+
+def region(g, x, R):
+    in_region = np.zeros(g.vertex_count, dtype=bool)
+    in_region[ball(g, x, R)] = True
+    return in_region
+
+
+def exits_digest(g, x, R, n, seed):
+    steps, exits = _kernels.simulate_exits(
+        g.indptr, g.indices, g.transition_profile(), region(g, x, R),
+        x, n, 100 * R * R, seed)
+    blob = steps.astype("<i8").tobytes() + exits.astype("<i8").tobytes()
+    return hashlib.sha256(blob).hexdigest(), int(steps.sum())
+
+
+class TestSimulateExits:
+    # digests of (steps, exits) recorded with the host-wide searchsorted
+    # kernel; the row-local search must reproduce them bit for bit
+    def test_gasket6_pinned(self):
+        g, _ = sierpinski_gasket(6)
+        digest, total = exits_digest(g, 0, 16, 20_000, 1)
+        assert digest.startswith("50550a78bb077c5d")
+        assert total == 7151258
+
+    def test_radial_z33_pinned(self):
+        z, c = lattice_box(2, 33)
+        g = apply_radial_weights(z, c, 0.25)
+        digest, total = exits_digest(g, 544, 8, 20_000, 1)
+        assert digest.startswith("ac2eef983faef6e0")
+        assert total == 85545146
+
+
+class TestRowChoice:
+    def test_matches_host_wide_search(self):
+        # reference rule: the first aug entry > v + u over the whole host,
+        # clamped to the end of row v
+        u = np.concatenate([[0.0, U_MAX], np.linspace(0, 1, 97)[:-1],
+                            _kernels._u01_np(np.arange(64, dtype=np.uint64),
+                                             0)])
+        for g, _ in walk_hosts():
+            aug = g.transition_profile()
+            pos = np.repeat(np.arange(g.vertex_count), u.size)
+            key = pos + np.tile(u, g.vertex_count)
+            last = g.indptr[pos + 1] - 1
+            want = np.minimum(np.searchsorted(aug, key, side="right"), last)
+            span = int(np.diff(g.indptr).max()) - 1
+            got = _kernels._row_choice(g.indptr, aug, pos, key, span)
+            assert np.array_equal(got, want)
+
+    def test_key_rounding_to_row_end(self):
+        # row 2 starts with a tiny weight, so its first aug entry is
+        # 2 + 1e-30 == 2.0; keys v + U_MAX round up to v + 1.0
+        g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1e-30)])
+        aug = g.transition_profile()
+        assert aug[g.indptr[2]] == 2.0
+        for v in (1, 2):
+            key = np.array([v + U_MAX])
+            assert key[0] == v + 1.0
+            last = int(g.indptr[v + 1]) - 1
+            for span in (1, 3, 15):
+                # aug cut at the row's end: any read past it raises
+                k = _kernels._row_choice(g.indptr, aug[:last + 1],
+                                         np.array([v]), key, span)
+                assert k.tolist() == [last]
+
+
 class TestStep:
     def test_deterministic_replay(self):
         g, c = lattice_box(2, 21)
@@ -31,20 +114,19 @@ class TestStep:
         assert a == b
 
     def test_matches_batch_kernel(self):
-        g, c = lattice_box(2, 21)
-        in_region = np.zeros(g.vertex_count, dtype=bool)
-        in_region[ball(g, c, 4)] = True
-        steps, exits = _kernels.simulate_exits(
-            g.indptr, g.indices, g.transition_profile(), in_region,
-            c, 3, 10_000, 99)
-        for w in range(3):
-            rng = RngStream(seed=99, stream=w)
-            pos, taken = c, 0
-            while in_region[pos]:
-                pos = step(g, pos, rng)
-                taken += 1
-            assert taken == steps[w]
-            assert pos == exits[w]
+        for g, x in walk_hosts():
+            in_region = region(g, x, 4)
+            steps, exits = _kernels.simulate_exits(
+                g.indptr, g.indices, g.transition_profile(), in_region,
+                x, 3, 10_000, 99)
+            for w in range(3):
+                rng = RngStream(seed=99, stream=w)
+                pos, taken = x, 0
+                while in_region[pos]:
+                    pos = step(g, pos, rng)
+                    taken += 1
+                assert taken == steps[w]
+                assert pos == exits[w]
 
     def test_weighted_two_neighbour_ratio(self):
         # weights 2:1 -> transition probabilities 2/3 : 1/3
@@ -102,6 +184,10 @@ class TestMcExitTime:
             WalkConfig(seed=1, n_walks=0)
         with pytest.raises(ValueError):
             WalkConfig(seed=1, n_walks=10, step_cap=0)
+        for seed in (-1, 2 ** 64):
+            with pytest.raises(ValueError):
+                WalkConfig(seed=seed)
+        WalkConfig(seed=2 ** 64 - 1)
 
 
 class TestExitDistribution:
