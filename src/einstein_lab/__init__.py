@@ -4,8 +4,8 @@ __version__ = "0.1.0"
 
 from .errors import (ConvergenceError, GraphFormatError, MarginError,
                      UnreachableError)
-from .graph import (WeightedGraph, annulus_volume, ball, boundary, check_p0,
-                    closure, load, save, shrink, sphere, volume)
+from .graph import (WeightedGraph, annulus_volume, ball, boundary, closure,
+                    load, save, shrink, sphere, volume)
 from .generators import (FamilySpec, binary_tree, lattice_box,
                          sierpinski_gasket, vicsek_tree)
 from .potential import (EigenResult, ExitTimeField, GreenOperator,
@@ -18,7 +18,6 @@ from .walker import McEstimate, WalkConfig, mc_exit_sample, mc_exit_time, step
 from .conditions import (ConditionReport, EinsteinRecord, ExponentFit,
                          SweepGrid, auto_centers, default_grid,
                          einstein_report, fit_exponents, measure_condition,
-                         resistance_doubling, strong_antidoubling,
                          verify_inequalities)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -116,6 +116,15 @@ def _corrupt_graph(g, u, v, delta):
     return graph.WeightedGraph.from_csr(g.indptr, g.indices, w)
 
 
+def _int_list(flag, text):
+    """A comma list of distinct ints: a repeat would list its cells twice."""
+    values = [int(t) for t in text.split(",") if t]
+    repeats = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeats:
+        raise ValueError(f"{flag} {text}: {repeats[0]} repeated")
+    return values
+
+
 def _parse_radii(text):
     """A comma list, or a dyadic ladder lo..hi; every radius is >= 1."""
     if ".." in text:
@@ -126,7 +135,7 @@ def _parse_radii(text):
             radii.append(R)
             R *= 2
     else:
-        radii = [int(t) for t in text.split(",") if t]
+        radii = _int_list("--radii", text)
     if not radii or min(radii) < 1:
         raise ValueError(f"--radii {text}: need one or more radii, all >= 1")
     return radii
@@ -144,7 +153,7 @@ def _parse_centers(g, text, path):
         with open(path + ".center", encoding="utf-8") as f:
             centers = [int(f.read().strip())]
     else:
-        centers = [int(t) for t in text.split(",") if t]
+        centers = _int_list("--centers", text)
     if not centers:
         raise ValueError(f"--centers {text}: need one or more centers")
     return centers
@@ -173,6 +182,18 @@ def cmd_generate(args):
     return EXIT_OK
 
 
+def _int_fields(args, name, fields="x,r"):
+    """Compute flag --name as the ints that ``fields`` names."""
+    text = getattr(args, name)
+    try:
+        values = [int(t) for t in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != len(fields.split(",")):
+        raise ValueError(f"--{name.replace('_', '-')} {text}: need {fields}")
+    return values
+
+
 # flags each compute quantity needs; resistance with --annulus needs no ball
 _COMPUTE_FLAGS = {"exit": ("x", "R"), "resistance": ("A_ball", "B_ball"),
                   "green": ("A_ball", "y", "z"), "lambda": ("ball",),
@@ -191,23 +212,21 @@ def cmd_compute(args):
         result = {"E": potential.mean_exit_time(g, args.x, args.R)}
     elif q == "resistance":
         if args.annulus:
-            x, r, R = (int(t) for t in args.annulus.split(","))
+            x, r, R = _int_fields(args, "annulus", "x,r,R")
             result = {"rho": potential.resistance_annulus(g, x, r, R),
                       "convention": "annulus-surface"}
         else:
-            ax, ar = (int(t) for t in args.A_ball.split(","))
-            bx, br = (int(t) for t in args.B_ball.split(","))
-            rho = potential.resistance(g, graph.ball(g, ax, ar),
-                                       graph.ball(g, bx, br))
+            rho = potential.resistance(
+                g, graph.ball(g, *_int_fields(args, "A_ball")),
+                graph.ball(g, *_int_fields(args, "B_ball")))
             result = {"rho": rho, "convention": "set-poles"}
     elif q == "green":
-        ax, ar = (int(t) for t in args.A_ball.split(","))
-        op = potential.GreenOperator(g, graph.ball(g, ax, ar))
+        op = potential.GreenOperator(
+            g, graph.ball(g, *_int_fields(args, "A_ball")))
         result = {"g": op.kernel(args.y, args.z),
                   "G": op.visits(args.y, args.z)}
     elif q == "lambda":
-        bx, br = (int(t) for t in args.ball.split(","))
-        r = potential.lambda_min(g, graph.ball(g, bx, br))
+        r = potential.lambda_min(g, graph.ball(g, *_int_fields(args, "ball")))
         result = {"lambda": r.lam, "iterations": r.iterations,
                   "residual": r.residual}
     elif q == "harnack":
@@ -273,13 +292,9 @@ def cmd_verify(args):
         for c in checks:
             for row in c.rows:
                 wr.writerow([_sig12(v) for v in row])
-        for tag, rep in reports.items():
-            if rep is None:
-                continue
+        for rep in filter(None, reports.values()):
             for row in rep.rows:
-                tag_, x, y_or_r, R, detail, val = row
-                wr.writerow([tag_, x, y_or_r, R, detail, _sig12(val),
-                             "", "", ""])
+                wr.writerow([_sig12(v) for v in row] + ["", "", ""])
     for c in failures:
         print(f"VIOLATION {c.check}: worst slack {c.worst_slack:.3e} "
               f"at {c.witness}")
@@ -351,11 +366,8 @@ def cmd_mc(args):
     cfg = walker.WalkConfig(seed=args.seed, n_walks=args.n,
                             step_cap=args.step_cap)
     est = walker.mc_exit_time(g, args.x, args.R, cfg)
-    payload = {
-        "manifest": _manifest(args, info, seed=args.seed),
-        "estimate": asdict(est),
-    }
-    _dump_json(payload)
+    _dump_json({"manifest": _manifest(args, info, seed=args.seed),
+                "estimate": asdict(est)})
     return EXIT_OK
 
 

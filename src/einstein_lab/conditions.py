@@ -68,13 +68,12 @@ def ball_inside_host(g, x, K):
     proper subset and stays off the truncation frontier (so no clipped
     neighbourhoods leak into the evaluation).  x itself may sit on the
     frontier - a distinguished corner is a legitimate blow-up point."""
-    if g.eccentricity(x) < K:
+    x = g.check_vertex(x)
+    if eccentricities(g)[x] < K:
         return False
     frontier = host_frontier(g)
     frontier = frontier[frontier != x]
-    if frontier.size == 0:
-        return True
-    return int(g.distances(x)[frontier].min()) >= K
+    return frontier.size == 0 or int(g.distances(x)[frontier].min()) >= K
 
 
 def valid_cells(g, grid, m):
@@ -133,7 +132,7 @@ def auto_centers(g, count=5):
 
 def dyadic_radii(g, centers, r0=2, m=2):
     """Dyadic ladder r0, 2*r0, ... while the margin m holds at every center."""
-    ecc = min(g.eccentricity(x) for x in centers)
+    ecc = min(eccentricities(g)[g.check_vertex(x)] for x in centers)
     radii = []
     R = r0
     while m * R <= ecc:
@@ -444,8 +443,9 @@ def _pair_cells(g, grid, m):
 
 def _lebar_cells(g, grid, m):
     """Ball cells at R and at 2R, wherever the host reaches that far."""
+    ecc = eccentricities(g)
     return [(x, RR, RR) for x, R in valid_cells(g, grid, m)[0]
-            for RR in (R, 2 * R) if g.eccentricity(x) >= RR]
+            for RR in (R, 2 * R) if ecc[g.check_vertex(x)] >= RR]
 
 
 def _lmarkov_cells(g, grid, m):
@@ -692,137 +692,3 @@ def fit_exponents(g, x, radii, cache=None):
     gamma = _loglog_fit(radii, [1.0 / cache.rho(x, R, 2 * R) for R in radii])
     resid = beta.exponent - (alpha.exponent - gamma.exponent)
     return ExponentSummary(alpha, beta, gamma, float(resid))
-
-
-# -- resistance doubling ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DoublingReport:
-    c1: float
-    c1_witness: tuple
-    c2: float
-    c2_witness: tuple
-    gamma1: float
-    gamma2: float
-    h_measured: float
-    theta: float
-    product: float
-    product_ok: bool
-    v2_prefactor: float
-    v1_prefactor: float
-    cells: int
-
-
-def resistance_doubling(g, grid, cache=None):
-    """Measured doubling constants C1, C2 of the annulus resistance and
-    the exponents/bounds they imply."""
-    cache = cache or QuantityCache(g)
-    cells, _ = valid_cells(g, grid, CHECKS["series"].margin)
-    if not cells:
-        raise MarginError("margin exhaustion: no cells with ecc >= 4R")
-
-    def one(cell):
-        x, R = cell
-        r14 = cache.rho(x, R, 4 * R)
-        return (r14 / cache.rho(x, R, 2 * R), r14 / cache.rho(x, 2 * R, 4 * R))
-
-    ratios = [one(cell) for cell in cells]
-    i1 = int(np.argmax([r[0] for r in ratios]))
-    i2 = int(np.argmax([r[1] for r in ratios]))
-    c1, c2 = float(ratios[i1][0]), float(ratios[i2][1])
-    gamma1 = math.log2(c1 - 1) if c1 > 1 else -math.inf
-    gamma2 = math.log2(c2 - 1) if c2 > 1 else -math.inf
-    product = (c1 - 1) * (c2 - 1)
-
-    h_cells, _ = valid_cells(g, grid, CONDITIONS["H"].margin)
-    h_measured = max(cache.harnack(x, R) for x, R in h_cells) if h_cells \
-        else math.nan
-    theta = math.log(h_measured, 3) if math.isfinite(h_measured) else math.nan
-
-    v2 = math.inf
-    v1 = 0.0
-    for x, R in cells:
-        growth = cache.V(x, 2 * R) - cache.V(x, R)
-        mu_x = float(g.mu[x])
-        if math.isfinite(gamma1):
-            v2 = min(v2, growth / (mu_x * R ** (2 - gamma1)))
-        if math.isfinite(gamma2):
-            v1 = max(v1, cache.V(x, R) / (cache.E(x, R) * mu_x * R ** gamma2))
-    return DoublingReport(
-        c1=c1, c1_witness=cells[i1], c2=c2, c2_witness=cells[i2],
-        gamma1=gamma1, gamma2=gamma2,
-        h_measured=float(h_measured), theta=float(theta),
-        product=float(product), product_ok=product >= 1.0 - REL_TOL,
-        v2_prefactor=float(v2), v1_prefactor=float(v1), cells=len(cells),
-    )
-
-
-# -- strong anti-doubling --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class AntiDoublingReport:
-    a_f: int | None
-    b_f: float | None
-    beta1: ExponentFit
-    lfl_rows: list
-    f_values: dict
-
-
-def strong_antidoubling(g, grid, cache=None, centers=None):
-    """Growth of F(R) = min over centers of E(x,R).
-
-    Verifies F(LR) >= L F(R) for L in {2,3,4} on valid pairs, reports
-    the smallest integer A with min_R F(AR)/F(R) > A (superlinear pair
-    A_F, B_F), and fits beta_1 from log F against log R.
-    """
-    cache = cache or QuantityCache(g)
-    centers = list(centers) if centers is not None else list(grid.centers)
-
-    def F(R):
-        vals = [cache.E(x, R) for x in centers
-                if ball_inside_host(g, x, 2 * R)]
-        return min(vals) if vals else None
-
-    f_values = {}
-
-    def getF(R):
-        if R not in f_values:
-            f_values[R] = F(R)
-        return f_values[R]
-
-    base = sorted(set(grid.radii))
-    if not base:
-        raise MarginError("insufficient valid cells for F")
-    lfl_rows = []
-    for R in base:
-        for L in (2, 3, 4):
-            fl, f1 = getF(L * R), getF(R)
-            if fl is None or f1 is None:
-                continue
-            slack = _rel_slack(L * f1, fl)
-            lfl_rows.append(("lfl", L, R, fl, L * f1, slack,
-                             slack >= -REL_TOL))
-    if not lfl_rows:
-        raise MarginError("insufficient valid cells for F(LR) checks")
-
-    a_f = None
-    b_f = None
-    for A in (2, 3, 4, 5, 6):
-        ratios = []
-        for R in base:
-            fa, f1 = getF(A * R), getF(R)
-            if fa is not None and f1 is not None:
-                ratios.append(fa / f1)
-        if ratios and min(ratios) > A:
-            a_f, b_f = A, float(min(ratios))
-            break
-
-    fit_radii = [R for R in sorted(f_values) if f_values[R] is not None]
-    fit_vals = [f_values[R] for R in fit_radii]
-    beta1 = _loglog_fit(fit_radii, fit_vals) if len(fit_radii) >= 3 else \
-        ExponentFit(math.nan, math.nan, math.nan, tuple(fit_radii))
-    return AntiDoublingReport(a_f, b_f, beta1, lfl_rows,
-                              {k: v for k, v in f_values.items()
-                               if v is not None})

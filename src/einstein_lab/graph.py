@@ -144,9 +144,6 @@ class WeightedGraph:
             self._dist_cache[x] = dist
         return dist
 
-    def eccentricity(self, x):
-        return int(self.distances(x).max())
-
 
 def eccentricities(g):
     """Exact eccentricity of every vertex from a few BFS, cached once.
@@ -295,17 +292,6 @@ def min_transition(g):
     x = int(np.argmin(p))
     lo, hi = g.indptr[x], g.indptr[x + 1]
     return float(p[x]), (x, int(g.indices[lo + np.argmin(g.weights[lo:hi])]))
-
-
-def check_p0(g):
-    """p0 of ``min_transition``, after verifying the degree bound
-    |{y : y ~ x}| <= 1/p0 that the minimum implies for every vertex.
-    """
-    p0 = min_transition(g)[0]
-    bad = np.flatnonzero(np.diff(g.indptr) > 1.0 / p0 + 1e-9)
-    if bad.size:
-        raise AssertionError(f"degree bound violated at vertex {bad[0]}")
-    return p0
 
 
 # -- text format -------------------------------------------------------------

@@ -315,25 +315,6 @@ def max_exit_time(g, x, R):
     return exit_time(g, B).max_value
 
 
-def exit_time_inverse(g, x, n):
-    """Smallest R with E(x,R) >= n; exists by strict monotonicity in R.
-
-    The comparison carries a 1e-6 relative tolerance: far above solver
-    noise, far below the unit gap E(x,R+1) - E(x,R) >= 1.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    R = 1
-    while True:
-        if ball(g, x, R).size == g.vertex_count:
-            raise MarginError(
-                f"E(x,R) reaches {n} only beyond the host graph"
-            )
-        if mean_exit_time(g, x, R) >= n * (1.0 - 1e-6):
-            return R
-        R += 1
-
-
 # -- smallest Dirichlet eigenvalue ---------------------------------------------
 
 

@@ -22,8 +22,7 @@ class WalkConfig:
     step_cap: int | None = None     # None: 100 * R^2 at simulation time
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed {self.seed} outside [0, 2^64)")
+        RngStream(self.seed)        # the one seed-range check
         if self.n_walks <= 0:
             raise ValueError("n_walks must be positive")
         if self.step_cap is not None and self.step_cap <= 0:
@@ -45,6 +44,13 @@ class RngStream:
     seed: int
     stream: int = 0
     counter: int = 0
+
+    def __post_init__(self):
+        # the generator takes each argument mod 2^64: refuse what aliases
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed {self.seed} outside [0, 2^64)")
+        if min(self.stream, self.counter) < 0:
+            raise ValueError("stream and counter must be >= 0")
 
     def next_u01(self):
         u = _kernels.u01_py(self.seed, self.stream, self.counter)

@@ -109,6 +109,18 @@ class TestCompute:
         ("lambda", [], "--ball"),
         ("harnack", ["--R", "2"], "--x"),
         ("hg", ["--x", "220"], "--R"),
+        # a malformed ball flag is named with its value and its fields
+        ("resistance", ["--annulus", "220,2"],
+         "error: --annulus 220,2: need x,r,R"),
+        ("resistance", ["--annulus", "220,2,4,8"],
+         "error: --annulus 220,2,4,8: need x,r,R"),
+        ("resistance", ["--A-ball", "220", "--B-ball", "220,5"],
+         "error: --A-ball 220: need x,r"),
+        ("resistance", ["--A-ball", "220,2", "--B-ball", "220,5,1"],
+         "error: --B-ball 220,5,1: need x,r"),
+        ("green", ["--A-ball", "220,r", "--y", "220", "--z", "220"],
+         "error: --A-ball 220,r: need x,r"),
+        ("lambda", ["--ball", "220,"], "error: --ball 220,: need x,r"),
     ])
     def test_missing_flag_usage_error(self, z21_file, capsys, quantity,
                                       given, flag):
@@ -299,7 +311,8 @@ class TestExitCodes:
         assert err == "internal error: RuntimeError: boom\n"
 
     @pytest.mark.parametrize("command", ["verify", "fit"])
-    @pytest.mark.parametrize("radii", ["0..8", "-2..8", "5..2", "0,2", ","])
+    @pytest.mark.parametrize("radii", ["0..8", "-2..8", "5..2", "0,2", ",",
+                                       "2,2"])
     def test_radii_usage_error(self, z21_file, tmp_path, capsys, command,
                                radii):
         # doubling from R < 1 never passes hi, and an empty ladder must
@@ -309,12 +322,14 @@ class TestExitCodes:
             else []
         code = cli.main([command, "--graph", path, f"--radii={radii}", *out])
         assert code == cli.EXIT_USAGE
-        assert capsys.readouterr().err == \
-            f"error: --radii {radii}: need one or more radii, all >= 1\n"
+        # a repeated radius would list every cell at it twice
+        why = "2 repeated" if radii == "2,2" \
+            else "need one or more radii, all >= 1"
+        assert capsys.readouterr().err == f"error: --radii {radii}: {why}\n"
 
     @pytest.mark.parametrize("command", ["verify", "einstein"])
     @pytest.mark.parametrize("centers", ["auto0", ",", "auto-1", "auto6",
-                                         "auto9"])
+                                         "auto9", "220,220"])
     def test_centers_usage_error(self, z21_file, tmp_path, capsys, command,
                                  centers):
         # no center, or fewer than asked, must not fall back to or cut
@@ -326,10 +341,30 @@ class TestExitCodes:
         code = cli.main([command, "--graph", path, f"--centers={centers}",
                          "--radii", "2", *out])
         assert code == cli.EXIT_USAGE
-        why = "auto picks at most 5 centers" if centers in ("auto6", "auto9") \
-            else "need one or more centers"
+        why = {"auto6": "auto picks at most 5 centers",
+               "auto9": "auto picks at most 5 centers",
+               "220,220": "220 repeated"}.get(centers,
+                                              "need one or more centers")
         assert capsys.readouterr().err == \
             f"error: --centers {centers}: {why}\n"
+
+    @pytest.mark.parametrize("argv, vertex", [
+        (["verify", "--centers=-1"], -1),
+        (["einstein", "--centers=441"], 441),
+        (["einstein", "--centers=-1", "--radii", "2"], -1),
+        (["fit", "--x=-1", "--radii", "2,3,4,5"], -1),
+    ], ids=["verify-ladder", "einstein-ladder", "einstein-radii", "fit"])
+    def test_vertex_outside_graph_usage_error(self, z21_file, tmp_path,
+                                              capsys, argv, vertex):
+        # the radius ladder and the margin test index the host's
+        # eccentricities, where numpy would wrap -1 to the last vertex
+        path, g, c = z21_file
+        out = ["--out-dir", str(tmp_path / "rep")] if argv[0] == "verify" \
+            else []
+        code = cli.main([argv[0], "--graph", path, *argv[1:], *out])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: vertex id {vertex} out of range\n"
 
     @pytest.mark.parametrize("command", [
         ["compute", "exit", "--x", "220", "--R", "2"], ["verify"]],

@@ -8,7 +8,6 @@ from einstein_lab.conditions import (QuantityCache, SweepGrid, auto_centers,
                                      default_grid, dyadic_radii,
                                      einstein_report, fit_exponents,
                                      measure_condition, radius_pairs,
-                                     resistance_doubling, strong_antidoubling,
                                      valid_cells, verify_inequalities)
 from einstein_lab.errors import ConvergenceError, MarginError
 from einstein_lab.generators import (apply_radial_weights, binary_tree,
@@ -383,31 +382,21 @@ class TestFits:
 
 
 class TestDoubling:
+    """Doubling of the annulus resistance on the 4R cells that the
+    ``series`` check asserts."""
+
     def test_line_constants_exact(self, z129):
         g, c, cache = z129
         # rho additive along the line: rho(R,4R)/rho(R,2R) = 3 exactly,
-        # rho(R,4R)/rho(2R,4R) = 3/2 exactly, product lands on 1
-        rep = resistance_doubling(g, default_grid(g), cache=cache)
-        assert rep.c1 == pytest.approx(3.0, rel=1e-9)
-        assert rep.c2 == pytest.approx(1.5, rel=1e-9)
-        assert rep.product == pytest.approx(1.0, rel=1e-9)
-        assert rep.product_ok
-        assert rep.gamma1 == pytest.approx(1.0, abs=1e-8)
-        assert rep.gamma2 == pytest.approx(-1.0, abs=1e-8)
-
-    def test_lattice_product_and_theta(self, z41):
-        g, c, cache = z41
-        rep = resistance_doubling(g, default_grid(g), cache=cache)
-        assert rep.product_ok
-        assert math.isfinite(rep.h_measured)
-        assert rep.theta == pytest.approx(math.log(rep.h_measured, 3))
-        assert rep.v2_prefactor > 0
-        assert rep.v1_prefactor > 0
-
-    def test_margin_exhaustion(self):
-        g, c = lattice_box(2, 9)
-        with pytest.raises(MarginError):
-            resistance_doubling(g, SweepGrid((c,), (4,)))
+        # rho(R,4R)/rho(2R,4R) = 3/2 exactly, product (C1-1)(C2-1) = 1
+        margin = conditions.CHECKS["series"].margin
+        cells, _ = valid_cells(g, default_grid(g), margin)
+        assert cells
+        for x, R in cells:
+            r14 = cache.rho(x, R, 4 * R)
+            assert r14 / cache.rho(x, R, 2 * R) == pytest.approx(3.0, rel=1e-9)
+            assert r14 / cache.rho(x, 2 * R, 4 * R) == \
+                pytest.approx(1.5, rel=1e-9)
 
     def test_saturating_tree_reported_not_asserted(self):
         # independent oracle: from the root, level k feeds 2^(k+1)
@@ -418,22 +407,23 @@ class TestDoubling:
         for r, R in ((2, 4), (2, 8), (4, 8)):
             got = resistance_annulus(g, root, r, R)
             assert got == pytest.approx(oracle(r, R), rel=1e-10)
-        rep = resistance_doubling(g, SweepGrid((root,), (2,)))
-        assert rep.c1 == pytest.approx(1.3125)     # the 1+eps regime
-        assert rep.c1_witness == (root, 2)
+        grid = SweepGrid((root,), (2,))
+        margin = conditions.CHECKS["series"].margin
+        assert valid_cells(g, grid, margin)[0] == [(root, 2)]
+        c1 = resistance_annulus(g, root, 2, 8) / \
+            resistance_annulus(g, root, 2, 4)
+        assert c1 == pytest.approx(1.3125)     # the 1+eps regime
 
 
 class TestStrongAntiDoubling:
-    def test_lattice_growth(self, z41):
-        g, c, cache = z41
-        rep = strong_antidoubling(g, default_grid(g), cache=cache)
-        assert all(row[-1] for row in rep.lfl_rows)
-        assert rep.a_f == 2
-        assert rep.b_f > 2
-        assert rep.beta1.exponent == pytest.approx(2.0, abs=0.3)
-
     def test_quadratic_floor(self, z129):
+        # E(x,R) >= R^2/2 wherever B(x,2R) fits, on the ladder's radii
+        # and their multiples 2R, 3R and 4R
         g, c, cache = z129
-        rep = strong_antidoubling(g, default_grid(g), cache=cache)
-        for R, F in rep.f_values.items():
-            assert F >= 0.5 * R * R
+        grid = default_grid(g)
+        cells = [(x, L * R) for R in grid.radii for L in (1, 2, 3, 4)
+                 for x in grid.centers
+                 if conditions.ball_inside_host(g, x, 2 * L * R)]
+        assert cells
+        for x, R in cells:
+            assert cache.E(x, R) >= 0.5 * R * R

@@ -6,7 +6,7 @@ from einstein_lab.conditions import _loglog_fit
 from einstein_lab.generators import (FamilySpec, apply_radial_weights,
                                      binary_tree, build, lattice_box,
                                      sierpinski_gasket, vicsek_tree)
-from einstein_lab.graph import check_p0
+from einstein_lab.graph import eccentricities, min_transition
 from einstein_lab.potential import mean_exit_time, resistance_annulus
 
 
@@ -81,7 +81,7 @@ class TestVicsek:
 
     def test_hub_p0(self):
         g, _ = vicsek_tree(3)
-        assert check_p0(g) == pytest.approx(0.25)
+        assert min_transition(g)[0] == pytest.approx(0.25)
 
     def test_resistance_grows_linearly(self):
         g, hub = vicsek_tree(4)
@@ -99,7 +99,7 @@ class TestBinaryTree:
 
     def test_depth(self):
         g, root = binary_tree(4)
-        assert g.eccentricity(root) == 4
+        assert eccentricities(g)[root] == 4
 
 
 class TestWeightRules:
@@ -144,4 +144,4 @@ def test_all_families_pass_validation():
     # each family here keeps the emitted structures honest
     for g, _ in (lattice_box(3, 5), sierpinski_gasket(3), vicsek_tree(3),
                  binary_tree(5)):
-        assert check_p0(g) > 0
+        assert min_transition(g)[0] > 0

@@ -13,8 +13,8 @@ from einstein_lab.cli import _corrupt_graph
 from einstein_lab.conditions import auto_centers
 from einstein_lab.errors import GraphFormatError
 from einstein_lab.graph import (WeightedGraph, annulus_volume, ball, boundary,
-                                check_p0, closure, eccentricities, load,
-                                min_transition, save, shrink, sphere, volume)
+                                closure, eccentricities, load, min_transition,
+                                save, shrink, sphere, volume)
 from einstein_lab.generators import (apply_radial_weights, binary_tree,
                                      lattice_box, sierpinski_gasket,
                                      vicsek_tree)
@@ -211,13 +211,6 @@ def min_transition_reference(g):
             if best is None or val < best[0]:
                 best = (val, (x, int(g.indices[k])))
     return best
-
-
-def check_p0_reference(g, p0):
-    for x in range(g.vertex_count):
-        if int(g.indptr[x + 1] - g.indptr[x]) > 1.0 / p0 + 1e-9:
-            raise AssertionError(f"degree bound violated at vertex {x}")
-    return p0
 
 
 def adjacency(g):
@@ -453,7 +446,7 @@ class TestMetric:
     @settings(max_examples=25, deadline=None)
     def test_volume_monotone_and_total(self, g):
         x = 0
-        diam = g.eccentricity(x)
+        diam = int(eccentricities(g)[x])
         vols = [volume(g, x, R) for R in range(1, diam + 2)]
         assert all(b >= a for a, b in zip(vols, vols[1:]))
         assert vols[-1] == pytest.approx(g.total_measure())
@@ -571,7 +564,7 @@ class TestShrink:
         sr = shrink(g, [3])
         assert sr.graph.vertex_count == 4
         assert sorted(w for _, _, w in sr.graph.edges) == [1.0, 1.0, 1.0]
-        assert sr.graph.eccentricity(sr.a) == 3
+        assert eccentricities(sr.graph)[sr.a] == 3
 
     def test_four_cycle_opposite_pair(self):
         from einstein_lab.potential import resistance
@@ -606,36 +599,23 @@ class TestShrink:
 
 class TestP0:
     def test_path_interior(self):
-        assert check_p0(path_graph(3)) == 0.5
+        assert min_transition(path_graph(3))[0] == 0.5
 
     def test_regular_graph(self):
         cycle = WeightedGraph(5, [(i, (i + 1) % 5, 1.0) for i in range(5)])
-        assert check_p0(cycle) == pytest.approx(1 / 2)
+        assert min_transition(cycle)[0] == pytest.approx(1 / 2)
 
     def test_vicsek_hub_degree(self):
         g, _ = vicsek_tree(3)
-        assert check_p0(g) == pytest.approx(1 / 4)
+        p0 = min_transition(g)[0]
+        assert p0 == pytest.approx(1 / 4)
+        # the hub's degree meets the bound deg <= 1/p0 exactly
+        assert np.diff(g.indptr).max() == pytest.approx(1 / p0)
 
     @given(stored_walks())
     @settings(max_examples=60, deadline=None)
     def test_min_transition_matches_loop(self, g):
         assert min_transition(g) == min_transition_reference(g)
-
-    @given(stored_walks(), st.sampled_from([None, 1.0, 0.5, 0.3, 0.25]))
-    @settings(max_examples=60, deadline=None)
-    def test_check_p0_matches_loop(self, g, forced):
-        # a forced p0 above the true minimum makes the degree bound fail;
-        # both must then name the same first vertex
-        p0 = min_transition(g)[0] if forced is None else forced
-        outcomes = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(graph, "min_transition", lambda g: (p0, None))
-            for fn in (check_p0, lambda g: check_p0_reference(g, p0)):
-                try:
-                    outcomes.append(fn(g))
-                except AssertionError as exc:
-                    outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1]
 
 
 class TestTextFormat:

@@ -8,10 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from einstein_lab.errors import ConvergenceError, MarginError, UnreachableError
 from einstein_lab.generators import lattice_box, sierpinski_gasket
-from einstein_lab.graph import WeightedGraph, ball, boundary, volume
+from einstein_lab.graph import (WeightedGraph, ball, boundary,
+                                eccentricities, volume)
 from einstein_lab import potential
 from einstein_lab.potential import (GreenOperator, dirichlet_potential,
-                                    exit_time, exit_time_inverse,
+                                    exit_time,
                                     g_condition, harmonic_measure,
                                     harnack_constant, hg_constant, lambda_min,
                                     layered_lower_bound, max_exit_time,
@@ -139,7 +140,7 @@ class TestLayeredBound:
     @settings(max_examples=40, deadline=None)
     def test_equals_edge_loop(self, g, data):
         x = data.draw(st.integers(0, g.vertex_count - 1))
-        R = data.draw(st.integers(1, g.eccentricity(x)))
+        R = data.draw(st.integers(1, int(eccentricities(g)[x])))
         r = data.draw(st.integers(1, R))
         A, B = ball(g, x, r), ball(g, x, R)
         assert layered_lower_bound(g, A, B) == layered_reference(g, A, B)
@@ -302,17 +303,10 @@ class TestExitTimes:
         g, c = lattice_box(2, 21)
         assert max_exit_time(g, c, 5) >= mean_exit_time(g, c, 5) - 1e-12
 
-    def test_inverse(self):
-        g, c = lattice_box(1, 129)
-        assert [exit_time_inverse(g, c, n) for n in (1, 5, 9, 10, 26)] == \
-            [1, 3, 3, 4, 6]
-
     def test_margin_error_on_whole_graph(self):
         g = path_graph(5)
         with pytest.raises(MarginError):
             mean_exit_time(g, 2, 40)
-        with pytest.raises(MarginError):
-            exit_time_inverse(g, 2, 10 ** 6)
 
 
 class TestLambdaMin:
@@ -649,7 +643,7 @@ class TestGather:
         # both solve through GreenOperator, so a weight ratio beyond
         # float64 fails both alike
         x = data.draw(st.integers(0, g.vertex_count - 1))
-        R = data.draw(st.integers(1, g.eccentricity(x)))
+        R = data.draw(st.integers(1, int(eccentricities(g)[x])))
         got = outcome(harmonic_measure, g, x, R)
         want = outcome(omega_reference, g, x, R)
         if isinstance(want, ConvergenceError):

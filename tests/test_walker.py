@@ -113,6 +113,19 @@ class TestStep:
              for k in range(20)]
         assert a == b
 
+    def test_stream_refuses_aliasing_arguments(self):
+        # each would draw the uniforms of an in-range argument: seed -5
+        # those of seed 2^64 - 5, a negative stream or counter those of
+        # one near 2^64
+        for kw, why in ((dict(seed=-5), r"seed -5 outside \[0, 2\^64\)"),
+                        (dict(seed=2 ** 64), "outside"),
+                        (dict(seed=1, stream=-1), ">= 0"),
+                        (dict(seed=1, counter=-2), ">= 0")):
+            with pytest.raises(ValueError, match=why):
+                RngStream(**kw)
+        rng = RngStream(seed=2 ** 64 - 1, stream=0, counter=0)
+        assert rng.next_u01() == _kernels.u01_py(2 ** 64 - 1, 0, 0)
+
     def test_matches_batch_kernel(self):
         for g, x in walk_hosts():
             in_region = region(g, x, 4)
