@@ -8,12 +8,11 @@ from .graph import (WeightedGraph, annulus_volume, ball, boundary, closure,
                     load, save, shrink, sphere, volume)
 from .generators import (FamilySpec, binary_tree, lattice_box,
                          sierpinski_gasket, vicsek_tree)
-from .potential import (EigenResult, ExitTimeField, GreenOperator,
-                        HarmonicMeasure, PotentialField, dirichlet_potential,
-                        exit_time, g_condition, harmonic_measure,
-                        harnack_constant, hg_constant, lambda_min,
-                        layered_lower_bound, max_exit_time, mean_exit_time,
-                        resistance, resistance_annulus)
+from .potential import (EigenResult, GreenOperator, HarmonicMeasure,
+                        PotentialField, dirichlet_potential, g_condition,
+                        harmonic_measure, harnack_constant, hg_constant,
+                        lambda_min, layered_lower_bound, max_exit_time,
+                        mean_exit_time, resistance, resistance_annulus)
 from .walker import McEstimate, WalkConfig, mc_exit_sample, mc_exit_time, step
 from .conditions import (ConditionReport, EinsteinRecord, ExponentFit,
                          SweepGrid, auto_centers, default_grid,

@@ -74,11 +74,12 @@ def _u01_np(keys: np.ndarray, step: int) -> np.ndarray:
 # -- BFS distances -----------------------------------------------------------
 
 
-def bfs_distances(W, sources):
+def bfs_distances(W, sources, limit=np.inf):
     """Hop distances over the adjacency ``W`` from one source vertex or,
-    for several, from the nearest of them; -1 where no source reaches.
-    Stored weights play no role."""
-    dist = csgraph.dijkstra(W, indices=sources, unweighted=True, min_only=True)
+    for several, from the nearest of them; -1 where none is within
+    ``limit`` hops, where the search stops.  Weights play no role."""
+    dist = csgraph.dijkstra(W, indices=sources, unweighted=True,
+                            min_only=True, limit=limit + 0.5)
     dist[np.isinf(dist)] = -1
     return dist.astype(np.int32)
 

@@ -96,8 +96,8 @@ def _load_graph(path):
     if hook:
         print(f"note: EINSTEIN_LAB_CORRUPT={hook} bumps a stored weight; "
               "results are not the graph file's", file=sys.stderr)
-        u, v, delta = hook.split(",")
-        g = _corrupt_graph(g, int(u), int(v), float(delta))
+        g = _corrupt_graph(g, *_fields(f"EINSTEIN_LAB_CORRUPT={hook}", hook,
+                                       "u,v,delta", (int, int, float)))
     return g, {"path": path, "vertices": g.vertex_count,
                "edges": g.edge_count}
 
@@ -116,19 +116,39 @@ def _corrupt_graph(g, u, v, delta):
     return graph.WeightedGraph.from_csr(g.indptr, g.indices, w)
 
 
+def _fields(given, text, need, kinds=(int,), sep=","):
+    """``text`` split on ``sep`` into one field per parser in ``kinds``
+    (kinds None: any number of ints, empty fields skipped), or a usage
+    error naming ``given``, the flag or hook as written, and ``need``."""
+    parts = text.split(sep)
+    if kinds is None:
+        parts = [t for t in parts if t]
+        kinds = [int] * len(parts)
+    try:
+        return [kind(t) for kind, t in zip(kinds, parts, strict=True)]
+    except ValueError:
+        raise ValueError(f"{given}: need {need}") from None
+
+
 def _int_list(flag, text):
     """A comma list of distinct ints: a repeat would list its cells twice."""
-    values = [int(t) for t in text.split(",") if t]
+    values = _fields(f"{flag} {text}", text, "a comma list of integers", None)
     repeats = [v for i, v in enumerate(values) if v in values[:i]]
     if repeats:
         raise ValueError(f"{flag} {text}: {repeats[0]} repeated")
     return values
 
 
+def _sidecar_center(path):
+    """The center vertex ``generate`` wrote beside the graph file."""
+    with open(path + ".center", encoding="utf-8") as f:
+        return _fields(f"{path}.center", f.read().strip(), "a vertex id")[0]
+
+
 def _parse_radii(text):
     """A comma list, or a dyadic ladder lo..hi; every radius is >= 1."""
     if ".." in text:
-        lo, hi = (int(t) for t in text.split(".."))
+        lo, hi = _fields(f"--radii {text}", text, "lo..hi", (int, int), "..")
         radii = []
         R = lo
         while 1 <= R <= hi:
@@ -145,13 +165,12 @@ def _parse_centers(g, text, path):
     """autoK, sidecar or a comma list; at least one center, never a
     silent fall-back to the default ones."""
     if text.startswith("auto"):
-        k = int(text[4:]) if len(text) > 4 else 5
+        k, = _fields(f"--centers {text}", text[4:] or "5", "autoK")
         if k > 5:   # the host center and four quarter-diagonal vertices
             raise ValueError(f"--centers {text}: auto picks at most 5 centers")
         centers = conditions.auto_centers(g, k) if k >= 1 else []
     elif text == "sidecar":
-        with open(path + ".center", encoding="utf-8") as f:
-            centers = [int(f.read().strip())]
+        centers = [_sidecar_center(path)]
     else:
         centers = _int_list("--centers", text)
     if not centers:
@@ -185,13 +204,8 @@ def cmd_generate(args):
 def _int_fields(args, name, fields="x,r"):
     """Compute flag --name as the ints that ``fields`` names."""
     text = getattr(args, name)
-    try:
-        values = [int(t) for t in text.split(",")]
-    except ValueError:
-        values = []
-    if len(values) != len(fields.split(",")):
-        raise ValueError(f"--{name.replace('_', '-')} {text}: need {fields}")
-    return values
+    return _fields(f"--{name.replace('_', '-')} {text}", text, fields,
+                   (int,) * len(fields.split(",")))
 
 
 # flags each compute quantity needs; resistance with --annulus needs no ball
@@ -328,10 +342,10 @@ def cmd_fit(args):
     if args.x == "center":
         x = conditions.auto_centers(g, 1)[0]
     elif args.x == "sidecar":
-        with open(args.graph + ".center", encoding="utf-8") as f:
-            x = int(f.read().strip())
+        x = _sidecar_center(args.graph)
     else:
-        x = int(args.x)
+        x, = _fields(f"--x {args.x}", args.x,
+                     "center, sidecar or a vertex id")
     radii = _parse_radii(args.radii)
     cache = conditions.QuantityCache(g)
     summ = conditions.fit_exponents(g, x, radii, cache=cache)

@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import bfs_distances
 from .errors import ConvergenceError, MarginError, UnreachableError
 from .graph import (annulus_volume, ball, eccentricities, host_frontier,
                     min_transition, shrink, sphere, volume)
 from .potential import (
     GreenOperator,
-    exit_time,
     g_condition,
     harnack_constant,
     hg_constant,
@@ -72,8 +72,7 @@ def ball_inside_host(g, x, K):
     if eccentricities(g)[x] < K:
         return False
     frontier = host_frontier(g)
-    frontier = frontier[frontier != x]
-    return frontier.size == 0 or int(g.distances(x)[frontier].min()) >= K
+    return bool(np.all(frontier[np.isin(frontier, ball(g, x, K))] == x))
 
 
 def valid_cells(g, grid, m):
@@ -109,21 +108,20 @@ def auto_centers(g, count=5):
     ecc = eccentricities(g)
     c = int(np.argmin(ecc))
     D = int(ecc[c])
-    dc = g.distances(c)
+    dc = bfs_distances(g.matrix, c)
     far = np.flatnonzero(dc == D).astype(np.int64)
-    poles = [int(far[0])]
-    while len(poles) < min(4, far.size):
-        dmats = [g.distances(p) for p in poles]
-        score = np.min(np.stack([d[far] for d in dmats]), axis=0)
-        cand = int(far[int(np.argmax(score))])
-        if cand in poles:
+    poles = {}                  # pole -> its host distances, in pick order
+    cand = int(far[0])
+    while cand not in poles:
+        poles[cand] = bfs_distances(g.matrix, cand)
+        if len(poles) == min(4, far.size):
             break
-        poles.append(cand)
+        score = np.min(np.stack([d[far] for d in poles.values()]), axis=0)
+        cand = int(far[int(np.argmax(score))])
     h = D // 2
     out = [c]
     if h >= 1:
-        for p in poles:
-            dp = g.distances(p)
+        for dp in poles.values():
             mids = np.flatnonzero((dc == h) & (dp == D - h))
             if mids.size:
                 out.append(int(mids[mids.size // 2]))
@@ -524,8 +522,8 @@ def _ce_rm(c, x, r, R):
     sr = shrink(g, A)
     keep = sr.old_to_new[B]
     region = np.sort(np.append(keep[keep >= 0], sr.a))
-    yield (float(exit_time(sr.graph, region).values[sr.a]),
-           _rho_v_sets(c, x, R), "")
+    op = GreenOperator(sr.graph, region)
+    yield float(op.exit_times()[op.local(sr.a)]), _rho_v_sets(c, x, R), ""
 
 
 def _lmin_e_rv(c, x, r, R):

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import bfs_distances
 from .graph import WeightedGraph
 
 RADIAL_LAMBDA_MIN = 0.25
@@ -137,7 +138,7 @@ def apply_radial_weights(g, root, lam):
         raise ValueError(
             f"radial lambda must lie in [{RADIAL_LAMBDA_MIN}, {RADIAL_LAMBDA_MAX}]"
         )
-    d = g.distances(root)
+    d = bfs_distances(g.matrix, g.check_vertex(root))
     u, v, w = g._upper()
     # numpy's array power differs from Python's ``**`` in the last bit for
     # some (lam, k), so the powers are one table built with ``**``

@@ -24,7 +24,8 @@ class WeightedGraph:
     and every Dirichlet block slices, whose own arrays are the ``indptr``,
     ``indices`` and ``weights`` that the walk kernel reads.  Every reader
     of the edge set takes its upper triangle.  All arrays are frozen after
-    construction, and per-center distance arrays are cached.
+    construction.  No per-center state is host-sized: balls are memoized
+    per (center, radius) in ``_balls``, each as long as its ball.
     """
 
     def __init__(self, vertex_count, edges):
@@ -82,13 +83,12 @@ class WeightedGraph:
         for arr in (self.indptr, self.indices, self.weights, self.mu):
             arr.setflags(write=False)
 
-        self._dist_cache = {}
+        self._balls = {}
         self._profile = None
         self._ecc_all = None
         self._frontier = None
 
-        dist0 = self.distances(0)
-        if int(dist0.min()) < 0:
+        if int(_kernels.bfs_distances(matrix, 0).min()) < 0:
             raise GraphFormatError("graph is not connected")
 
     @property
@@ -131,18 +131,6 @@ class WeightedGraph:
             )
             self._profile.setflags(write=False)
         return self._profile
-
-    # -- metric structure ----------------------------------------------------
-
-    def distances(self, x):
-        """Hop distances from x to every vertex (BFS; weights ignored)."""
-        x = self.check_vertex(x)
-        dist = self._dist_cache.get(x)
-        if dist is None:
-            dist = _kernels.bfs_distances(self.matrix, x)
-            dist.setflags(write=False)
-            self._dist_cache[x] = dist
-        return dist
 
 
 def eccentricities(g):
@@ -203,20 +191,28 @@ def host_frontier(g):
 
 
 def ball(g, x, radius):
-    """Open ball {y : d(x,y) < radius} as a sorted vertex array."""
+    """Open ball {y : d(x,y) < radius} as a sorted, read-only vertex array,
+    from a BFS that stops at the last whole distance below the radius;
+    memoized per (x, radius) as given."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if radius == 0:
         return np.empty(0, dtype=np.int64)
-    d = g.distances(x)
-    return np.flatnonzero(d < radius).astype(np.int64)
+    B = g._balls.get((x, radius))
+    if B is None:
+        d = _kernels.bfs_distances(g.matrix, g.check_vertex(x),
+                                   np.ceil(radius) - 1)
+        B = np.flatnonzero(d >= 0).astype(np.int64)
+        B.setflags(write=False)
+        g._balls[x, radius] = B
+    return B
 
 
 def sphere(g, x, radius):
-    """Distance shell {y : d(x,y) = radius}."""
+    """Distance shell {y : d(x,y) = radius}, from a BFS that stops there."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    d = g.distances(x)
+    d = _kernels.bfs_distances(g.matrix, g.check_vertex(x), radius)
     return np.flatnonzero(d == radius).astype(np.int64)
 
 

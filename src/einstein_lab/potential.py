@@ -281,23 +281,6 @@ class GreenOperator:
 # -- exit times ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExitTimeField:
-    region: np.ndarray
-    values: np.ndarray        # per vertex, 0 outside the region
-    max_location: int
-    max_value: float
-
-
-def exit_time(g, A):
-    op = GreenOperator(g, A)
-    e = op.exit_times()
-    values = np.zeros(g.vertex_count, dtype=np.float64)
-    values[op.region] = e
-    k = int(np.argmax(e))
-    return ExitTimeField(op.region, values, int(op.region[k]), float(e[k]))
-
-
 def mean_exit_time(g, x, R):
     """E(x,R): expected exit time of B(x,R) started at its center."""
     x = g.check_vertex(x)
@@ -312,7 +295,7 @@ def max_exit_time(g, x, R):
     """Ebar(x,R): worst-case expected exit time over starting points."""
     x = g.check_vertex(x)
     B = _require_proper_ball(g, x, R)
-    return exit_time(g, B).max_value
+    return float(GreenOperator(g, B).exit_times().max())
 
 
 # -- smallest Dirichlet eigenvalue ---------------------------------------------

@@ -312,7 +312,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["verify", "fit"])
     @pytest.mark.parametrize("radii", ["0..8", "-2..8", "5..2", "0,2", ",",
-                                       "2,2"])
+                                       "2,2", "2,a", "2..x", "2..4..8"])
     def test_radii_usage_error(self, z21_file, tmp_path, capsys, command,
                                radii):
         # doubling from R < 1 never passes hi, and an empty ladder must
@@ -322,14 +322,19 @@ class TestExitCodes:
             else []
         code = cli.main([command, "--graph", path, f"--radii={radii}", *out])
         assert code == cli.EXIT_USAGE
-        # a repeated radius would list every cell at it twice
-        why = "2 repeated" if radii == "2,2" \
-            else "need one or more radii, all >= 1"
+        # a repeated radius would list every cell at it twice, and a
+        # field that is no integer is named with its flag
+        why = {"2,2": "2 repeated",
+               "2,a": "need a comma list of integers",
+               "2..x": "need lo..hi",
+               "2..4..8": "need lo..hi"}.get(
+            radii, "need one or more radii, all >= 1")
         assert capsys.readouterr().err == f"error: --radii {radii}: {why}\n"
 
     @pytest.mark.parametrize("command", ["verify", "einstein"])
     @pytest.mark.parametrize("centers", ["auto0", ",", "auto-1", "auto6",
-                                         "auto9", "220,220"])
+                                         "auto9", "220,220", "840,x",
+                                         "autox"])
     def test_centers_usage_error(self, z21_file, tmp_path, capsys, command,
                                  centers):
         # no center, or fewer than asked, must not fall back to or cut
@@ -343,7 +348,9 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         why = {"auto6": "auto picks at most 5 centers",
                "auto9": "auto picks at most 5 centers",
-               "220,220": "220 repeated"}.get(centers,
+               "220,220": "220 repeated",
+               "840,x": "need a comma list of integers",
+               "autox": "need autoK"}.get(centers,
                                               "need one or more centers")
         assert capsys.readouterr().err == \
             f"error: --centers {centers}: {why}\n"
@@ -384,6 +391,30 @@ class TestExitCodes:
         u, v, _ = hook.split(",")
         assert capsys.readouterr().err.splitlines()[1:] == \
             [f"error: no edge {u}->{v} to corrupt"]
+        assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("hook, argv, why", [
+        (None, ["fit", "--x", "abc", "--radii", "2,3,4,5"],
+         "--x abc: need center, sidecar or a vertex id"),
+        ("1,2", ["compute", "exit", "--x", "220", "--R", "2"],
+         "EINSTEIN_LAB_CORRUPT=1,2: need u,v,delta"),
+        ("1,2,x", ["verify"], "EINSTEIN_LAB_CORRUPT=1,2,x: need u,v,delta"),
+        ("1,2,0.5,3", ["einstein"],
+         "EINSTEIN_LAB_CORRUPT=1,2,0.5,3: need u,v,delta"),
+    ], ids=["fit-x", "hook-2-fields", "hook-delta", "hook-4-fields"])
+    def test_malformed_number_usage_error(self, z21_file, tmp_path,
+                                          monkeypatch, capsys, hook, argv,
+                                          why):
+        # a field that does not parse is named with its flag or the hook,
+        # never with Python's int() or unpacking message
+        path, g, c = z21_file
+        if hook is not None:
+            monkeypatch.setenv("EINSTEIN_LAB_CORRUPT", hook)
+        out = ["--out-dir", str(tmp_path / "rep")] if argv[0] == "verify" \
+            else []
+        code = cli.main([*argv, "--graph", path, *out])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[-1:] == [f"error: {why}"]
         assert not (tmp_path / "rep").exists()
 
     @pytest.mark.parametrize("command", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from einstein_lab._kernels import bfs_distances
 from einstein_lab.conditions import _loglog_fit
 from einstein_lab.generators import (FamilySpec, apply_radial_weights,
                                      binary_tree, build, lattice_box,
@@ -77,7 +78,7 @@ class TestVicsek:
 
     def test_level1_star(self):
         g, hub = vicsek_tree(1)
-        assert g.distances(hub).tolist() == [0, 1, 1, 1, 1]
+        assert bfs_distances(g.matrix, hub).tolist() == [0, 1, 1, 1, 1]
 
     def test_hub_p0(self):
         g, _ = vicsek_tree(3)
@@ -117,7 +118,7 @@ class TestWeightRules:
     @example(1.3, (1, 31))      # nor its 1.3 ** 7
     def test_radial_weights_match_edge_loop(self, lam, box):
         g, c = lattice_box(*box)
-        d = g.distances(c)
+        d = bfs_distances(g.matrix, c)
         want = [(u, v, w * lam ** int(min(d[u], d[v])))
                 for u, v, w in g.edges]
         assert apply_radial_weights(g, c, lam).edges == want

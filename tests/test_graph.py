@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from einstein_lab import _kernels, graph
 from einstein_lab._kernels import bfs_distances
 from einstein_lab.cli import _corrupt_graph
-from einstein_lab.conditions import auto_centers
+from einstein_lab.conditions import auto_centers, ball_inside_host
 from einstein_lab.errors import GraphFormatError
 from einstein_lab.graph import (WeightedGraph, annulus_volume, ball, boundary,
                                 closure, eccentricities, load, min_transition,
@@ -389,20 +389,22 @@ class TestOneAdjacency:
 class TestMetric:
     def test_path_distances(self):
         g = path_graph(5)
-        assert g.distances(0).tolist() == [0, 1, 2, 3, 4]
+        assert bfs_distances(g.matrix, 0).tolist() == [0, 1, 2, 3, 4]
 
     def test_distance_to_self_is_zero(self):
         g, c = lattice_box(2, 5)
-        assert g.distances(c)[c] == 0
+        assert bfs_distances(g.matrix, c)[c] == 0
 
     def test_5x5_box_max_distance_from_center(self):
         g, c = lattice_box(2, 5)
-        assert g.distances(c).max() == 4
+        assert bfs_distances(g.matrix, c).max() == 4
 
     def test_invalid_vertex(self):
         g = path_graph(3)
-        with pytest.raises(ValueError):
-            g.distances(7)
+        with pytest.raises(ValueError, match="out of range"):
+            ball(g, 7, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            sphere(g, -1, 1)
 
     def test_path_ball_and_volume(self):
         g = path_graph(5)
@@ -412,6 +414,14 @@ class TestMetric:
     def test_unit_ball_is_center(self):
         g, c = lattice_box(2, 7)
         assert ball(g, c, 1).tolist() == [c]
+
+    def test_ball_memoized_read_only(self):
+        g, c = lattice_box(2, 7)
+        B = ball(g, c, 2)
+        assert ball(g, c, 2) is B and not B.flags.writeable
+        # keyed by the radius as given: B(c, 2.5) is {d <= 2}, not B(c, 2)
+        assert ball(g, c, 2.5).tolist() == ball(g, c, 3).tolist() != \
+            B.tolist()
 
     def test_ball_zero_empty(self):
         g = path_graph(3)
@@ -431,9 +441,26 @@ class TestMetric:
         n = g.vertex_count
         adj = adjacency(g)
         ref = [bfs_reference(adj, [v]) for v in range(n)]
-        for v in range(n):
-            assert g.distances(v).tolist() == ref[v]
-        assert eccentricities(g).tolist() == [max(d) for d in ref]
+        ecc = [max(d) for d in ref]
+        assert eccentricities(g).tolist() == ecc
+        # the truncation frontier: short of the top degree, at the top
+        # eccentricity
+        frontier = [v for v in range(n) if len(adj[v]) <
+                    max(map(len, adj)) and ecc[v] == max(ecc)]
+        for v, d in enumerate(ref):
+            assert bfs_distances(g.matrix, v).tolist() == d
+            for R in range(ecc[v] + 2):
+                assert bfs_distances(g.matrix, v, R).tolist() == \
+                    [k if k <= R else -1 for k in d]
+                assert ball(g, v, R).tolist() == \
+                    [y for y in range(n) if d[y] < R]
+                # a radius between whole distances keeps {d < radius}
+                assert ball(g, v, R + 0.5).tolist() == \
+                    [y for y in range(n) if d[y] <= R]
+                assert sphere(g, v, R).tolist() == \
+                    [y for y in range(n) if d[y] == R]
+                assert ball_inside_host(g, v, R) == (ecc[v] >= R and all(
+                    d[f] >= R for f in frontier if f != v))
         A = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
                                max_size=n, unique=True))
         multi = bfs_distances(g.matrix, A).tolist()
@@ -486,10 +513,10 @@ def count_bfs(monkeypatch):
     calls = {}
     bfs = _kernels.bfs_distances
 
-    def counted(W, sources):
+    def counted(W, *args, **kwargs):
         caller = sys._getframe(1).f_code.co_name
         calls[caller] = calls.get(caller, 0) + 1
-        return bfs(W, sources)
+        return bfs(W, *args, **kwargs)
 
     monkeypatch.setattr(_kernels, "bfs_distances", counted)
     return calls

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +13,6 @@ from einstein_lab.graph import (WeightedGraph, ball, boundary,
                                 eccentricities, volume)
 from einstein_lab import potential
 from einstein_lab.potential import (GreenOperator, dirichlet_potential,
-                                    exit_time,
                                     g_condition, harmonic_measure,
                                     harnack_constant, hg_constant, lambda_min,
                                     layered_lower_bound, max_exit_time,
@@ -292,12 +292,29 @@ class TestExitTimes:
         for a, b in zip(values, values[1:]):
             assert b >= a + 1 - 1e-9
 
+    def test_cold_exit_times_leave_no_host_arrays(self):
+        # a ball is found by a BFS that stops at its radius and only the
+        # ball is kept: 50 new centers on a 201x201 host must not leave a
+        # host-length array (158 KiB of int32 each) behind
+        g, c = lattice_box(2, 201)
+        mean_exit_time(g, c - 1, 4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(50):
+                mean_exit_time(g, c + k, 4)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 ** 20
+
     def test_exit_field_positive_and_max(self):
         g, c = lattice_box(1, 21)
-        ef = exit_time(g, ball(g, c, 4))
-        assert ef.max_location == c
-        assert ef.max_value == pytest.approx(16.0)
-        assert all(ef.values[v] >= 1 - 1e-12 for v in ef.region)
+        op = GreenOperator(g, ball(g, c, 4))
+        e = op.exit_times()
+        assert op.region[np.argmax(e)] == c
+        assert e.max() == pytest.approx(16.0)
+        assert np.all(e >= 1 - 1e-12)
 
     def test_ebar_at_least_center_value(self):
         g, c = lattice_box(2, 21)
