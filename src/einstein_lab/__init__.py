@@ -13,7 +13,7 @@ from .potential import (EigenResult, GreenOperator, HarmonicMeasure,
                         harmonic_measure, harnack_constant, hg_constant,
                         lambda_min, layered_lower_bound, max_exit_time,
                         mean_exit_time, resistance, resistance_annulus)
-from .walker import McEstimate, WalkConfig, mc_exit_sample, mc_exit_time, step
+from .walker import McEstimate, WalkConfig, mc_exit_sample, mc_exit_time
 from .conditions import (ConditionReport, EinsteinRecord, ExponentFit,
                          SweepGrid, auto_centers, default_grid,
                          einstein_report, fit_exponents, measure_condition,

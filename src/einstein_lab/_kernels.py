@@ -2,7 +2,8 @@
 weight CSR; the random-walk kernel is vectorized numpy and draws from a
 counter-based generator (splitmix64-style finalizer keyed by ``(seed,
 walk, step)``), so a simulation result does not depend on batching or
-call order, and the scalar generator below reproduces any single draw.
+call order.  The scalar generator below reproduces any single draw; it
+is the tests' reference for the vector one, which the kernel uses.
 """
 
 import numpy as np
@@ -91,13 +92,13 @@ def bfs_distances(W, sources, limit=np.inf):
 # each row forced to source_vertex + 1.0 exactly, so ``aug`` never
 # decreases.  Neighbour choice at vertex v with uniform u is the first k
 # in row v with aug[k] > v + u, clamped to the row's last entry (v + u can
-# round up to v + 1.0).  ``_row_choice`` is that rule, the one both
-# simulate_exits and walker.step call; it reads row v only.
+# round up to v + 1.0).  ``_row_choice`` is that rule, the one
+# simulate_exits calls; it reads row v only.
 
 
 def build_transition_profile(indptr, indices, weights, mu):
-    """aug array shared by the walk kernel and walker.step; rows of one
-    degree k are one (rows, k) block, summed left to right."""
+    """aug array the walk kernel reads; rows of one degree k are one
+    (rows, k) block, summed left to right."""
     deg = np.diff(indptr)
     aug = np.empty(weights.shape[0], dtype=np.float64)
     for k in np.unique(deg[deg > 0]):

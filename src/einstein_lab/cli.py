@@ -266,6 +266,7 @@ def _grid_for(args, g, path):
 def cmd_verify(args):
     g, info = _load_graph(args.graph)
     grid = _grid_for(args, g, args.graph)
+    os.makedirs(args.out_dir, exist_ok=True)    # fail before the sweep
     cache = conditions.QuantityCache(g)
     checks = conditions.verify_inequalities(g, grid, cache=cache)
     reports = {}
@@ -294,7 +295,6 @@ def cmd_verify(args):
             for tag, rep in reports.items()
         },
     }
-    os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "verify.json"), "w",
               encoding="utf-8", newline="\n") as f:
         _dump_json(payload, f)
@@ -321,12 +321,7 @@ def cmd_einstein(args):
     g, info = _load_graph(args.graph)
     grid = _grid_for(args, g, args.graph)
     records, summary = conditions.einstein_report(g, grid)
-    payload = {
-        "manifest": _manifest(args, info),
-        "records": [asdict(r) for r in records],
-        "summary": asdict(summary),
-    }
-    _dump_json(payload)
+    # files first: an unwritable path exits 2 with nothing on stdout
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as f:
             wr = csv.writer(f, lineterminator="\n")
@@ -334,6 +329,11 @@ def cmd_einstein(args):
             for r in records:
                 wr.writerow([r.x, r.R, _sig12(r.E2R), _sig12(r.rho),
                              _sig12(r.v), _sig12(r.Q)])
+    _dump_json({
+        "manifest": _manifest(args, info),
+        "records": [asdict(r) for r in records],
+        "summary": asdict(summary),
+    })
     return EXIT_OK
 
 
@@ -349,15 +349,7 @@ def cmd_fit(args):
     radii = _parse_radii(args.radii)
     cache = conditions.QuantityCache(g)
     summ = conditions.fit_exponents(g, x, radii, cache=cache)
-    payload = {
-        "manifest": _manifest(args, info),
-        "alpha": asdict(summ.alpha),
-        "beta": asdict(summ.beta),
-        "gamma": asdict(summ.gamma),
-        "erdim_residual": summ.erdim_residual,
-    }
-    _dump_json(payload)
-    if args.csv_prefix:
+    if args.csv_prefix:     # files first, as in cmd_einstein
         series = {
             "volume": lambda R: cache.V(x, R),
             "exit": lambda R: cache.E(x, R),
@@ -372,6 +364,13 @@ def cmd_fit(args):
                 for R in used:
                     wr.writerow([_sig12(math.log(R)),
                                  _sig12(math.log(fn(R)))])
+    _dump_json({
+        "manifest": _manifest(args, info),
+        "alpha": asdict(summ.alpha),
+        "beta": asdict(summ.beta),
+        "gamma": asdict(summ.gamma),
+        "erdim_residual": summ.erdim_residual,
+    })
     return EXIT_OK
 
 

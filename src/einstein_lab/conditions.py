@@ -128,12 +128,12 @@ def auto_centers(g, count=5):
     return list(dict.fromkeys(out))[:count]
 
 
-def dyadic_radii(g, centers, r0=2, m=2):
-    """Dyadic ladder r0, 2*r0, ... while the margin m holds at every center."""
+def dyadic_radii(g, centers):
+    """Dyadic ladder 2, 4, 8, ... while 2R <= every center's eccentricity."""
     ecc = min(eccentricities(g)[g.check_vertex(x)] for x in centers)
     radii = []
-    R = r0
-    while m * R <= ecc:
+    R = 2
+    while 2 * R <= ecc:
         radii.append(R)
         R *= 2
     return radii

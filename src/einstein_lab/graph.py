@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .errors import GraphFormatError
+from .errors import GraphFormatError, MarginError
 
 
 class WeightedGraph:
@@ -124,7 +124,7 @@ class WeightedGraph:
         return float(self.mu.sum())
 
     def transition_profile(self):
-        """Cumulative transition rows shared by the walk kernels."""
+        """Cumulative transition rows, read by the walk kernel."""
         if self._profile is None:
             self._profile = _kernels.build_transition_profile(
                 self.indptr, self.indices, self.weights, self.mu
@@ -205,6 +205,20 @@ def ball(g, x, radius):
         B = np.flatnonzero(d >= 0).astype(np.int64)
         B.setflags(write=False)
         g._balls[x, radius] = B
+    return B
+
+
+def proper_ball(g, x, radius, what="ball"):
+    """B(x, radius) as the region of a killed walk: x is a vertex, the
+    radius is at least 1 (ValueError), and the ball is not the whole host
+    (MarginError), in that order."""
+    x = g.check_vertex(x)
+    if radius < 1:
+        raise ValueError("radius must be >= 1")
+    B = ball(g, x, radius)
+    if B.size == g.vertex_count:
+        raise MarginError(f"{what} B({x},{radius}) covers the whole host "
+                          "graph")
     return B
 
 
@@ -314,18 +328,19 @@ def load(path):
         ]
     if not lines:
         raise GraphFormatError(f"{path}: empty graph file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise GraphFormatError(f"{path}: header must be 'n m'")
-    n, m = int(head[0]), int(head[1])
+    try:
+        n, m = map(int, lines[0].split())
+    except ValueError:      # a field count or a number that does not parse
+        raise GraphFormatError(f"{path}: header must be 'n m'") from None
     if len(lines) - 1 != m:
         raise GraphFormatError(
             f"{path}: expected {m} edge lines, found {len(lines) - 1}"
         )
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise GraphFormatError(f"{path}: bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        try:
+            u, v, w = ln.split()
+            edges.append((int(u), int(v), float(w)))
+        except ValueError:
+            raise GraphFormatError(f"{path}: bad edge line {ln!r}") from None
     return WeightedGraph(n, edges)

@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from ._kernels import bfs_distances
 from .errors import ConvergenceError, MarginError, UnreachableError
-from .graph import ball, boundary, volume
+from .graph import ball, boundary, proper_ball, volume
 
 DIRECT_SOLVE_LIMIT = 5000
 SOLVE_TOL = 1e-10
@@ -108,15 +108,6 @@ def _locate(region, v):
     return i
 
 
-def _require_proper_ball(g, x, R, what="ball"):
-    B = ball(g, x, R)
-    if B.size == 0:
-        raise MarginError(f"{what} B({x},{R}) is empty")
-    if B.size == g.vertex_count:
-        raise MarginError(f"{what} B({x},{R}) covers the whole host graph")
-    return B
-
-
 # -- Dirichlet potentials and resistance -------------------------------------
 
 
@@ -179,8 +170,7 @@ def resistance_annulus(g, x, r, R):
     of B(x,R); the resistance of the annulus between its surfaces."""
     if not (R > r >= 0):
         raise ValueError("annulus requires R > r >= 0")
-    x = g.check_vertex(x)
-    B = _require_proper_ball(g, x, R, what="outer ball")
+    B = proper_ball(g, x, R, what="outer ball")
     source = ball(g, x, r + 1)      # {d <= r}
     return resistance(g, source, B)
 
@@ -283,19 +273,13 @@ class GreenOperator:
 
 def mean_exit_time(g, x, R):
     """E(x,R): expected exit time of B(x,R) started at its center."""
-    x = g.check_vertex(x)
-    if R < 1:
-        raise ValueError("radius must be >= 1")
-    B = _require_proper_ball(g, x, R)
-    op = GreenOperator(g, B)
+    op = GreenOperator(g, proper_ball(g, x, R))
     return float(op.exit_times()[op.local(x)])
 
 
 def max_exit_time(g, x, R):
     """Ebar(x,R): worst-case expected exit time over starting points."""
-    x = g.check_vertex(x)
-    B = _require_proper_ball(g, x, R)
-    return float(GreenOperator(g, B).exit_times().max())
+    return float(GreenOperator(g, proper_ball(g, x, R)).exit_times().max())
 
 
 # -- smallest Dirichlet eigenvalue ---------------------------------------------
@@ -358,8 +342,7 @@ class HarmonicMeasure:
 
 def harmonic_measure(g, x, R):
     """Exit-position law omega(y,z) = P_y(walk leaves B(x,R) at z)."""
-    x = g.check_vertex(x)
-    B = _require_proper_ball(g, x, R)
+    B = proper_ball(g, x, R)
     bnd = boundary(g, B)
     op = GreenOperator(g, B)
     i, j, w = _gather(g, B, bnd)
@@ -396,8 +379,7 @@ def _green_ball_profile(g, x, R):
     """One Green solve on B(x,2R): kernel row at x, split annulus/ball."""
     if R < 1:
         raise ValueError("radius must be >= 1")
-    x = g.check_vertex(x)
-    B2 = _require_proper_ball(g, x, 2 * R, what="outer ball")
+    B2 = proper_ball(g, x, 2 * R, what="outer ball")
     sel_inner = np.isin(B2, ball(g, x, R))
     if sel_inner.all():
         raise MarginError("annulus B(x,2R) \\ B(x,R) is empty")

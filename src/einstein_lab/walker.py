@@ -1,9 +1,10 @@
 """Monte Carlo simulation of the reversible walk.
 
-Used as an independent cross-check of the exact solvers.  Randomness is
-counter-based: the uniform driving step t of walk w is a pure function
-of (seed, w, t), so results are reproducible bit-for-bit regardless of
-scheduling.
+Used as an independent cross-check of the exact solvers.  Every walk
+runs in the one batch kernel, ``_kernels.simulate_exits``.  Randomness
+is counter-based: the uniform driving step t of walk w is a pure
+function of (seed, w, t), so results are reproducible bit-for-bit
+regardless of scheduling.
 """
 
 from dataclasses import dataclass, field
@@ -11,8 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import MarginError
-from .graph import ball
+from .graph import proper_ball
 
 
 @dataclass
@@ -22,7 +22,9 @@ class WalkConfig:
     step_cap: int | None = None     # None: 100 * R^2 at simulation time
 
     def __post_init__(self):
-        RngStream(self.seed)        # the one seed-range check
+        # the generator takes the seed mod 2^64: refuse what aliases
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"seed {self.seed} outside [0, 2^64)")
         if self.n_walks <= 0:
             raise ValueError("n_walks must be positive")
         if self.step_cap is not None and self.step_cap <= 0:
@@ -38,37 +40,6 @@ class McEstimate:
     valid: bool
 
 
-@dataclass
-class RngStream:
-    """Scalar stream for single-step sampling; advances a step counter."""
-    seed: int
-    stream: int = 0
-    counter: int = 0
-
-    def __post_init__(self):
-        # the generator takes each argument mod 2^64: refuse what aliases
-        if not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed {self.seed} outside [0, 2^64)")
-        if min(self.stream, self.counter) < 0:
-            raise ValueError("stream and counter must be >= 0")
-
-    def next_u01(self):
-        u = _kernels.u01_py(self.seed, self.stream, self.counter)
-        self.counter += 1
-        return u
-
-
-def step(g, x, rng: RngStream):
-    """One step of the walk from x: neighbour y with probability
-    mu_xy / mu(x), chosen by the batch kernel's ``_row_choice``."""
-    x = g.check_vertex(x)
-    key = np.array([x + rng.next_u01()])
-    k = _kernels._row_choice(g.indptr, g.transition_profile(),
-                             np.array([x]), key,
-                             g.indptr[x + 1] - g.indptr[x] - 1)
-    return int(g.indices[k[0]])
-
-
 @dataclass(frozen=True)
 class ExitSample:
     estimate: McEstimate
@@ -77,15 +48,10 @@ class ExitSample:
 
 
 def _simulate(g, x, R, cfg: WalkConfig):
-    x = g.check_vertex(x)
-    if R < 1:
-        raise ValueError("radius must be >= 1")
-    region = ball(g, x, R)
-    if region.size == g.vertex_count:
-        raise MarginError(f"ball B({x},{R}) covers the whole host graph")
+    region = proper_ball(g, x, R)
     in_region = np.zeros(g.vertex_count, dtype=bool)
     in_region[region] = True
-    cap = cfg.step_cap if cfg.step_cap is not None else 100 * max(R * R, 1)
+    cap = cfg.step_cap if cfg.step_cap is not None else 100 * R * R
     steps, exit_vertex = _kernels.simulate_exits(
         g.indptr, g.indices, g.transition_profile(), in_region,
         x, cfg.n_walks, cap, cfg.seed,

@@ -296,6 +296,40 @@ class TestExitCodes:
         assert err.startswith("error: [Errno") and "Not a directory" in err
         assert err.count("\n") == 1
 
+    def test_out_dir_fails_before_the_sweep(self, z21_file, monkeypatch,
+                                            capsys):
+        path, g, c = z21_file
+
+        def sweep(*args, **kwargs):
+            raise RuntimeError("the sweep ran")
+
+        monkeypatch.setattr(conditions, "verify_inequalities", sweep)
+        code = cli.main(["verify", "--graph", path,
+                         "--out-dir", os.path.join(path, "rep")])
+        assert code == cli.EXIT_USAGE
+        assert "Not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [("einstein", "--csv"),
+                                               ("fit", "--csv-prefix")])
+    def test_unwritable_csv_nothing_on_stdout(self, tmp_path, command,
+                                              flag):
+        path = str(tmp_path / "z1.txt")
+        save(lattice_box(1, 129)[0], path)
+        r = run_cli([command, "--graph", path, "--radii", "2..16",
+                     flag, os.path.join(path, "e")])
+        assert r.returncode == cli.EXIT_USAGE
+        assert r.stdout == ""
+        assert "Not a directory" in r.stderr
+
+    def test_graph_number_names_file_and_line(self, tmp_path, capsys):
+        p = tmp_path / "g.txt"
+        p.write_text("3 2\n0 1 1.0\n1 x 1.0\n")
+        code = cli.main(["compute", "exit", "--graph", str(p), "--x", "1",
+                         "--R", "1"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: {p}: bad edge line '1 x 1.0'\n"
+
     def test_unexpected_exception_is_internal_error(self, z21_file,
                                                     monkeypatch, capsys):
         path, g, c = z21_file

@@ -667,6 +667,21 @@ class TestTextFormat:
         with pytest.raises(GraphFormatError):
             load(p)
 
+    # a field that is not the number it stands for names the file and
+    # the line, as a wrong field count does
+    @pytest.mark.parametrize("text, message", [
+        ("3 1\n1 x 1.0\n", "bad edge line '1 x 1.0'"),
+        ("3 1\n1 2 abc\n", "bad edge line '1 2 abc'"),
+        ("3 1\n1 2.5 1.0\n", "bad edge line '1 2.5 1.0'"),
+        ("3 two\n0 1 1.0\n", "header must be 'n m'")],
+        ids=["vertex", "weight", "fractional-vertex", "header"])
+    def test_number_that_does_not_parse(self, tmp_path, text, message):
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        with pytest.raises(GraphFormatError) as info:
+            load(p)
+        assert str(info.value) == f"{p}: {message}"
+
     def test_wrong_edge_count(self, tmp_path):
         p = tmp_path / "g.txt"
         p.write_text("3 2\n0 1 1.0\n")

@@ -18,6 +18,7 @@ from einstein_lab.potential import (GreenOperator, dirichlet_potential,
                                     layered_lower_bound, max_exit_time,
                                     mean_exit_time, resistance,
                                     resistance_annulus)
+from einstein_lab.walker import WalkConfig, mc_exit_time
 from test_graph import (adjacency, bfs_reference, connected_graphs,
                         edge_lists, stored_walks)
 
@@ -744,3 +745,25 @@ class TestGather:
         lam, iterations = lambda_min_reference(g, B)
         assert got.lam == pytest.approx(lam, rel=1e-12)
         assert got.iterations == iterations
+
+
+def mc_exit_time_small(g, x, R):
+    return mc_exit_time(g, x, R, WalkConfig(seed=1, n_walks=10))
+
+
+@pytest.mark.parametrize("quantity", [
+    mean_exit_time, max_exit_time, harmonic_measure, harnack_constant,
+    hg_constant, g_condition, mc_exit_time_small],
+    ids=lambda f: f.__name__)
+def test_one_ball_rule(quantity):
+    # every quantity on B(x,R) refuses a vertex outside the graph and a
+    # radius below 1 (ValueError), and a ball that is the whole host
+    # (MarginError); B(c,21) covers z21, whose center has eccentricity 20
+    g, c = lattice_box(2, 21)
+    for x, R, error, message in (
+            (c, 0, ValueError, "radius must be >= 1"),
+            (c, 0.5, ValueError, "radius must be >= 1"),
+            (-1, 2, ValueError, "vertex id -1 out of range"),
+            (c, 21, MarginError, "covers the whole host graph")):
+        with pytest.raises(error, match=message):
+            quantity(g, x, R)

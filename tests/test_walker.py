@@ -9,8 +9,7 @@ from einstein_lab.generators import (apply_radial_weights, binary_tree,
                                      lattice_box, sierpinski_gasket)
 from einstein_lab.graph import WeightedGraph, ball, shrink
 from einstein_lab.potential import harmonic_measure, mean_exit_time
-from einstein_lab.walker import (RngStream, WalkConfig, mc_exit_sample,
-                                 mc_exit_time, step)
+from einstein_lab.walker import WalkConfig, mc_exit_sample, mc_exit_time
 
 def test_u01_scalar_vector_agree():
     walks = np.arange(64, dtype=np.uint64)
@@ -104,53 +103,6 @@ class TestRowChoice:
                 assert k.tolist() == [last]
 
 
-class TestStep:
-    def test_deterministic_replay(self):
-        g, c = lattice_box(2, 21)
-        a = [step(g, c, RngStream(seed=5, stream=0, counter=k))
-             for k in range(20)]
-        b = [step(g, c, RngStream(seed=5, stream=0, counter=k))
-             for k in range(20)]
-        assert a == b
-
-    def test_stream_refuses_aliasing_arguments(self):
-        # each would draw the uniforms of an in-range argument: seed -5
-        # those of seed 2^64 - 5, a negative stream or counter those of
-        # one near 2^64
-        for kw, why in ((dict(seed=-5), r"seed -5 outside \[0, 2\^64\)"),
-                        (dict(seed=2 ** 64), "outside"),
-                        (dict(seed=1, stream=-1), ">= 0"),
-                        (dict(seed=1, counter=-2), ">= 0")):
-            with pytest.raises(ValueError, match=why):
-                RngStream(**kw)
-        rng = RngStream(seed=2 ** 64 - 1, stream=0, counter=0)
-        assert rng.next_u01() == _kernels.u01_py(2 ** 64 - 1, 0, 0)
-
-    def test_matches_batch_kernel(self):
-        for g, x in walk_hosts():
-            in_region = region(g, x, 4)
-            steps, exits = _kernels.simulate_exits(
-                g.indptr, g.indices, g.transition_profile(), in_region,
-                x, 3, 10_000, 99)
-            for w in range(3):
-                rng = RngStream(seed=99, stream=w)
-                pos, taken = x, 0
-                while in_region[pos]:
-                    pos = step(g, pos, rng)
-                    taken += 1
-                assert taken == steps[w]
-                assert pos == exits[w]
-
-    def test_weighted_two_neighbour_ratio(self):
-        # weights 2:1 -> transition probabilities 2/3 : 1/3
-        g = WeightedGraph(3, [(0, 1, 2.0), (1, 2, 1.0)])
-        n = 60_000
-        hits = sum(step(g, 1, RngStream(seed=4, stream=k)) == 0
-                   for k in range(n))
-        p = 2 / 3
-        assert abs(hits - n * p) <= 4 * np.sqrt(n * p * (1 - p))
-
-
 class TestMcExitTime:
     def test_unit_ball_deterministic(self):
         g, c = lattice_box(2, 21)
@@ -198,7 +150,7 @@ class TestMcExitTime:
         with pytest.raises(ValueError):
             WalkConfig(seed=1, n_walks=10, step_cap=0)
         for seed in (-1, 2 ** 64):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=rf"seed {seed} outside"):
                 WalkConfig(seed=seed)
         WalkConfig(seed=2 ** 64 - 1)
 
@@ -215,6 +167,15 @@ class TestExitDistribution:
                 list(g.neighbors(c)).index(z)] / g.mu[c]
             cnt = s.exit_counts[int(z)]
             assert abs(cnt - n * p) <= 4 * np.sqrt(n * p * (1 - p))
+
+    def test_weighted_two_neighbour_ratio(self):
+        # weights 2:1 -> transition probabilities 2/3 : 1/3
+        g = WeightedGraph(3, [(0, 1, 2.0), (1, 2, 1.0)])
+        n = 60_000
+        hits = mc_exit_sample(g, 1, 1, WalkConfig(seed=4, n_walks=n)
+                              ).exit_counts[0]
+        p = 2 / 3
+        assert abs(hits - n * p) <= 4 * np.sqrt(n * p * (1 - p))
 
     def test_regular_vertex_uniform(self):
         g, c = lattice_box(1, 9)
