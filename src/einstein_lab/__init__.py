@@ -6,8 +6,8 @@ from .errors import (ConvergenceError, GraphFormatError, MarginError,
                      UnreachableError)
 from .graph import (WeightedGraph, annulus_volume, ball, boundary, closure,
                     load, save, shrink, sphere, volume)
-from .generators import (FamilySpec, binary_tree, lattice_box,
-                         sierpinski_gasket, vicsek_tree)
+from .generators import (binary_tree, lattice_box, sierpinski_gasket,
+                         vicsek_tree)
 from .potential import (EigenResult, GreenOperator, HarmonicMeasure,
                         PotentialField, dirichlet_potential, g_condition,
                         harmonic_measure, harnack_constant, hg_constant,

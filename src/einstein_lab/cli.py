@@ -59,9 +59,17 @@ def _clean(obj):
     return _sig12(obj)
 
 
-def _dump_json(obj, fh=sys.stdout):
-    json.dump(_clean(obj), fh, indent=2, sort_keys=True)
-    fh.write("\n")
+def _dump_json(obj, fh=None):
+    # print() looks sys.stdout up per call, so a caller may redirect it
+    print(json.dumps(_clean(obj), indent=2, sort_keys=True), file=fh)
+
+
+def _write_csv(path, header, rows):
+    """A CSV report: ``header``, then ``rows`` with every field rounded."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        wr = csv.writer(f, lineterminator="\n")
+        wr.writerow(header)
+        wr.writerows([_sig12(v) for v in row] for row in rows)
 
 
 # execution metadata that cannot change results (determinism contract)
@@ -181,18 +189,32 @@ def _parse_centers(g, text, path):
 # -- subcommands ---------------------------------------------------------------
 
 
+# family -> (its size flag, its (graph, center) from the parsed flags)
+FAMILIES = {
+    "lattice": ("side", lambda a: generators.lattice_box(
+        2 if a.dim is None else a.dim, a.side)),
+    "sierpinski": ("level", lambda a: generators.sierpinski_gasket(a.level)),
+    "vicsek": ("level", lambda a: generators.vicsek_tree(a.level)),
+    "binary_tree": ("depth", lambda a: generators.binary_tree(a.depth)),
+}
+
+
 def cmd_generate(args):
-    flag = dict(lattice="side", binary_tree="depth").get(args.family, "level")
+    flag, construct = FAMILIES[args.family]
     if getattr(args, flag) is None:
         raise ValueError(f"generate --family {args.family} needs --{flag}")
-    spec = generators.FamilySpec(
-        family=args.family,
-        size=getattr(args, flag),
-        dim=args.dim,
-        weight_rule=args.weight_rule,
-        radial_lambda=args.radial_lambda,
-    )
-    g, center = generators.build(spec)
+    # a flag that the family or the weight rule ignores is refused
+    reads = {flag, "dim"} if args.family == "lattice" else {flag}
+    for name in sorted({"depth", "dim", "level", "side"} - reads):
+        if getattr(args, name) is not None:
+            raise ValueError(f"generate --family {args.family} "
+                             f"does not read --{name}")
+    if args.radial_lambda is not None and args.weight_rule != "radial":
+        raise ValueError("generate --weight-rule unit does not read --lambda")
+    g, center = construct(args)
+    if args.weight_rule == "radial":
+        lam = 1.0 if args.radial_lambda is None else args.radial_lambda
+        g = generators.apply_radial_weights(g, center, lam)
     graph.save(g, args.out)
     with open(args.out + ".center", "w", encoding="utf-8", newline="\n") as f:
         f.write(f"{center}\n")
@@ -298,17 +320,12 @@ def cmd_verify(args):
     with open(os.path.join(args.out_dir, "verify.json"), "w",
               encoding="utf-8", newline="\n") as f:
         _dump_json(payload, f)
-    with open(os.path.join(args.out_dir, "verify.csv"), "w",
-              encoding="utf-8", newline="") as f:
-        wr = csv.writer(f, lineterminator="\n")
-        wr.writerow(["check", "x", "r", "R", "detail", "lhs", "rhs",
-                     "slack", "ok"])
-        for c in checks:
-            for row in c.rows:
-                wr.writerow([_sig12(v) for v in row])
-        for rep in filter(None, reports.values()):
-            for row in rep.rows:
-                wr.writerow([_sig12(v) for v in row] + ["", "", ""])
+    # condition rows fill the first six of the nine columns
+    blocks = [(c.rows, ()) for c in checks] + [
+        (rep.rows, ("", "", "")) for rep in filter(None, reports.values())]
+    _write_csv(os.path.join(args.out_dir, "verify.csv"),
+               ["check", "x", "r", "R", "detail", "lhs", "rhs", "slack", "ok"],
+               ((*row, *pad) for rows, pad in blocks for row in rows))
     for c in failures:
         print(f"VIOLATION {c.check}: worst slack {c.worst_slack:.3e} "
               f"at {c.witness}")
@@ -323,12 +340,8 @@ def cmd_einstein(args):
     records, summary = conditions.einstein_report(g, grid)
     # files first: an unwritable path exits 2 with nothing on stdout
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as f:
-            wr = csv.writer(f, lineterminator="\n")
-            wr.writerow(["x", "R", "E2R", "rho", "v", "Q"])
-            for r in records:
-                wr.writerow([r.x, r.R, _sig12(r.E2R), _sig12(r.rho),
-                             _sig12(r.v), _sig12(r.Q)])
+        _write_csv(args.csv, ["x", "R", "E2R", "rho", "v", "Q"],
+                   ((r.x, r.R, r.E2R, r.rho, r.v, r.Q) for r in records))
     _dump_json({
         "manifest": _manifest(args, info),
         "records": [asdict(r) for r in records],
@@ -357,13 +370,9 @@ def cmd_fit(args):
         }
         used = summ.alpha.radii
         for name, fn in series.items():
-            with open(f"{args.csv_prefix}_{name}.csv", "w",
-                      encoding="utf-8", newline="") as f:
-                wr = csv.writer(f, lineterminator="\n")
-                wr.writerow(["log_R", f"log_{name}"])
-                for R in used:
-                    wr.writerow([_sig12(math.log(R)),
-                                 _sig12(math.log(fn(R)))])
+            _write_csv(f"{args.csv_prefix}_{name}.csv",
+                       ["log_R", f"log_{name}"],
+                       ((math.log(R), math.log(fn(R))) for R in used))
     _dump_json({
         "manifest": _manifest(args, info),
         "alpha": asdict(summ.alpha),
@@ -395,15 +404,14 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("generate", help="emit a graph family fixture")
-    sp.add_argument("--family", required=True,
-                    choices=["lattice", "sierpinski", "vicsek", "binary_tree"])
-    sp.add_argument("--dim", type=int, default=2)
+    sp.add_argument("--family", required=True, choices=list(FAMILIES))
+    sp.add_argument("--dim", type=int, default=None)
     sp.add_argument("--side", type=int, default=None)
     sp.add_argument("--level", type=int, default=None)
     sp.add_argument("--depth", type=int, default=None)
     sp.add_argument("--weight-rule", dest="weight_rule", default="unit",
                     choices=["unit", "radial"])
-    sp.add_argument("--lambda", dest="radial_lambda", type=float, default=1.0)
+    sp.add_argument("--lambda", dest="radial_lambda", type=float, default=None)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_generate)
 

@@ -6,8 +6,6 @@ Vertex numbering is construction order, so outputs are reproducible
 byte-for-byte.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import bfs_distances
@@ -15,15 +13,6 @@ from .graph import WeightedGraph
 
 RADIAL_LAMBDA_MIN = 0.25
 RADIAL_LAMBDA_MAX = 4.0
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str          # lattice | sierpinski | vicsek | binary_tree
-    size: int            # side length L, fractal level k, or depth
-    dim: int = 2         # lattice only
-    weight_rule: str = "unit"   # unit | radial
-    radial_lambda: float = 1.0
 
 
 def lattice_box(d, L):
@@ -145,22 +134,3 @@ def apply_radial_weights(g, root, lam):
     power = np.array([lam ** k for k in range(d.max() + 1)], dtype=float)
     w = w * power[np.minimum(d[u], d[v])]
     return WeightedGraph(g.vertex_count, np.column_stack([u, v, w]))
-
-
-def build(spec: FamilySpec):
-    """Construct the family described by ``spec``; returns (graph, center)."""
-    if spec.family == "lattice":
-        g, center = lattice_box(spec.dim, spec.size)
-    elif spec.family == "sierpinski":
-        g, center = sierpinski_gasket(spec.size)
-    elif spec.family == "vicsek":
-        g, center = vicsek_tree(spec.size)
-    elif spec.family == "binary_tree":
-        g, center = binary_tree(spec.size)
-    else:
-        raise ValueError(f"unknown family {spec.family!r}")
-    if spec.weight_rule == "radial":
-        g = apply_radial_weights(g, center, spec.radial_lambda)
-    elif spec.weight_rule != "unit":
-        raise ValueError(f"unknown weight rule {spec.weight_rule!r}")
-    return g, center

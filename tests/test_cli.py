@@ -1,11 +1,14 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from einstein_lab import cli, conditions, potential
@@ -73,8 +76,52 @@ class TestGenerate:
             f"error: generate --family {family[0]} needs {flag}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("given, message", [
+        (["lattice", "--side", "15", "--lambda", "0.5"],
+         "generate --weight-rule unit does not read --lambda"),
+        (["sierpinski", "--level", "3", "--dim", "3"],
+         "generate --family sierpinski does not read --dim"),
+        (["sierpinski", "--level", "3", "--side", "9"],
+         "generate --family sierpinski does not read --side"),
+        (["binary_tree", "--depth", "3", "--level", "5"],
+         "generate --family binary_tree does not read --level"),
+    ], ids=["lattice-lambda", "sierpinski-dim", "sierpinski-side",
+            "binary_tree-level"])
+    def test_unread_flag_usage_error(self, tmp_path, capsys, given, message):
+        out = tmp_path / "x.txt"
+        code = cli.main(["generate", "--family", *given, "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_family_dispatch(self, tmp_path, capsys):
+        out = str(tmp_path / "g.txt")
+        assert cli.main(["generate", "--family", "sierpinski", "--level", "2",
+                         "--out", out]) == cli.EXIT_OK
+        assert load(out).vertex_count == 15
+        assert cli.main(["generate", "--family", "lattice", "--dim", "1",
+                         "--side", "5", "--weight-rule", "radial",
+                         "--lambda", "0.5", "--out", out]) == cli.EXIT_OK
+        assert np.isclose(load(out).mu.sum(), 2 * (0.5 + 1 + 1 + 0.5))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["generate", "--family", "moebius", "--level", "3",
+                      "--out", out])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "invalid choice: 'moebius'" in capsys.readouterr().err
+
 
 class TestCompute:
+    def test_json_follows_redirected_stdout(self, z21_file):
+        # a library caller that swaps sys.stdout gets the JSON
+        path, g, c = z21_file
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["compute", "exit", "--graph", path,
+                             "--x", str(c), "--R", "3"])
+        assert code == cli.EXIT_OK
+        E = potential.mean_exit_time(g, c, 3)
+        assert json.loads(buf.getvalue())["result"]["E"] == float(f"{E:.12g}")
+
     def test_exit_unit_ball(self, z21_file):
         path, g, c = z21_file
         r = run_cli(["compute", "exit", "--graph", path,

@@ -1,12 +1,11 @@
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from einstein_lab._kernels import bfs_distances
 from einstein_lab.conditions import _loglog_fit
-from einstein_lab.generators import (FamilySpec, apply_radial_weights,
-                                     binary_tree, build, lattice_box,
-                                     sierpinski_gasket, vicsek_tree)
+from einstein_lab.generators import (apply_radial_weights, binary_tree,
+                                     lattice_box, sierpinski_gasket,
+                                     vicsek_tree)
 from einstein_lab.graph import eccentricities, min_transition
 from einstein_lab.potential import mean_exit_time, resistance_annulus
 
@@ -129,15 +128,6 @@ class TestWeightRules:
             apply_radial_weights(g, c, 0.1)
         with pytest.raises(ValueError):
             apply_radial_weights(g, c, 5.0)
-
-    def test_build_dispatch(self):
-        g, c = build(FamilySpec(family="sierpinski", size=2))
-        assert g.vertex_count == 15
-        g, c = build(FamilySpec(family="lattice", size=5, dim=1,
-                                weight_rule="radial", radial_lambda=0.5))
-        assert np.isclose(g.mu.sum(), 2 * (0.5 + 1 + 1 + 0.5))
-        with pytest.raises(ValueError):
-            build(FamilySpec(family="moebius", size=3))
 
 
 def test_all_families_pass_validation():
