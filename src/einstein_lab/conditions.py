@@ -29,6 +29,7 @@ from .graph import (annulus_volume, ball, eccentricities, host_frontier,
                     min_transition, shrink, sphere, volume)
 from .potential import (
     GreenOperator,
+    exit_times,
     g_condition,
     harnack_constant,
     hg_constant,
@@ -36,7 +37,6 @@ from .potential import (
     layered_lower_bound,
     max_exit_time,
     mean_exit_time,
-    resistance,
     resistance_annulus,
 )
 
@@ -174,12 +174,6 @@ class QuantityCache:
     def rho(self, x, r, R):
         return self._get(("rho", x, r, R),
                          lambda: resistance_annulus(self.g, x, r, R))
-
-    def rho_set_balls(self, x, r, R):
-        return self._get(
-            ("rhoset", x, r, R),
-            lambda: resistance(self.g, ball(self.g, x, r), ball(self.g, x, R)),
-        )
 
     def layered(self, x, r, R):
         """(layered bound, shell count) between B(x,r) and the exterior
@@ -510,8 +504,9 @@ def _le_rm(c, x, r, R):
 
 
 def _rho_v_sets(c, x, R):
-    """rho(A, complement B) v(x,R,2R) with A = B(x,R), B = B(x,2R)."""
-    return c.rho_set_balls(x, R, 2 * R) * annulus_volume(c.g, x, R, 2 * R)
+    """rho(A, complement B) v(x,R,2R) with A = B(x,R) = {d <= R-1} and
+    B = B(x,2R)."""
+    return c.rho(x, R - 1, 2 * R) * annulus_volume(c.g, x, R, 2 * R)
 
 
 def _ce_rm(c, x, r, R):
@@ -522,8 +517,8 @@ def _ce_rm(c, x, r, R):
     sr = shrink(g, A)
     keep = sr.old_to_new[B]
     region = np.sort(np.append(keep[keep >= 0], sr.a))
-    op = GreenOperator(sr.graph, region)
-    yield float(op.exit_times()[op.local(sr.a)]), _rho_v_sets(c, x, R), ""
+    E = exit_times(sr.graph, region)[region.size - 1]     # a is the last id
+    yield float(E), _rho_v_sets(c, x, R), ""
 
 
 def _lmin_e_rv(c, x, r, R):
@@ -549,9 +544,10 @@ def _llcce(c, x, r, R):
 # the suite in report order; te<rv needs a 5R margin, the series law 4R
 CHECKS = {
     "reversibility": _reversibility,
-    # lambda(B) rho(A, complement B) mu(A) <= 1 on ball pairs
+    # lambda(B) rho(A, complement B) mu(A) <= 1 on ball pairs; with
+    # A = B(x,r) = {d <= r-1} that resistance is rho(x,r-1,R)
     "llrv": Check(2, _pair_cells, lambda c, x, r, R: [(
-        c.lam(x, R) * c.rho_set_balls(x, r, R) * c.V(x, r), 1.0, "")]),
+        c.lam(x, R) * c.rho(x, r - 1, R) * c.V(x, r), 1.0, "")]),
     # lambda(x,2R) rho(x,R,2R) V(x,R) <= 1
     "lrvb": Check(2, _ball_cells, lambda c, x, r, R: [(
         c.lam(x, 2 * R) * c.rho(x, R, 2 * R) * c.V(x, R), 1.0, "")]),
@@ -565,7 +561,7 @@ CHECKS = {
     "pra>l2": Check(2, _pair_cells, _pra_l2),
     # the layered bound never exceeds rho(A, complement B)
     "layered": Check(2, _pair_cells, lambda c, x, r, R: [(
-        c.layered(x, r, R)[0], c.rho_set_balls(x, r, R), "bound<=rho")]),
+        c.layered(x, r, R)[0], c.rho(x, r - 1, R), "bound<=rho")]),
     # rho(x,r,R) v(x,r,R) >= (R-r)^2
     "crv>r2": Check(2, _pair_cells, lambda c, x, r, R: [(
         float((R - r) ** 2), c.rho(x, r, R) * annulus_volume(c.g, x, r, R),

@@ -26,6 +26,11 @@ class WeightedGraph:
     of the edge set takes its upper triangle.  All arrays are frozen after
     construction.  No per-center state is host-sized: balls are memoized
     per (center, radius) in ``_balls``, each as long as its ball.
+    ``potential.exit_times`` keeps exit-time vectors in ``_exit_times``,
+    keyed by a digest of the Dirichlet system (shapes, triplets and mu on
+    the region) so that translated balls share one solve; it holds
+    vectors, not factors, at most ``potential.EXIT_MEMO_BYTES`` of them
+    (``_exit_bytes``), least recently used first out.
     """
 
     def __init__(self, vertex_count, edges):
@@ -84,6 +89,8 @@ class WeightedGraph:
             arr.setflags(write=False)
 
         self._balls = {}
+        self._exit_times = {}           # system key -> exit-time vector
+        self._exit_bytes = 0
         self._profile = None
         self._ecc_all = None
         self._frontier = None

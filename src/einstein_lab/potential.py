@@ -20,6 +20,7 @@ resistance).  Set-valued resistances rho(A, Gamma \ B) take their poles
 literally.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,7 @@ DIRECT_SOLVE_LIMIT = 5000
 SOLVE_TOL = 1e-10
 EIGEN_TOL = 1e-9
 EIGEN_MAXITER = 10_000
+EXIT_MEMO_BYTES = 4 << 20       # exit-time vectors kept per graph
 
 
 # -- linear algebra plumbing -------------------------------------------------
@@ -271,15 +273,52 @@ class GreenOperator:
 # -- exit times ----------------------------------------------------------------
 
 
+def _system_key(n, i, j, w, mu):
+    """Digest of the Dirichlet system on n unknowns with off-diagonal
+    triplets (i, j, w) and diagonal mu: every input of its assembly, its
+    factor and its solve.  The shapes lead, so two systems whose arrays
+    concatenate to the same bytes still differ."""
+    h = hashlib.blake2b(np.array([n, w.size], dtype=np.int64).tobytes())
+    for a in (i, j, w, mu):
+        h.update(a.tobytes())
+    return h.digest()
+
+
+def exit_times(g, region):
+    """E_z(T_A) for z in the region A, read-only: the one path to an
+    exit-time vector.  Vectors are memoized per graph in ``g._exit_times``
+    under the system's key, so a ball that is a translate of one solved
+    before (same triplets, same mu, in the same order) costs a gather and
+    a hash.  A miss solves through a fresh GreenOperator; a failed solve
+    raises and stores nothing.  The memo holds at most EXIT_MEMO_BYTES
+    of vectors, dropping the least recently used first; a vector larger
+    than that is returned unstored."""
+    region = _as_vertex_set(g, region)
+    i, j, w = _gather(g, region, region)
+    key = _system_key(region.size, i, j, w, g.mu[region])
+    memo = g._exit_times
+    E = memo.pop(key, None)
+    if E is None:
+        E = GreenOperator(g, region).exit_times()
+        E.setflags(write=False)
+        if E.nbytes > EXIT_MEMO_BYTES:
+            return E
+        g._exit_bytes += E.nbytes
+        while g._exit_bytes > EXIT_MEMO_BYTES:
+            g._exit_bytes -= memo.pop(next(iter(memo))).nbytes
+    memo[key] = E
+    return E
+
+
 def mean_exit_time(g, x, R):
     """E(x,R): expected exit time of B(x,R) started at its center."""
-    op = GreenOperator(g, proper_ball(g, x, R))
-    return float(op.exit_times()[op.local(x)])
+    B = proper_ball(g, x, R)
+    return float(exit_times(g, B)[_locate(B, x)])
 
 
 def max_exit_time(g, x, R):
     """Ebar(x,R): worst-case expected exit time over starting points."""
-    return float(GreenOperator(g, proper_ball(g, x, R)).exit_times().max())
+    return float(exit_times(g, proper_ball(g, x, R)).max())
 
 
 # -- smallest Dirichlet eigenvalue ---------------------------------------------

@@ -15,7 +15,7 @@ from einstein_lab import cli, conditions, potential
 from einstein_lab.errors import UnreachableError
 from einstein_lab.generators import lattice_box
 from einstein_lab.graph import WeightedGraph, ball, load, save
-from test_potential import split_path, subnormal_tail
+from test_potential import count_factors, split_path, subnormal_tail
 
 
 def run_cli(args, **kw):
@@ -622,6 +622,22 @@ def test_verify_report_digest(tmp_path, family, digest):
                      "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_OK
     report = (tmp_path / "rep" / "verify.csv").read_bytes()
     assert hashlib.sha256(report).hexdigest() == digest
+
+
+def test_verify_factors_each_lattice_system_once(tmp_path, monkeypatch):
+    # z41's sweep asks for 1306 Dirichlet systems, most of them translates
+    # of 117 distinct ones; the exit-time memo keeps the factor count near
+    # the distinct count, whatever the machine's speed
+    path = str(tmp_path / "z41.txt")
+    assert cli.main(["generate", "--family", "lattice", "--side", "41",
+                     "--out", path]) == cli.EXIT_OK
+    factors = count_factors(monkeypatch)
+    assert cli.main(["verify", "--graph", path,
+                     "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_OK
+    assert len(factors) <= 300
+    report = (tmp_path / "rep" / "verify.csv").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == \
+        "6dfb0172309c20b44e1194921363b0942ff71c5ec9b7790def8efe0fbad4e04e"
 
 
 # `generate` files, pinned with the per-edge loop construction and the

@@ -13,7 +13,8 @@ from einstein_lab.graph import (WeightedGraph, ball, boundary,
                                 eccentricities, volume)
 from einstein_lab import potential
 from einstein_lab.potential import (GreenOperator, dirichlet_potential,
-                                    g_condition, harmonic_measure,
+                                    exit_times, g_condition,
+                                    harmonic_measure,
                                     harnack_constant, hg_constant, lambda_min,
                                     layered_lower_bound, max_exit_time,
                                     mean_exit_time, resistance,
@@ -325,6 +326,107 @@ class TestExitTimes:
         g = path_graph(5)
         with pytest.raises(MarginError):
             mean_exit_time(g, 2, 40)
+
+
+def count_factors(monkeypatch):
+    """A list that grows by one per factorization from here on."""
+    factors = []
+    make_solver = potential._make_solver
+    monkeypatch.setattr(potential, "_make_solver",
+                        lambda M: factors.append(M.shape) or make_solver(M))
+    return factors
+
+
+def fresh_exit_times(g, region):
+    """The exit-time vector of a new GreenOperator, bypassing the memo."""
+    return GreenOperator(g, region).exit_times()
+
+
+class TestExitMemo:
+    def test_translates_share_one_solve(self, monkeypatch):
+        g, c = lattice_box(2, 41)
+        factors = count_factors(monkeypatch)
+        e0, e1 = mean_exit_time(g, c, 4), mean_exit_time(g, c + 1, 4)
+        assert len(factors) == 1
+        ebar = max_exit_time(g, c, 4)
+        assert len(factors) == 1
+        fresh, _ = lattice_box(2, 41)
+        for x, value in ((c, e0), (c + 1, e1)):
+            B = ball(fresh, x, 4)
+            E = fresh_exit_times(fresh, B)
+            assert value == float(E[np.searchsorted(B, x)])
+        assert ebar == float(E.max())
+
+    @given(small_graphs(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_fresh_operator(self, g, data):
+        regions = [proper_subsets(data, g) for _ in range(3)]
+        for region in regions + regions[::-1]:
+            E = exit_times(g, region)
+            assert E.tobytes() == fresh_exit_times(g, region).tobytes()
+        assert len(g._exit_times) <= len({r.tobytes() for r in regions})
+
+    def test_equal_length_streams_of_other_shapes(self):
+        # {5, 6} has n = 2 and two off-diagonal entries, eight vertices
+        # with no edge between them n = 8 and none: both hash 64 bytes
+        g = WeightedGraph(20, [(i, i + 1, 1.0 + i / 8) for i in range(19)])
+        pair, spread = np.array([5, 6]), np.arange(1, 17, 2)
+        for region in (pair, spread, pair, spread):
+            assert exit_times(g, region).tobytes() == \
+                fresh_exit_times(g, region).tobytes()
+        assert len(g._exit_times) == 2
+
+    def test_key_carries_the_shapes(self):
+        # one system's arrays are the other's bytes cut elsewhere
+        mu = np.array([1.5, 2.5, 3.5, 4.5])
+        key = potential._system_key
+        empty = np.empty(0, dtype=np.int64)
+        four = key(4, empty, empty, np.empty(0), mu)
+        one = key(1, mu[:1].view(np.int64), mu[1:2].view(np.int64), mu[2:3],
+                  mu[3:])
+        assert four != one
+
+    def test_failed_solve_is_not_stored(self):
+        g = split_path()
+        for _ in range(2):
+            with pytest.raises(ConvergenceError, match="exactly singular"):
+                mean_exit_time(g, 32, 8)
+        assert g._exit_times == {} and g._exit_bytes == 0
+
+    def test_memo_bounded_by_bytes(self, monkeypatch):
+        g, _ = sierpinski_gasket(5)
+        cap = 4 * 8 * ball(g, 0, 3).size
+        monkeypatch.setattr(potential, "EXIT_MEMO_BYTES", cap)
+        for x in range(30):
+            mean_exit_time(g, x, 3)
+            stored = sum(E.nbytes for E in g._exit_times.values())
+            assert g._exit_bytes == stored <= cap
+        assert 1 <= len(g._exit_times) < 30
+
+    def test_least_recently_used_is_dropped(self, monkeypatch):
+        # singletons of distinct measure: one 8-byte vector each
+        g = WeightedGraph(6, [(i, i + 1, 1.0 + i) for i in range(5)])
+        monkeypatch.setattr(potential, "EXIT_MEMO_BYTES", 16)
+        for v in (1, 2, 1, 3):
+            exit_times(g, [v])
+        factors = count_factors(monkeypatch)
+        exit_times(g, [1])
+        assert factors == []
+        exit_times(g, [2])
+        assert factors == [(1, 1)]
+
+    def test_vector_larger_than_the_cap_is_not_stored(self, monkeypatch):
+        g, c = lattice_box(2, 21)
+        monkeypatch.setattr(potential, "EXIT_MEMO_BYTES", 8)
+        assert exit_times(g, ball(g, c, 2)).size == 5
+        assert g._exit_times == {} and g._exit_bytes == 0
+
+    def test_returned_vector_is_read_only(self):
+        g, c = lattice_box(2, 21)
+        E = exit_times(g, ball(g, c, 3))
+        with pytest.raises(ValueError, match="read-only"):
+            E[0] = 0.0
+        assert exit_times(g, ball(g, c + 1, 3)) is E
 
 
 class TestLambdaMin:
