@@ -9,11 +9,10 @@ from .graph import (WeightedGraph, annulus_volume, ball, boundary, closure,
 from .generators import (binary_tree, lattice_box, sierpinski_gasket,
                          vicsek_tree)
 from .potential import (EigenResult, GreenOperator, HarmonicMeasure,
-                        PotentialField, dirichlet_potential, exit_times,
-                        g_condition, harmonic_measure, harnack_constant,
-                        hg_constant, lambda_min, layered_lower_bound,
-                        max_exit_time, mean_exit_time, resistance,
-                        resistance_annulus)
+                        exit_times, g_condition, harmonic_measure,
+                        harnack_constant, hg_constant, lambda_min,
+                        layered_lower_bound, max_exit_time, mean_exit_time,
+                        resistance, resistance_annulus)
 from .walker import McEstimate, WalkConfig, mc_exit_sample, mc_exit_time
 from .conditions import (ConditionReport, EinsteinRecord, ExponentFit,
                          SweepGrid, auto_centers, default_grid,

@@ -56,13 +56,6 @@ class SweepGrid:
     radii: tuple
 
 
-@dataclass(frozen=True)
-class CellSkip:
-    x: int
-    R: int
-    reason: str
-
-
 def ball_inside_host(g, x, K):
     """True when B(x,K) lies strictly inside the host: the ball is a
     proper subset and stays off the truncation frontier (so no clipped
@@ -77,14 +70,14 @@ def ball_inside_host(g, x, K):
 
 def valid_cells(g, grid, m):
     """Cells whose enlarged ball B(x, m*R) fits strictly inside the
-    host, plus recorded exclusions."""
+    host, plus the excluded cells as (x, R, reason)."""
     cells, skipped = [], []
     for x in grid.centers:
         for R in grid.radii:
             if ball_inside_host(g, x, m * R):
                 cells.append((int(x), int(R)))
             else:
-                skipped.append(CellSkip(
+                skipped.append((
                     int(x), int(R),
                     f"B({x},{m}*{R}) not strictly inside the host"))
     return cells, skipped
@@ -259,8 +252,8 @@ class Condition:
 
 def _cells_with_note(g, grid, m):
     cells, skipped = valid_cells(g, grid, m)
-    return cells, "; ".join(f"skip ({s.x},{s.R}): {s.reason}"
-                            for s in skipped)
+    return cells, "; ".join(f"skip ({x},{R}): {reason}"
+                            for x, R, reason in skipped)
 
 
 def _partners(g, grid, cond, x, R):
@@ -447,11 +440,6 @@ def _lmarkov_cells(g, grid, m):
             if ball_inside_host(g, x, R + r)]
 
 
-def _even_cells(g, grid, m):
-    """Ball cells whose radius halves to an integer."""
-    return [(x, R, R) for x, R in valid_cells(g, grid, m)[0] if R % 2 == 0]
-
-
 def _reversibility(name, g, grid, cache):
     """mu(x)P(x,y) == mu(y)P(y,x) on the stored weights: one row for the
     largest relative asymmetry, asserted at REVERSIBILITY_TOL."""
@@ -522,7 +510,9 @@ def _ce_rm(c, x, r, R):
 
 
 def _lmin_e_rv(c, x, r, R):
-    """min over S(x,3R/2) of E(z,R/2) <= rho v."""
+    """min over S(x,3R/2) of E(z,R/2) <= rho v, for even R."""
+    if R % 2:
+        return
     zs = sphere(c.g, x, 3 * R // 2)
     if zs.size:
         yield min(c.E(int(z), R // 2) for z in zs), _rho_v_sets(c, x, R), ""
@@ -557,7 +547,7 @@ CHECKS = {
     "lmarkov": Check(3, _lmarkov_cells, _lmarkov),
     "lE<rm": Check(2, _ball_cells, _le_rm),
     "cE<rm": Check(2, _ball_cells, _ce_rm),
-    "lminE<rv": Check(2, _even_cells, _lmin_e_rv),
+    "lminE<rv": Check(2, _ball_cells, _lmin_e_rv),
     "pra>l2": Check(2, _pair_cells, _pra_l2),
     # the layered bound never exceeds rho(A, complement B)
     "layered": Check(2, _pair_cells, lambda c, x, r, R: [(
@@ -634,7 +624,7 @@ def einstein_report(g, grid, cache=None):
         argmin=(records[i_min].x, records[i_min].R),
         argmax=(records[i_max].x, records[i_max].R),
         cells=len(records),
-        skipped=tuple((s.x, s.R, s.reason) for s in skipped),
+        skipped=tuple(skipped),
     )
     return records, summary
 

@@ -110,18 +110,15 @@ def _locate(region, v):
     return i
 
 
-# -- Dirichlet potentials and resistance -------------------------------------
+# -- resistance ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PotentialField:
-    values: np.ndarray        # one value per vertex; 1 on source, 0 on sink
-    source: np.ndarray
-    residual: float
+def resistance(g, A, B_outer):
+    """Effective resistance between A and the complement of B_outer.
 
-
-def dirichlet_potential(g, A, B_outer):
-    """Capacity potential: 1 on A, 0 off B_outer, harmonic in between."""
+    Solves the capacity potential u (1 on A, 0 off B_outer, harmonic on
+    B_outer minus A) and returns 1 over the current leaving A; every
+    array is the size of B_outer or of A's cut, never of the host."""
     A = _as_vertex_set(g, A)
     B = _as_vertex_set(g, B_outer)
     if A.size == 0:
@@ -131,37 +128,24 @@ def dirichlet_potential(g, A, B_outer):
         raise ValueError("source must lie inside B_outer")
     if B.size == g.vertex_count:
         raise ValueError("sink is empty (B_outer covers the host)")
-
-    values = np.zeros(g.vertex_count, dtype=np.float64)
-    values[A] = 1.0
-    residual = 0.0
+    u = np.empty(0)
     if interior.size:
-        op = GreenOperator(g, interior)
         # a row sums as its first entry plus the sum of the rest
         # (np.add.reduceat, scipy's row-sum order): the order the pinned
         # verify.csv digests were computed in
         i, _, w = _gather(g, interior, A)
         rows, starts = np.unique(i, return_index=True)
         rhs = np.bincount(rows, np.add.reduceat(w, starts), interior.size)
-        values[interior] = op.solve(rhs)
-        residual = op.residual
-    return PotentialField(values, A, residual)
-
-
-def current_out(g, A, values):
-    """Total current leaving A: sum of mu_xy (u(x) - u(y)) over the cut,
-    per row of A in CSR order, then row after row."""
-    A = np.asarray(A, dtype=np.int64)
+        u = GreenOperator(g, interior).solve(rhs)
+    # sum of mu_xy (1 - u(y)) over the cut, per row of A in CSR order,
+    # then row after row; u is 0 on the cut outside B_outer
     cut = boundary(g, A)
+    k = np.searchsorted(interior, cut)
+    u_cut = np.where(np.append(interior, -1)[k] == cut, np.append(u, 0.0)[k],
+                     0.0)
     i, j, w = _gather(g, A, cut)
-    flow = np.bincount(i, w * (values[A[i]] - values[cut[j]]), A.size)
-    return float(np.cumsum(flow)[-1])
-
-
-def resistance(g, A, B_outer):
-    """Effective resistance between A and the complement of B_outer."""
-    field = dirichlet_potential(g, A, B_outer)
-    current = current_out(g, field.source, field.values)
+    current = float(np.cumsum(np.bincount(i, w * (1.0 - u_cut[j]),
+                                          A.size))[-1])
     if current <= 1e-300:
         raise UnreachableError("no current flows from source to sink")
     return 1.0 / current

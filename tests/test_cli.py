@@ -613,7 +613,10 @@ class TestMc:
      "c50d9a32182b2358bc569a48611ad1bede91d06658395ac3935994f8959fcf36"),
     (["lattice", "--dim", "3", "--side", "7"],
      "c64a55e5f1cb9f39c61263e7b16affad3cc86a8cb18df781afd5b288291384f9"),
-], ids=["sierpinski5", "vicsek3", "binary_tree7", "line129", "box7"])
+    # z81's harnack_constant balls exceed DIRECT_SOLVE_LIMIT: the CG branch
+    (["lattice", "--side", "81"],
+     "c5653c997c6c04f32550fd23bd60a162ba0a121b05fc726c0eb8b885702be948"),
+], ids=["sierpinski5", "vicsek3", "binary_tree7", "line129", "box7", "z81"])
 def test_verify_report_digest(tmp_path, family, digest):
     path = str(tmp_path / "host.txt")
     assert cli.main(["generate", "--family", family[0], *family[1:],

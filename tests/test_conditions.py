@@ -89,15 +89,15 @@ class TestGrids:
         grid = SweepGrid((c,), (2, 8, 32))
         cells, skipped = valid_cells(g, grid, 2)
         assert cells == [(c, 2), (c, 8)]
-        assert len(skipped) == 1 and skipped[0].R == 32
-        assert "not strictly inside" in skipped[0].reason
+        assert len(skipped) == 1 and skipped[0][1] == 32
+        assert "not strictly inside" in skipped[0][2]
 
     def test_periphery_cells_excluded(self, z129):
         # B(32, 2*24) swallows the path endpoint 0: truncation bias
         g, c, _ = z129
         cells, skipped = valid_cells(g, SweepGrid((32,), (8, 24)), 2)
         assert cells == [(32, 8)]
-        assert [s.R for s in skipped] == [24]
+        assert [R for _, R, _ in skipped] == [24]
 
     def test_radius_pairs_excludes_thin_annuli(self):
         grid = SweepGrid((0,), (2, 3, 4, 8))
