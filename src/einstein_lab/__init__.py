@@ -12,7 +12,7 @@ from .potential import (EigenResult, GreenOperator, HarmonicMeasure,
                         exit_times, g_condition, harmonic_measure,
                         harnack_constant, hg_constant, lambda_min,
                         layered_lower_bound, max_exit_time, mean_exit_time,
-                        resistance, resistance_annulus)
+                        resistance, resistance_annulus, shrunk_exit_time)
 from .walker import McEstimate, WalkConfig, mc_exit_sample, mc_exit_time
 from .conditions import (ConditionReport, EinsteinRecord, ExponentFit,
                          SweepGrid, auto_centers, default_grid,

@@ -268,9 +268,8 @@ def cmd_compute(args):
     elif q == "harnack":
         result = {"H": potential.harnack_constant(g, args.x, args.R)}
     elif q == "hg":
-        lo, hi = potential.g_condition(g, args.x, args.R)
-        result = {"hg": potential.hg_constant(g, args.x, args.R),
-                  "g_low": lo, "g_high": hi}
+        lo, hi, hg = potential.g_condition(g, args.x, args.R)
+        result = {"hg": hg, "g_low": lo, "g_high": hi}
     _dump_json({"manifest": _manifest(args, info), "result": result})
     return EXIT_OK
 

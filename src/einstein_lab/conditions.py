@@ -26,18 +26,17 @@ import numpy as np
 from ._kernels import bfs_distances
 from .errors import ConvergenceError, MarginError, UnreachableError
 from .graph import (annulus_volume, ball, eccentricities, host_frontier,
-                    min_transition, shrink, sphere, volume)
+                    min_transition, sphere, volume)
 from .potential import (
     GreenOperator,
-    exit_times,
     g_condition,
     harnack_constant,
-    hg_constant,
     lambda_min,
     layered_lower_bound,
     max_exit_time,
     mean_exit_time,
     resistance_annulus,
+    shrunk_exit_time,
 )
 
 REL_TOL = 1e-8
@@ -185,14 +184,10 @@ class QuantityCache:
         """rho(x,R,2R) * v(x,R,2R), the Einstein product."""
         return self.rho(x, R, 2 * R) * annulus_volume(self.g, x, R, 2 * R)
 
-    def harnack(self, x, R):
-        return self._get(("H", x, R), lambda: harnack_constant(self.g, x, R))
-
-    def hg(self, x, R):
-        return self._get(("HG", x, R), lambda: hg_constant(self.g, x, R))
-
-    def gcond(self, x, R):
-        return self._get(("g", x, R), lambda: g_condition(self.g, x, R))
+    def green(self, x, R):
+        """(g_low, g_high, hg) from one Green solve on B(x,2R): HG and g
+        share it."""
+        return self._get(("green", x, R), lambda: g_condition(self.g, x, R))
 
 
 # -- condition measurement ------------------------------------------------------
@@ -304,9 +299,9 @@ def _g_report(tag, g, grid, cache):
     cells, note = _cells_with_note(g, grid, 2)
     if not cells:
         raise MarginError(f"no valid cells for condition {tag}")
-    bounds = [cache.gcond(x, R) for x, R in cells]
-    los = [lo for lo, _ in bounds]
-    his = [hi for _, hi in bounds]
+    bounds = [cache.green(x, R) for x, R in cells]
+    los = [lo for lo, _, _ in bounds]
+    his = [hi for _, hi, _ in bounds]
     k = int(np.argmax(his))
     rows = [(tag, x, R, R, "c_low", lo) for (x, R), lo in zip(cells, los)] \
         + [(tag, x, R, R, "C_high", hi) for (x, R), hi in zip(cells, his)]
@@ -339,10 +334,10 @@ CONDITIONS = {
     "E_hom": Condition(3, "centers", lambda c, x, R: c.E(x, R),
                        lambda c, y, R: c.E(y, R)),
     "p0": _p0_report,
-    "H": Condition(2, "self", lambda c, x, R: c.harnack(x, R)),
+    "H": Condition(2, "self", lambda c, x, R: harnack_constant(c.g, x, R)),
     "Ebar": Condition(2, "self", lambda c, x, R: c.Ebar(x, R),
                       lambda c, y, R: c.E(y, R)),
-    "HG": Condition(2, "self", lambda c, x, R: c.hg(x, R)),
+    "HG": Condition(2, "self", lambda c, x, R: c.green(x, R)[2]),
     "g": _g_report,
     "aVD": _anti_doubling_report,
     "adrv": _anti_doubling_report,
@@ -497,18 +492,6 @@ def _rho_v_sets(c, x, R):
     return c.rho(x, R - 1, 2 * R) * annulus_volume(c.g, x, R, 2 * R)
 
 
-def _ce_rm(c, x, r, R):
-    """On the graph with A shrunk to a point a: E_a(T_B) <= rho v."""
-    g = c.g
-    A = ball(g, x, R)
-    B = ball(g, x, 2 * R)
-    sr = shrink(g, A)
-    keep = sr.old_to_new[B]
-    region = np.sort(np.append(keep[keep >= 0], sr.a))
-    E = exit_times(sr.graph, region)[region.size - 1]     # a is the last id
-    yield float(E), _rho_v_sets(c, x, R), ""
-
-
 def _lmin_e_rv(c, x, r, R):
     """min over S(x,3R/2) of E(z,R/2) <= rho v, for even R."""
     if R % 2:
@@ -546,7 +529,9 @@ CHECKS = {
         1.0 / c.lam(x, R), c.Ebar(x, R), "")]),
     "lmarkov": Check(3, _lmarkov_cells, _lmarkov),
     "lE<rm": Check(2, _ball_cells, _le_rm),
-    "cE<rm": Check(2, _ball_cells, _ce_rm),
+    # on the graph with A = B(x,R) shrunk to a point a: E_a(T_B) <= rho v
+    "cE<rm": Check(2, _ball_cells, lambda c, x, r, R: [(
+        shrunk_exit_time(c.g, x, R), _rho_v_sets(c, x, R), "")]),
     "lminE<rv": Check(2, _ball_cells, _lmin_e_rv),
     "pra>l2": Check(2, _pair_cells, _pra_l2),
     # the layered bound never exceeds rho(A, complement B)

@@ -29,7 +29,8 @@ import scipy.sparse.linalg as spla
 
 from ._kernels import bfs_distances
 from .errors import ConvergenceError, MarginError, UnreachableError
-from .graph import ball, boundary, proper_ball, volume
+from .graph import (WeightedGraph, ball, boundary, closure, proper_ball,
+                    shrink, volume)
 
 DIRECT_SOLVE_LIMIT = 5000
 SOLVE_TOL = 1e-10
@@ -305,6 +306,21 @@ def max_exit_time(g, x, R):
     return float(exit_times(g, proper_ball(g, x, R)).max())
 
 
+def shrunk_exit_time(g, x, R):
+    """E_a(T_B), B = B(x,2R), once A = B(x,R) is shrunk to a vertex a.
+    Only C = closure(B) is shrunk: it holds B's rows in order, so the system
+    is the shrunk host's when the stored pattern is symmetric (an entry
+    stored one way, in a row outside C, is not seen)."""
+    A = proper_ball(g, x, R)
+    B = proper_ball(g, x, 2 * R, what="outer ball")
+    C = closure(g, B)
+    i, j, w = _gather(g, C, C)
+    indptr = np.r_[0, np.cumsum(np.bincount(i, minlength=C.size))]
+    sr = shrink(WeightedGraph.from_csr(indptr, j, w), np.searchsorted(C, A))
+    keep = sr.old_to_new[np.searchsorted(C, B)]
+    return float(exit_times(sr.graph, np.append(keep[keep >= 0], sr.a))[-1])
+
+
 # -- smallest Dirichlet eigenvalue ---------------------------------------------
 
 
@@ -415,13 +431,12 @@ def _green_ball_profile(g, x, R):
 def hg_constant(g, x, R):
     """sup over the annulus of g^{B(x,2R)}(x,.) divided by the inf over
     B(x,R); the measured constant of the Green-kernel Harnack bound."""
-    inf_ball, sup_ann, _ = _green_ball_profile(g, x, R)
-    return sup_ann / inf_ball
+    return g_condition(g, x, R)[2]
 
 
 def g_condition(g, x, R):
-    """Dimensionless Green bounds (lower, upper):
-    (min over B(x,R) of g) V/E  and  (max over the annulus of g) V/E."""
+    """From one Green solve: the bounds (min over B(x,R) of g) V/E and (max
+    over the annulus of g) V/E, then hg_constant's ratio sup/inf."""
     inf_ball, sup_ann, e2r = _green_ball_profile(g, x, R)
     V = volume(g, x, R)
-    return inf_ball * V / e2r, sup_ann * V / e2r
+    return inf_ball * V / e2r, sup_ann * V / e2r, sup_ann / inf_ball

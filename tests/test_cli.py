@@ -600,24 +600,32 @@ class TestMc:
         assert rho == float(f"{rho:.12g}")
 
 
-# verify.csv digests of the `generate` fixtures, pinned with numpy 2.4.6
-# and scipy 1.17.1; other builds may legitimately move the last bits
-@pytest.mark.parametrize("family, digest", [
+# verify.csv and verify.json digests of the `generate` fixtures, pinned
+# with numpy 2.4.6 and scipy 1.17.1; other builds may legitimately move the
+# last bits.  Witnesses and cell counts are in verify.json only, so a
+# change can move them with verify.csv unchanged
+@pytest.mark.parametrize("family, digest, json_digest", [
     (["sierpinski", "--level", "5"],
-     "74de1c970f31fce37c4688042a67ab289bba77156cae7f09b5118ff271bf87ef"),
+     "74de1c970f31fce37c4688042a67ab289bba77156cae7f09b5118ff271bf87ef",
+     "8593b02cf3a821f77e375c1a6036e8e1dd26f68092892bd27ea6a7ff52af8328"),
     (["vicsek", "--level", "3"],
-     "d79277d906a62a5fd7b4849b5f98ac6f4d2a19bbcc9e06a85d98b3e66b513c3a"),
+     "d79277d906a62a5fd7b4849b5f98ac6f4d2a19bbcc9e06a85d98b3e66b513c3a",
+     "6d55babe9ff516bc2e5f565755e885a3c4c944bd0a38d8888f22cc48eef37b61"),
     (["binary_tree", "--depth", "7"],
-     "e826c45098fa80cf654a920fb75321fee23bab85ebdfae67dbe36167840b47ea"),
+     "e826c45098fa80cf654a920fb75321fee23bab85ebdfae67dbe36167840b47ea",
+     "f834e302c02c8bbb526a44e3b4c7b1c424cb7cfcc5701a14c7075d59c70e4357"),
     (["lattice", "--dim", "1", "--side", "129"],
-     "c50d9a32182b2358bc569a48611ad1bede91d06658395ac3935994f8959fcf36"),
+     "c50d9a32182b2358bc569a48611ad1bede91d06658395ac3935994f8959fcf36",
+     "c4588220492c0f8a85b58f0961bd3a97c0a8f2859cbdd9eaa2e8466656f08006"),
     (["lattice", "--dim", "3", "--side", "7"],
-     "c64a55e5f1cb9f39c61263e7b16affad3cc86a8cb18df781afd5b288291384f9"),
+     "c64a55e5f1cb9f39c61263e7b16affad3cc86a8cb18df781afd5b288291384f9",
+     "ac321d01c5a81b55953ef467bd228d249b288cfc3971a110e2d349901c7a701d"),
     # z81's harnack_constant balls exceed DIRECT_SOLVE_LIMIT: the CG branch
     (["lattice", "--side", "81"],
-     "c5653c997c6c04f32550fd23bd60a162ba0a121b05fc726c0eb8b885702be948"),
+     "c5653c997c6c04f32550fd23bd60a162ba0a121b05fc726c0eb8b885702be948",
+     "a45f365f4cf555604dbdddb7946d58e7685a58a5e184af7378f62044a47f5b9f"),
 ], ids=["sierpinski5", "vicsek3", "binary_tree7", "line129", "box7", "z81"])
-def test_verify_report_digest(tmp_path, family, digest):
+def test_verify_report_digest(tmp_path, family, digest, json_digest):
     path = str(tmp_path / "host.txt")
     assert cli.main(["generate", "--family", family[0], *family[1:],
                      "--out", path]) == cli.EXIT_OK
@@ -625,6 +633,21 @@ def test_verify_report_digest(tmp_path, family, digest):
                      "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_OK
     report = (tmp_path / "rep" / "verify.csv").read_bytes()
     assert hashlib.sha256(report).hexdigest() == digest
+    # the run's time and the host's temporary path are dropped
+    doc = json.loads((tmp_path / "rep" / "verify.json").read_text())
+    man = doc["manifest"]
+    del man["timestamp"], man["graph"]["path"], man["params"]["graph"]
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == json_digest
+
+
+def test_compute_hg_factors_once(z21_file, monkeypatch):
+    # hg, g_low and g_high come from one Green solve on B(x,2R)
+    path, g, c = z21_file
+    factors = count_factors(monkeypatch)
+    assert cli.main(["compute", "hg", "--graph", path, "--x", str(c),
+                     "--R", "4"]) == cli.EXIT_OK
+    assert len(factors) == 1
 
 
 def test_verify_factors_each_lattice_system_once(tmp_path, monkeypatch):

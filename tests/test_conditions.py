@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from einstein_lab.generators import (apply_radial_weights, binary_tree,
 from einstein_lab.graph import WeightedGraph, host_frontier
 from einstein_lab.potential import resistance_annulus
 from test_graph import stored_walks
+from test_potential import count_factors
 
 
 def reversibility_reference(g):
@@ -186,15 +188,28 @@ class TestMeasureCondition:
         # a table entry holding the original would bypass the wrapper
         g, c, _ = z41
         seen = []
-        harnack, volume = QuantityCache.harnack, conditions.annulus_volume
-        monkeypatch.setattr(QuantityCache, "harnack", lambda self, x, R:
-                            seen.append("H") or harnack(self, x, R))
+        green, harnack = QuantityCache.green, conditions.harnack_constant
+        volume = conditions.annulus_volume
+        monkeypatch.setattr(QuantityCache, "green", lambda self, x, R:
+                            seen.append("green") or green(self, x, R))
+        monkeypatch.setattr(conditions, "harnack_constant", lambda *a:
+                            seen.append("H") or harnack(*a))
         monkeypatch.setattr(conditions, "annulus_volume", lambda *a:
                             seen.append("v") or volume(*a))
         grid = SweepGrid((c,), (2, 4))
         measure_condition(g, grid, "H")
+        measure_condition(g, grid, "HG")
         conditions.CHECKS["crv>r2"]("crv>r2", g, grid, QuantityCache(g))
-        assert seen == ["H", "H", "v"]
+        assert seen == ["H", "H", "green", "green", "v"]
+
+    def test_hg_and_g_share_one_green_solve(self, z41, monkeypatch):
+        g, c, _ = z41
+        cache = QuantityCache(g)
+        grid = SweepGrid((c,), (2, 4))
+        factors = count_factors(monkeypatch)
+        measure_condition(g, grid, "HG", cache=cache)
+        measure_condition(g, grid, "g", cache=cache)
+        assert len(factors) == 2
 
     def test_one_dispatch_in_report_order(self, z41, monkeypatch):
         assert conditions.CONDITION_TAGS == (
@@ -328,6 +343,24 @@ class TestVerifySuite:
         rev = next(r for r in results if r.check == "reversibility")
         assert rev.passed is False
         assert rev.witness[:2] == (c, c + 1)
+
+    @pytest.mark.parametrize("side", [41, 401])
+    def test_warm_ce_rm_cell_costs_its_ball(self, side):
+        # with B(x,4), B(x,8) and rho(x,3,8) memoized, one cE<rm cell
+        # shrinks the closure of B(x,8) only: a shrunk copy of 401x401
+        # alone is tens of megabytes
+        g, c = lattice_box(2, side)
+        cache = QuantityCache(g)
+        cache.rho(c + 1, 3, 8)
+        observe = conditions.CHECKS["cE<rm"].observe
+        tracemalloc.start()
+        try:
+            rows = list(observe(cache, c + 1, 4, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 1
+        assert peak < 256 * 1024
 
 
 class TestEinstein:

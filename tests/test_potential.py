@@ -5,19 +5,21 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from einstein_lab.conditions import default_grid, valid_cells
 from einstein_lab.errors import ConvergenceError, MarginError, UnreachableError
-from einstein_lab.generators import lattice_box, sierpinski_gasket
+from einstein_lab.generators import (apply_radial_weights, lattice_box,
+                                     sierpinski_gasket)
 from einstein_lab.graph import (WeightedGraph, ball, boundary,
-                                eccentricities, volume)
+                                eccentricities, shrink, volume)
 from einstein_lab import potential
 from einstein_lab.potential import (GreenOperator, exit_times, g_condition,
                                     harmonic_measure,
                                     harnack_constant, hg_constant, lambda_min,
                                     layered_lower_bound, max_exit_time,
                                     mean_exit_time, resistance,
-                                    resistance_annulus)
+                                    resistance_annulus, shrunk_exit_time)
 from einstein_lab.walker import WalkConfig, mc_exit_time
 from test_graph import (adjacency, bfs_reference, connected_graphs,
                         edge_lists, stored_walks)
@@ -418,6 +420,63 @@ class TestExitMemo:
         assert exit_times(g, ball(g, c + 1, 3)) is E
 
 
+def two_way(g):
+    """g without its one-way stored entries; asymmetric weights and
+    self-loops stay."""
+    pattern = (g.matrix > 0).astype(np.int8)
+    W = g.matrix.multiply(pattern.multiply(pattern.T)).tocsr()
+    W.eliminate_zeros()
+    W.sort_indices()
+    return WeightedGraph.from_csr(W.indptr, W.indices, W.data)
+
+
+def shrunk_host_exit_time(g, x, R):
+    """E_a(T_B) with A = B(x,R) shrunk in the whole host and B = B(x,2R):
+    the definition shrunk_exit_time must meet bit for bit."""
+    sr = shrink(g, ball(g, x, R))
+    keep = sr.old_to_new[ball(g, x, 2 * R)]
+    region = np.sort(np.append(keep[keep >= 0], sr.a))
+    return float(exit_times(sr.graph, region)[region.size - 1])
+
+
+# graphs whose stored pattern is symmetric: the stored walks keep their
+# asymmetric weights and self-loops but lose their one-way entries
+SHRINK_GRAPHS = st.one_of(
+    connected_graphs(),
+    edge_lists(hub=True).map(lambda c: WeightedGraph(*c)),
+    stored_walks().map(two_way),
+    stored_walks(edge_lists(hub=True)).map(two_way),
+)
+
+
+class TestShrunkExitTime:
+    @given(SHRINK_GRAPHS, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_shrunk_ball_equals_shrunk_host(self, g, data):
+        # both solve the same system, so a weight ratio beyond float64
+        # fails both alike, with the same residual
+        x = data.draw(st.integers(0, g.vertex_count - 1))
+        R = data.draw(st.sampled_from([1, 2, 3]))
+        assume(ball(g, x, 2 * R).size < g.vertex_count)
+        got = outcome(shrunk_exit_time, g, x, R)
+        want = outcome(shrunk_host_exit_time, g, x, R)
+        if isinstance(want, ConvergenceError):
+            assert (str(got), repr(got.residual)) == \
+                (str(want), repr(want.residual))
+        else:
+            assert got == want
+
+    def test_radial_z15_cells(self):
+        # the cE<rm cells of the radial z15 sweep, whose weights span
+        # e^{-0.5 d}: the last bits of E are the host shrink's
+        g = apply_radial_weights(*lattice_box(2, 15), 0.5)
+        cells = valid_cells(g, default_grid(g), 2)[0]
+        assert cells
+        for x, R in cells:
+            assert shrunk_exit_time(g, x, R) == \
+                shrunk_host_exit_time(g, x, R)
+
+
 class TestLambdaMin:
     def test_singleton_no_loop(self):
         g = path_graph(3)
@@ -526,7 +585,8 @@ class TestGreenRatios:
         # B = B(4,4) on the 9-path: kernel 2 at the center, linear decay
         g = path_graph(9)
         assert hg_constant(g, 4, 2) == pytest.approx(2 / 3, rel=1e-10)
-        lo, hi = g_condition(g, 4, 2)
+        lo, hi, hg = g_condition(g, 4, 2)
+        assert hg == hg_constant(g, 4, 2)
         assert lo == pytest.approx(1.5 * 6 / 16, rel=1e-10)
         assert hi == pytest.approx(1.0 * 6 / 16, rel=1e-10)
 
