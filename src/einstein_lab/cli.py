@@ -303,16 +303,11 @@ def cmd_verify(args):
     payload = {
         "manifest": _manifest(args, info, timestamp=True),
         "grid": {"centers": list(grid.centers), "radii": list(grid.radii)},
-        "inequalities": [
-            {"check": c.check, "passed": c.passed,
-             "worst_slack": c.worst_slack, "witness": c.witness,
-             "constant": c.constant, "cells": c.cells}
-            for c in checks
-        ],
+        "inequalities": [{k: v for k, v in vars(c).items() if k != "rows"}
+                         for c in checks],
         "conditions": {
             tag: None if rep is None else
-            {"constant": rep.constant, "extremizer": rep.extremizer,
-             "cells": rep.cells, "note": rep.note, "details": rep.details}
+            {k: v for k, v in vars(rep).items() if k not in ("rows", "tag")}
             for tag, rep in reports.items()
         },
     }

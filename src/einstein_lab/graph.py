@@ -18,7 +18,7 @@ from .errors import GraphFormatError, MarginError
 
 
 class WeightedGraph:
-    """Immutable connected graph with symmetric positive edge weights.
+    """Immutable connected graph, each edge stored both ways, weights > 0.
 
     The adjacency is held once, as ``matrix``: a scipy CSR that every BFS
     and every Dirichlet block slices, whose own arrays are the ``indptr``,
@@ -38,9 +38,9 @@ class WeightedGraph:
         if n <= 0:
             raise GraphFormatError("vertex_count must be positive")
         uvw = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
-        ends = np.trunc(uvw[:, :2])
+        ends = np.sort(np.trunc(uvw[:, :2]), axis=1)
         inside = ((ends >= 0) & (ends < n)).all(axis=1)
-        lo, hi = np.where(inside, np.sort(ends, axis=1).T, 0).astype(np.int64)
+        lo, hi = np.where(inside, np.transpose(ends), 0).astype(np.int64)
         w = uvw[:, 2]
         bad_w = ~((0.0 < w) & (w < math.inf))
         dup = np.ones(w.size, dtype=bool)
@@ -65,11 +65,21 @@ class WeightedGraph:
 
     @classmethod
     def from_csr(cls, indptr, indices, weights):
-        """CSR arrays taken as given, unchecked for symmetry, so a caller can
-        store a non-reversible walk; its edges are its upper triangle."""
+        """CSR arrays taken as given.  Each x->y needs a stored y->x, whose
+        weight may differ (a non-reversible walk); edges: upper triangle."""
         n = int(indptr.shape[0]) - 1
+        matrix = sp.csr_matrix((weights, indices, indptr), shape=(n, n))
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
+        # int64 keys: n * n passes 2**31 from 46 341 vertices on
+        keys = np.sort(rows * n + matrix.indices)
+        mirror = matrix.indices.astype(np.int64) * n + rows
+        one_way = np.append(keys, -1)[np.searchsorted(keys, mirror)] != mirror
+        if one_way.any():
+            k = int(np.argmax(one_way))
+            raise GraphFormatError(f"entry ({rows[k]},{matrix.indices[k]}) is "
+                                   "stored one way, not both")
         g = cls.__new__(cls)
-        g._init_csr(sp.csr_matrix((weights, indices, indptr), shape=(n, n)))
+        g._init_csr(matrix)
         return g
 
     def _init_csr(self, matrix):
@@ -145,15 +155,13 @@ def eccentricities(g):
 
     Bounds lo <= ecc <= hi per vertex (Takes & Kosters, "Computing the
     eccentricity distribution of large graphs", 2013): a source v of
-    eccentricity e gives every w max(d(w,v), e - d(v,w)) <= ecc(w) <=
-    e + d(w,v).  d(v,.) is a BFS over ``matrix``, d(.,v) one over its
-    transpose, so one-way stored entries bound correctly.  Sources
-    alternate between the open vertex of least lo and of greatest hi
-    (smallest id on ties); each source closes, so at most n steps.
+    eccentricity e gives every w max(d(v,w), e - d(v,w)) <= ecc(w) <=
+    e + d(v,w), from one BFS out of v.  Sources alternate between the
+    open vertex of least lo and of greatest hi (smallest id on ties);
+    each source closes, so at most n BFS.
     """
     if g._ecc_all is None:
         n = g.vertex_count
-        transpose = g.matrix.T.tocsr()
         lo = np.zeros(n, dtype=np.int64)
         hi = np.full(n, n, dtype=np.int64)
         open_ = np.ones(n, dtype=bool)
@@ -162,13 +170,10 @@ def eccentricities(g):
             v = int(np.argmin(np.where(open_, lo, n)) if least_lo
                     else np.argmax(np.where(open_, hi, -1)))
             least_lo = not least_lo
-            out = _kernels.bfs_distances(g.matrix, v)
-            into = _kernels.bfs_distances(transpose, v)
-            if min(out.min(), into.min()) < 0:
-                raise GraphFormatError("graph is not strongly connected")
-            e = int(out.max())
-            lo = np.maximum(lo, np.maximum(into, e - out))
-            hi = np.minimum(hi, e + into)
+            d = _kernels.bfs_distances(g.matrix, v)
+            e = int(d.max())
+            lo = np.maximum(lo, np.maximum(d, e - d))
+            hi = np.minimum(hi, e + d)
             open_ &= lo != hi
         lo.setflags(write=False)
         g._ecc_all = lo

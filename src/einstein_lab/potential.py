@@ -168,26 +168,30 @@ def layered_lower_bound(g, A, B_outer):
     Shells are distance classes from A; shorting each class gives a
     series chain whose resistance sum_i 1/mu(E_i) can only be smaller
     than the true rho(A, complement of B_outer).  Returns the bound and
-    the shell count L = d(A, complement of B_outer).
+    the shell count L = d(A, complement of B_outer).  Reads C =
+    closure(B_outer) only, where every crossing edge lies.
     """
     A = _as_vertex_set(g, A)
     B = _as_vertex_set(g, B_outer)
     if A.size == 0:
         raise ValueError("source set is empty")
-    inB = np.zeros(g.vertex_count, dtype=bool)
-    inB[B] = True
-    sink = np.flatnonzero(~inB)
-    if sink.size == 0:
+    if B.size == g.vertex_count:
         raise ValueError("sink is empty")
-    dA = bfs_distances(g.matrix, A)
-    L = int(dA[sink].min())
-    if L <= 0:
+    if np.setdiff1d(A, B, assume_unique=True).size:
         raise ValueError("source touches the sink")
-    # each edge once, in edge-list order; a self-loop never steps
-    u, v, w = g._upper()
-    du, dv = dA[u], dA[v]
+    C = closure(g, B)
+    i, j, w = _gather(g, C, C)
+    indptr = np.r_[0, np.cumsum(np.bincount(i, minlength=C.size))]
+    dA = bfs_distances(sp.csr_matrix((w, j, indptr), shape=(C.size, C.size)),
+                       np.searchsorted(C, A))
+    # a vertex of C that the BFS inside C misses is farther than L
+    d_out = np.delete(dA, np.searchsorted(C, B))
+    L = int(d_out[d_out >= 0].min())
+    # each edge once (i <= j), in edge-list order since the relabel keeps
+    # it; a self-loop never steps
+    du, dv = dA[i], dA[j]
     lo = np.minimum(du, dv)
-    step = (np.abs(du - dv) == 1) & (lo < L)
+    step = (i <= j) & (np.abs(du - dv) == 1) & (lo < L)
     cross = np.bincount(lo[step], weights=w[step], minlength=L)
     if np.any(cross <= 0):
         raise UnreachableError("empty shell crossing")
@@ -309,8 +313,7 @@ def max_exit_time(g, x, R):
 def shrunk_exit_time(g, x, R):
     """E_a(T_B), B = B(x,2R), once A = B(x,R) is shrunk to a vertex a.
     Only C = closure(B) is shrunk: it holds B's rows in order, so the system
-    is the shrunk host's when the stored pattern is symmetric (an entry
-    stored one way, in a row outside C, is not seen)."""
+    is the shrunk host's."""
     A = proper_ball(g, x, R)
     B = proper_ball(g, x, 2 * R, what="outer ball")
     C = closure(g, B)

@@ -61,6 +61,16 @@ def small_graphs(draw):
     return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
 
 
+# every kind of graph the lab accepts: hub rows, self-loops, and stored
+# walks with asymmetric weights
+ACCEPTED_GRAPHS = st.one_of(
+    connected_graphs(),
+    edge_lists(hub=True).map(lambda c: WeightedGraph(*c)),
+    stored_walks(),
+    stored_walks(edge_lists(hub=True)),
+)
+
+
 class TestDirichlet:
     def test_empty_interior_is_boundary_data(self):
         # B = A leaves nothing to solve: the potential is 1 on A and 0 on
@@ -139,14 +149,39 @@ def layered_reference(g, A, B):
 
 
 class TestLayeredBound:
-    @given(connected_graphs(), st.data())
-    @settings(max_examples=40, deadline=None)
+    @given(ACCEPTED_GRAPHS, st.data())
+    @settings(max_examples=80, deadline=None)
     def test_equals_edge_loop(self, g, data):
-        x = data.draw(st.integers(0, g.vertex_count - 1))
-        R = data.draw(st.integers(1, int(eccentricities(g)[x])))
-        r = data.draw(st.integers(1, R))
-        A, B = ball(g, x, r), ball(g, x, R)
+        # any A inside any proper B, B not necessarily connected
+        n = g.vertex_count
+        B = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1),
+                                              min_size=1, max_size=n - 1))))
+        A = data.draw(st.lists(st.sampled_from(B.tolist()), min_size=1))
         assert layered_lower_bound(g, A, B) == layered_reference(g, A, B)
+
+    def test_refuses_bad_sets(self):
+        g = path_graph(5)
+        for A, B, message in (([], [0, 1], "source set is empty"),
+                              ([0, 2], [0, 1], "source touches the sink"),
+                              ([0], range(5), "sink is empty")):
+            with pytest.raises(ValueError, match=message):
+                layered_lower_bound(g, A, B)
+
+    @pytest.mark.parametrize("side", [41, 401])
+    def test_warm_bound_costs_its_ball(self, side):
+        # with its balls memoized, the bound for B(x,4) in B(x,8) reads
+        # closure(B(x,8)) only: about 38 KiB on either host, where one
+        # int32 per vertex of 401x401 alone is 628 KiB
+        g, c = lattice_box(2, side)
+        A, B = ball(g, c + 1, 4), ball(g, c + 1, 8)
+        layered_lower_bound(g, ball(g, c, 4), ball(g, c, 8))
+        tracemalloc.start()
+        try:
+            layered_lower_bound(g, A, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_self_loops_and_sum_order(self):
         # the first shell crossing sums to 1 + 2**-52 in edge order and
@@ -420,16 +455,6 @@ class TestExitMemo:
         assert exit_times(g, ball(g, c + 1, 3)) is E
 
 
-def two_way(g):
-    """g without its one-way stored entries; asymmetric weights and
-    self-loops stay."""
-    pattern = (g.matrix > 0).astype(np.int8)
-    W = g.matrix.multiply(pattern.multiply(pattern.T)).tocsr()
-    W.eliminate_zeros()
-    W.sort_indices()
-    return WeightedGraph.from_csr(W.indptr, W.indices, W.data)
-
-
 def shrunk_host_exit_time(g, x, R):
     """E_a(T_B) with A = B(x,R) shrunk in the whole host and B = B(x,2R):
     the definition shrunk_exit_time must meet bit for bit."""
@@ -439,18 +464,8 @@ def shrunk_host_exit_time(g, x, R):
     return float(exit_times(sr.graph, region)[region.size - 1])
 
 
-# graphs whose stored pattern is symmetric: the stored walks keep their
-# asymmetric weights and self-loops but lose their one-way entries
-SHRINK_GRAPHS = st.one_of(
-    connected_graphs(),
-    edge_lists(hub=True).map(lambda c: WeightedGraph(*c)),
-    stored_walks().map(two_way),
-    stored_walks(edge_lists(hub=True)).map(two_way),
-)
-
-
 class TestShrunkExitTime:
-    @given(SHRINK_GRAPHS, st.data())
+    @given(ACCEPTED_GRAPHS, st.data())
     @settings(max_examples=80, deadline=None)
     def test_shrunk_ball_equals_shrunk_host(self, g, data):
         # both solve the same system, so a weight ratio beyond float64
