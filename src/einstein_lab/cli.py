@@ -353,25 +353,18 @@ def cmd_fit(args):
     else:
         x, = _fields(f"--x {args.x}", args.x,
                      "center, sidecar or a vertex id")
-    radii = _parse_radii(args.radii)
-    cache = conditions.QuantityCache(g)
-    summ = conditions.fit_exponents(g, x, radii, cache=cache)
+    summ = conditions.fit_exponents(g, x, _parse_radii(args.radii))
+    fits = {"alpha": summ.alpha, "beta": summ.beta, "gamma": summ.gamma}
     if args.csv_prefix:     # files first, as in cmd_einstein
-        series = {
-            "volume": lambda R: cache.V(x, R),
-            "exit": lambda R: cache.E(x, R),
-            "conductance": lambda R: 1.0 / cache.rho(x, R, 2 * R),
-        }
-        used = summ.alpha.radii
-        for name, fn in series.items():
+        for name, fit in zip(("volume", "exit", "conductance"), fits.values()):
             _write_csv(f"{args.csv_prefix}_{name}.csv",
                        ["log_R", f"log_{name}"],
-                       ((math.log(R), math.log(fn(R))) for R in used))
+                       ((math.log(R), math.log(v))
+                        for R, v in zip(fit.radii, fit.values)))
     _dump_json({
         "manifest": _manifest(args, info),
-        "alpha": asdict(summ.alpha),
-        "beta": asdict(summ.beta),
-        "gamma": asdict(summ.gamma),
+        **{exponent: {k: v for k, v in asdict(fit).items() if k != "values"}
+           for exponent, fit in fits.items()},
         "erdim_residual": summ.erdim_residual,
     })
     return EXIT_OK
@@ -410,8 +403,7 @@ def build_parser():
     sp.set_defaults(func=cmd_generate)
 
     sp = sub.add_parser("compute", help="one exact quantity as JSON")
-    sp.add_argument("quantity", choices=["exit", "resistance", "green",
-                                         "lambda", "harnack", "hg"])
+    sp.add_argument("quantity", choices=list(_COMPUTE_FLAGS))
     sp.add_argument("--graph", required=True)
     sp.add_argument("--x", type=int)
     sp.add_argument("--R", type=int)
@@ -467,7 +459,7 @@ def main(argv=None):
     except UnreachableError as exc:
         print(f"unreachable: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except (ValueError, GraphFormatError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:

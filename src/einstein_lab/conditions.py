@@ -216,7 +216,6 @@ class Condition:
     num: Callable
     den: Callable | None = None
     detail: str = ""
-    spread: bool = False        # report max/min over the grid instead (ER)
 
     def __call__(self, tag, g, grid, cache):
         cells, note = _cells_with_note(g, grid, self.margin)
@@ -234,21 +233,17 @@ class Condition:
         if not found:
             raise MarginError(f"no valid cells for condition {tag}")
         best = max(found, key=lambda f: f[0])
-        constant = best[0]
-        details = {}
-        if self.spread:
-            low = min(f[0] for f in found)
-            constant = best[0] / low
-            details = {"min_Q": float(low), "max_Q": float(best[0])}
-        return ConditionReport(tag, float(constant), best[1], len(cells),
-                               note=note, details=details,
-                               rows=[f[2] for f in found])
+        return ConditionReport(tag, float(best[0]), best[1], len(cells),
+                               note=note, rows=[f[2] for f in found])
 
 
 def _cells_with_note(g, grid, m):
     cells, skipped = valid_cells(g, grid, m)
-    return cells, "; ".join(f"skip ({x},{R}): {reason}"
-                            for x, R, reason in skipped)
+    return cells, _skip_note(skipped)
+
+
+def _skip_note(skipped):
+    return "; ".join(f"skip ({x},{R}): {reason}" for x, R, reason in skipped)
 
 
 def _partners(g, grid, cond, x, R):
@@ -294,6 +289,15 @@ def _anti_doubling_report(tag, g, grid, cache):
                            + "not achieved in range")
 
 
+def _er_report(tag, g, grid, cache):
+    """The Einstein spread max Q / min Q over einstein_report's records."""
+    records, s = einstein_report(g, grid, cache)
+    return ConditionReport(
+        tag, s.spread, s.argmax, s.cells, note=_skip_note(s.skipped),
+        details={"min_Q": s.min_Q, "max_Q": s.max_Q},
+        rows=[(tag, r.x, r.R, r.R, "Q", r.Q) for r in records])
+
+
 def _g_report(tag, g, grid, cache):
     """Green bounds (c_low, C_high) per cell; the constant is max C_high."""
     cells, note = _cells_with_note(g, grid, 2)
@@ -327,8 +331,7 @@ CONDITIONS = {
                      lambda c, y, R: c.E(y, R)),
     "TD": Condition(3, "self", lambda c, x, R: c.E(x, 2 * R),
                     lambda c, y, R: c.E(y, R)),
-    "ER": Condition(2, "self", lambda c, x, R: c.E(x, 2 * R),
-                    lambda c, y, R: c.w(y, R), detail="Q", spread=True),
+    "ER": _er_report,
     "rho_v": Condition(2, "centers", lambda c, x, R: c.w(x, R),
                        lambda c, y, R: c.w(y, R)),
     "E_hom": Condition(3, "centers", lambda c, x, R: c.E(x, R),
@@ -584,17 +587,17 @@ class EinsteinSummary:
 
 
 def einstein_report(g, grid, cache=None):
-    """Per-cell Einstein records Q = E(x,2R)/(rho v) and the spread."""
+    """Records Q = E(x,2R)/(rho v) where B(x,2R) fits, and the spread."""
     cache = cache or QuantityCache(g)
-    cells, skipped = valid_cells(g, grid, CONDITIONS["ER"].margin)
+    cells, skipped = valid_cells(g, grid, 2)
     if not cells:
         raise MarginError("empty grid: no valid Einstein cells")
 
     def one(cell):
         x, R = cell
+        e2 = cache.E(x, 2 * R)
         rho = cache.rho(x, R, 2 * R)
         v = annulus_volume(g, x, R, 2 * R)
-        e2 = cache.E(x, 2 * R)
         if rho * v < (R * R) * (1 - REL_TOL):
             raise AssertionError(
                 f"rho*v below the (R-r)^2 floor at ({x},{R})")
@@ -623,6 +626,7 @@ class ExponentFit:
     stderr: float
     r2: float
     radii: tuple
+    values: tuple           # the series fitted against radii
 
 
 @dataclass(frozen=True)
@@ -645,19 +649,20 @@ def _loglog_fit(radii, values):
     ss_tot = float(np.sum((y - ym) ** 2))
     stderr = math.sqrt(ss_res / (n - 2) / sxx) if n > 2 else 0.0
     r2 = 1.0 if ss_tot <= 1e-30 else 1.0 - ss_res / ss_tot
-    return ExponentFit(slope, stderr, r2, tuple(int(r) for r in radii))
+    return ExponentFit(slope, stderr, r2, tuple(int(r) for r in radii),
+                       tuple(values))
 
 
-def fit_exponents(g, x, radii, cache=None):
+def fit_exponents(g, x, radii):
     """Log-log fits: volume -> alpha, exit time -> beta, annulus
     conductance 1/rho(x,R,2R) -> gamma; residual beta - (alpha - gamma)."""
-    cache = cache or QuantityCache(g)
     radii = sorted(set(int(R) for R in radii))
     radii = [R for R in radii if ball_inside_host(g, x, 2 * R)]
     if len(radii) < 4:
         raise ValueError("need at least 4 valid radii for exponent fits")
-    alpha = _loglog_fit(radii, [cache.V(x, R) for R in radii])
-    beta = _loglog_fit(radii, [cache.E(x, R) for R in radii])
-    gamma = _loglog_fit(radii, [1.0 / cache.rho(x, R, 2 * R) for R in radii])
+    alpha = _loglog_fit(radii, [volume(g, x, R) for R in radii])
+    beta = _loglog_fit(radii, [mean_exit_time(g, x, R) for R in radii])
+    gamma = _loglog_fit(radii, [1.0 / resistance_annulus(g, x, R, 2 * R)
+                                for R in radii])
     resid = beta.exponent - (alpha.exponent - gamma.exponent)
     return ExponentSummary(alpha, beta, gamma, float(resid))

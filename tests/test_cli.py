@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -391,6 +392,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "internal error: RuntimeError: boom\n"
 
+    def test_internal_key_error_is_internal_error(self, z21_file,
+                                                  monkeypatch, capsys):
+        # no usage path raises KeyError: argparse choices guard the
+        # table lookups, so one from inside the program is a defect
+        path, g, c = z21_file
+
+        def broken(g, grid, cache=None):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(conditions, "einstein_report", broken)
+        code = cli.main(["einstein", "--graph", path, "--radii", "2"])
+        assert code == cli.EXIT_INTERNAL
+        assert capsys.readouterr().err == \
+            "internal error: KeyError: 'internal'\n"
+
     @pytest.mark.parametrize("command", ["verify", "fit"])
     @pytest.mark.parametrize("radii", ["0..8", "-2..8", "5..2", "0,2", ",",
                                        "2,2", "2,a", "2..x", "2..4..8"])
@@ -550,7 +566,7 @@ class TestEinsteinFit:
 
     def test_fit_csv_solves_each_exit_time_once(self, tmp_path,
                                                  monkeypatch):
-        # the fits and the CSV series share one cache
+        # the CSV series are the values the fits solved for
         g, c = lattice_box(1, 129)
         p = tmp_path / "z1.txt"
         save(g, p)
@@ -664,6 +680,41 @@ def test_verify_factors_each_lattice_system_once(tmp_path, monkeypatch):
     report = (tmp_path / "rep" / "verify.csv").read_bytes()
     assert hashlib.sha256(report).hexdigest() == \
         "6dfb0172309c20b44e1194921363b0942ff71c5ec9b7790def8efe0fbad4e04e"
+
+
+@pytest.mark.parametrize("argv, files, json_digest", [
+    (["einstein", "--csv", "{out}.csv"],
+     {".csv":
+      "76f3ac851e50f6993303ac0667eb468421d71a37409f54d69dcae9db8f5d7dc5"},
+     "8028da34a43e2864b35f080a3673682d2375e0249bef795f0ff4452ed54d818f"),
+    (["fit", "--radii", "2..16", "--csv-prefix", "{out}"],
+     {"_volume.csv":
+      "d2cc7994ec719b92ba4b76decf218f2d00ea3fa840e2f3f81f1221d1687758c4",
+      "_exit.csv":
+      "c9ec7f7d93c33e4cd521e626ef005ce00f031c0c905e374f252f4fbca5e3aebf",
+      "_conductance.csv":
+      "6af57c80fe5b797dcd4eac221f2a0f194d08f8f1ffbc12df206e617a3f643b6f"},
+     "5883d9c79be77759a3fc212e3d7efb74db83a9ac9fa30e881aa19fee0ec62b85"),
+], ids=["einstein", "fit"])
+def test_einstein_fit_report_digest(tmp_path, capsys, argv, files,
+                                    json_digest):
+    # z41's einstein and fit outputs, pinned like the verify digests; the
+    # fit CSVs hold the points the fits used
+    path = str(tmp_path / "z41.txt")
+    out = str(tmp_path / "z41")
+    assert cli.main(["generate", "--family", "lattice", "--side", "41",
+                     "--out", path]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main([argv[0], "--graph", path,
+                     *(a.format(out=out) for a in argv[1:])]) == cli.EXIT_OK
+    for suffix, digest in files.items():
+        blob = pathlib.Path(out + suffix).read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+    doc = json.loads(capsys.readouterr().out)
+    man = doc["manifest"]
+    del man["graph"]["path"], man["params"]["graph"]
+    blob = json.dumps(doc, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == json_digest
 
 
 # `generate` files, pinned with the per-edge loop construction and the

@@ -1,12 +1,13 @@
-"""The README's code runs against the current API and its command lines
-parse, so a public name or a flag that is deleted or renamed while the
-docs still use it fails here."""
+"""The README's code runs against the current API, its command lines
+parse, and its lists of condition tags and compute quantities are the
+program's, so a public name, a flag, a tag or a quantity that is added,
+deleted or renamed on one side only fails here."""
 
 import pathlib
 import re
 import shlex
 
-from einstein_lab import cli
+from einstein_lab import cli, conditions
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -19,13 +20,29 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out.strip()
 
 
-def test_readme_command_lines_parse():
-    # parse only: a flag or a value the parser no longer takes fails here
+def readme_command_lines():
     section = README.read_text(encoding="utf-8").split(
         "## Command line", 1)[1]
     block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
-    lines = [shlex.split(line) for line in block.splitlines() if line]
+    return [shlex.split(line) for line in block.splitlines() if line]
+
+
+def test_readme_command_lines_parse():
+    # parse only: a flag or a value the parser no longer takes fails here
+    lines = readme_command_lines()
     assert lines and all(argv[0] == "einstein-lab" for argv in lines)
     parser = cli.build_parser()
     for argv in lines:
         parser.parse_args(argv[1:])
+
+
+def test_readme_lists_every_condition_tag():
+    tags = re.search(r"every condition tag \(`(.*?)`\)",
+                     README.read_text(encoding="utf-8"), re.S).group(1)
+    assert tuple(tags.split()) == conditions.CONDITION_TAGS
+
+
+def test_readme_shows_every_compute_quantity():
+    shown = {argv[2] for argv in readme_command_lines()
+             if argv[1] == "compute"}
+    assert shown == set(cli._COMPUTE_FLAGS)

@@ -913,3 +913,37 @@ def test_one_ball_rule(quantity):
             (c, 21, MarginError, "covers the whole host graph")):
         with pytest.raises(error, match=message):
             quantity(g, x, R)
+
+
+# z41 vertex id = 41 i + j; a lattice automorphism maps B(x,R) onto
+# B(sigma x, R), so every quantity of the ball must agree at x and sigma x
+Z41_SYMMETRIES = {
+    "reflection": lambda i, j: (j, i),
+    "rotation": lambda i, j: (j, 40 - i),
+}
+
+
+def ball_quantities(g, x, R):
+    """Every per-cell quantity of the sweep at (x, R), as floats."""
+    return [volume(g, x, R), mean_exit_time(g, x, R), max_exit_time(g, x, R),
+            resistance_annulus(g, x, R, 2 * R),
+            lambda_min(g, ball(g, x, 2 * R)).lam, harnack_constant(g, x, R),
+            *g_condition(g, x, R),
+            *layered_lower_bound(g, ball(g, x, R), ball(g, x, 2 * R)),
+            shrunk_exit_time(g, x, R)]
+
+
+@pytest.fixture(scope="module")
+def z41():
+    return lattice_box(2, 41)[0]
+
+
+@pytest.mark.parametrize("sigma", Z41_SYMMETRIES)
+@pytest.mark.parametrize("x", [420, 430, 845, 1000])
+def test_lattice_symmetry_oracle(z41, sigma, x):
+    # an oracle with no reference value: it checks the solver and every
+    # ball-local gather at once, on balls clipped by the host's sides too
+    i, j = Z41_SYMMETRIES[sigma](*divmod(x, 41))
+    for R in (2, 4, 8):
+        assert ball_quantities(z41, 41 * i + j, R) == pytest.approx(
+            ball_quantities(z41, x, R), rel=1e-12, abs=0)
