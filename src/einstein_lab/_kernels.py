@@ -3,7 +3,10 @@ weight CSR; the random-walk kernel is vectorized numpy and draws from a
 counter-based generator (splitmix64-style finalizer keyed by ``(seed,
 walk, step)``), so a simulation result does not depend on batching or
 call order.  The scalar generator below reproduces any single draw; it
-is the tests' reference for the vector one, which the kernel uses.
+is the tests' reference for the vector one, which the kernel uses.  A
+walk step is one lookup in a table built per region at kernel entry;
+only a draw that falls in a bucket straddling a transition threshold
+searches its row, so every step takes the same neighbour as the search.
 """
 
 import numpy as np
@@ -64,8 +67,14 @@ def stream_keys_np(seed: int, walks: np.ndarray) -> np.ndarray:
     return _mix_np(pre)
 
 
+def _bits_np(keys: np.ndarray, step: int) -> np.ndarray:
+    """The 64-bit mixed word of each stream at ``step``; u is its top 53
+    bits, scaled."""
+    return _mix_np(keys + np.uint64(((step + 1) * _GAMMA) & _MASK))
+
+
 def _u01_np(keys: np.ndarray, step: int) -> np.ndarray:
-    word = _mix_np(keys + np.uint64(((step + 1) * _GAMMA) & _MASK))
+    word = _bits_np(keys, step)
     word >>= _S11
     u = word.astype(np.float64)
     u *= _INV53
@@ -92,8 +101,20 @@ def bfs_distances(W, sources, limit=np.inf):
 # each row forced to source_vertex + 1.0 exactly, so ``aug`` never
 # decreases.  Neighbour choice at vertex v with uniform u is the first k
 # in row v with aug[k] > v + u, clamped to the row's last entry (v + u can
-# round up to v + 1.0).  ``_row_choice`` is that rule, the one
-# simulate_exits calls; it reads row v only.
+# round up to v + 1.0).  ``_row_choice`` is that rule; it reads row v only.
+#
+# simulate_exits evaluates the rule through a bucket table.  A bucket is
+# the top BUCKET_BITS bits of the 53-bit word behind u, so bucket j holds
+# the uniforms j * 2^-b <= u <= (j + 1) * 2^-b - 2^-53, b = BUCKET_BITS.
+# The table has one int32 entry per (region vertex, bucket): the rule's
+# choice when it is the same at both ends of the bucket, else AMBIGUOUS.
+# A step is one gather; only ambiguous walkers run ``_row_choice`` on
+# their exact key.  b = 8 puts about 1% of steps on a 4-neighbour row in
+# an ambiguous bucket; b = 10 is no faster and costs 4 KiB per vertex.
+
+BUCKET_BITS = 8                  # 1 KiB of table per region vertex
+AMBIGUOUS = -1
+_BUCKET_SHIFT = np.uint64(64 - BUCKET_BITS)
 
 
 def build_transition_profile(indptr, indices, weights, mu):
@@ -111,15 +132,17 @@ def build_transition_profile(indptr, indices, weights, mu):
 
 
 def _row_choice(indptr, aug, pos, key, span):
-    """CSR index of the neighbour taken by each walker at vertex ``pos``
-    with search key ``pos + u``: the first k in the row with aug[k] > key,
-    else the row's last entry.
+    """CSR index of the neighbour taken by each walker in row ``pos`` of
+    (indptr, aug) with search key v + u, v the row's vertex: the first k
+    in the row with aug[k] > key, else the row's last entry.
 
     Binary lifting over the row: the answer is the row start plus the
     count of row entries <= key, found in span.bit_length() rounds of one
     gather and compare, where ``span`` is at least every row's degree
     minus one.  Probes are clamped to the row's last entry, so no entry
-    of another row is read.
+    of another row is read.  The answer never decreases as ``key`` grows,
+    sorted row or not: at the first round where two keys part, the larger
+    one adds 1 << b and the smaller can make up at most (1 << b) - 1.
     """
     k = indptr[pos]
     last = indptr[pos + 1]
@@ -131,39 +154,95 @@ def _row_choice(indptr, aug, pos, key, span):
     return np.minimum(k, last, out=k)
 
 
+def _region_csr(indptr, indices, aug, in_region):
+    """The walk's region as its own CSR: the sorted host ids ``rows``, row
+    pointers and ``aug`` entries of those rows, and each entry's code,
+    the neighbour's local id (index into ``rows``) or -2 - v for a host
+    vertex v outside the region.  Reads only the region's rows."""
+    rows = np.flatnonzero(in_region)
+    first = indptr[rows]
+    deg = indptr[rows + 1] - first
+    ptr = np.zeros(rows.size + 1, dtype=np.intp)
+    np.cumsum(deg, out=ptr[1:])
+    at = np.repeat(first - ptr[:-1], deg) + np.arange(ptr[-1])
+    nbr = indices[at]
+    code = np.where(in_region[nbr], np.searchsorted(rows, nbr), -2 - nbr)
+    return rows, ptr, aug[at], code.astype(np.int32)
+
+
+def _bucket_table(rows, ptr, aug, code):
+    """(len(rows), 2^BUCKET_BITS) int32 table of the step from each region
+    vertex: the code of the entry ``_row_choice`` picks at both ends of
+    the bucket, or AMBIGUOUS where the two picks differ.  Arguments are
+    ``_region_csr``'s.  Built one bucket at a time, so scratch stays the
+    size of the region."""
+    span = int(np.diff(ptr).max()) - 1
+    local = np.arange(rows.size)
+    width = 1 << (53 - BUCKET_BITS)              # 53-bit words per bucket
+    table = np.empty((rows.size, 1 << BUCKET_BITS), dtype=np.int32)
+    for j in range(table.shape[1]):
+        lo = _row_choice(ptr, aug, local, rows + j * width * _INV53, span)
+        hi = _row_choice(ptr, aug, local,
+                         rows + ((j + 1) * width - 1) * _INV53, span)
+        table[:, j] = np.where(lo == hi, code[lo], AMBIGUOUS)
+    return table
+
+
 def simulate_exits(indptr, indices, aug, in_region, start, n_walks,
                    step_cap, seed):
     """Simulate ``n_walks`` killed walks from ``start``; vectorized over walks.
 
-    Walker state (id, stream key, position) is compacted as walks exit,
-    and a step reads only the rows the walkers stand on, so its cost
-    follows the number of live walkers and the degrees in the region,
-    not the size of the host.
+    Step t of walk w at vertex v moves by ``_row_choice`` with key
+    v + u(seed, w, t), read from the region's bucket table.  This is
+    exact: v + u rounds to a value that never decreases as u grows, and
+    the rule's choice never decreases as the key grows, so a choice equal
+    at both ends of a bucket is the choice for every u in it.  Walkers in
+    an AMBIGUOUS bucket run ``_row_choice`` on their own key.  The result
+    is the rule's, bit for bit, whatever BUCKET_BITS is.
+
+    Walker state (id, stream key, table row) is compacted as walks exit.
+    Only the region's rows are read, so memory and time follow the
+    region and the number of live walkers, not the size of the host.
 
     Returns (steps, exit_vertex); exit_vertex is -1 for capped walks and
-    steps then equals step_cap.
+    steps then equals step_cap.  ``start`` must lie in the region
+    (ValueError otherwise).
     """
+    if not in_region[start]:
+        raise ValueError(f"start {start} outside the walk region")
     steps = np.full(n_walks, step_cap, dtype=np.int64)
     exit_vertex = np.full(n_walks, -1, dtype=np.int64)
-    indptr = indptr.astype(np.intp)
-    indices = indices.astype(np.intp)
-    deg = np.diff(indptr)
-    span = max(int(deg[in_region].max(initial=0)), int(deg[start])) - 1
+    rows, ptr, raug, code = _region_csr(indptr, indices, aug, in_region)
+    span = int(np.diff(ptr).max()) - 1
+    table = _bucket_table(rows, ptr, raug, code).ravel()
     wid = np.arange(n_walks, dtype=np.int64)
     keys = stream_keys_np(seed, wid)
-    pos = np.full(n_walks, start, dtype=np.intp)
+    # each walker's table row offset: local id << BUCKET_BITS
+    base = np.full(n_walks, np.searchsorted(rows, start) << BUCKET_BITS)
     for t in range(step_cap):
         if wid.size == 0:
             break
-        key = _u01_np(keys, t)
-        key += pos
-        nxt = indices[_row_choice(indptr, aug, pos, key, span)]
-        out = ~in_region[nxt]
-        if out.any():
+        cell = _bits_np(keys, t)
+        cell >>= _BUCKET_SHIFT
+        cell = cell.view(np.int64)
+        cell |= base
+        nxt = table[cell]
+        # freed before compaction allocates: peak RSS is 3 MB lower on
+        # gasket 6, B(0,16), 100 000 walks
+        del cell
+        amb = np.flatnonzero(nxt == AMBIGUOUS)
+        if amb.size:
+            local = base[amb] >> BUCKET_BITS
+            key = _u01_np(keys[amb], t)
+            key += rows[local]
+            nxt[amb] = code[_row_choice(ptr, raug, local, key, span)]
+        out = np.flatnonzero(nxt < AMBIGUOUS)
+        base = np.left_shift(nxt, BUCKET_BITS, dtype=np.int64)
+        if out.size:
             done = wid[out]
             steps[done] = t + 1
-            exit_vertex[done] = nxt[out]
-            stay = ~out
-            wid, keys, nxt = wid[stay], keys[stay], nxt[stay]
-        pos = nxt
+            exit_vertex[done] = -2 - nxt[out]
+            stay = np.ones(wid.size, dtype=bool)
+            stay[out] = False
+            wid, keys, base = wid[stay], keys[stay], base[stay]
     return steps, exit_vertex

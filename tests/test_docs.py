@@ -7,7 +7,7 @@ import pathlib
 import re
 import shlex
 
-from einstein_lab import cli, conditions
+from einstein_lab import _kernels, cli, conditions
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -46,3 +46,12 @@ def test_readme_shows_every_compute_quantity():
     shown = {argv[2] for argv in readme_command_lines()
              if argv[1] == "compute"}
     assert shown == set(cli._COMPUTE_FLAGS)
+
+
+def test_readme_states_the_bucket_table_size():
+    found = re.search(r"(\d+) buckets of the uniform \(its top (\d+) bits\),"
+                      r"\s+(\d+) KiB\s+per ball vertex",
+                      README.read_text(encoding="utf-8"))
+    buckets, bits, kib = map(int, found.groups())
+    assert (buckets, bits) == (1 << _kernels.BUCKET_BITS, _kernels.BUCKET_BITS)
+    assert kib * 1024 == 4 * buckets            # one int32 entry per bucket

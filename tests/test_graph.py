@@ -25,10 +25,10 @@ def path_graph(n, w=1.0):
 
 
 @st.composite
-def connected_graphs(draw):
-    """Random tree plus extra edges, weights in [0.25, 4]."""
+def connected_graphs(draw, w_min=0.25, w_max=4.0):
+    """Random tree plus extra edges, weights in [w_min, w_max]."""
     n = draw(st.integers(min_value=2, max_value=24))
-    weights = st.floats(min_value=0.25, max_value=4.0,
+    weights = st.floats(min_value=w_min, max_value=w_max,
                         allow_nan=False, allow_infinity=False)
     edges = {}
     for v in range(1, n):

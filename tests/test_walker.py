@@ -1,7 +1,9 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from einstein_lab import _kernels
 from einstein_lab.errors import MarginError
@@ -10,6 +12,8 @@ from einstein_lab.generators import (apply_radial_weights, binary_tree,
 from einstein_lab.graph import WeightedGraph, ball, shrink
 from einstein_lab.potential import harmonic_measure, mean_exit_time
 from einstein_lab.walker import WalkConfig, mc_exit_sample, mc_exit_time
+from test_graph import connected_graphs
+
 
 def test_u01_scalar_vector_agree():
     walks = np.arange(64, dtype=np.uint64)
@@ -44,6 +48,44 @@ def region(g, x, R):
     return in_region
 
 
+def reference_exits(indptr, indices, aug, in_region, start, n_walks,
+                    step_cap, seed):
+    """The kernel without a bucket table: every walker searches its row
+    with ``_row_choice`` on its exact key v + u at every step."""
+    steps = np.full(n_walks, step_cap, dtype=np.int64)
+    exit_vertex = np.full(n_walks, -1, dtype=np.int64)
+    indptr = indptr.astype(np.intp)
+    indices = indices.astype(np.intp)
+    span = int(np.diff(indptr)[in_region].max()) - 1
+    wid = np.arange(n_walks, dtype=np.int64)
+    keys = _kernels.stream_keys_np(seed, wid)
+    pos = np.full(n_walks, start, dtype=np.intp)
+    for t in range(step_cap):
+        if wid.size == 0:
+            break
+        key = _kernels._u01_np(keys, t)
+        key += pos
+        nxt = indices[_kernels._row_choice(indptr, aug, pos, key, span)]
+        out = ~in_region[nxt]
+        if out.any():
+            done = wid[out]
+            steps[done] = t + 1
+            exit_vertex[done] = nxt[out]
+            stay = ~out
+            wid, keys, nxt = wid[stay], keys[stay], nxt[stay]
+        pos = nxt
+    return steps, exit_vertex
+
+
+def assert_matches_reference(g, x, in_region, n_walks, step_cap, seed):
+    args = (g.indptr, g.indices, g.transition_profile(), in_region, x,
+            n_walks, step_cap, seed)
+    steps, exits = _kernels.simulate_exits(*args)
+    want_steps, want_exits = reference_exits(*args)
+    assert np.array_equal(steps, want_steps)
+    assert np.array_equal(exits, want_exits)
+
+
 def exits_digest(g, x, R, n, seed):
     steps, exits = _kernels.simulate_exits(
         g.indptr, g.indices, g.transition_profile(), region(g, x, R),
@@ -67,6 +109,101 @@ class TestSimulateExits:
         digest, total = exits_digest(g, 544, 8, 20_000, 1)
         assert digest.startswith("ac2eef983faef6e0")
         assert total == 85545146
+
+
+class TestBucketKernel:
+    def test_matches_reference_on_walk_hosts(self):
+        for g, x in walk_hosts():
+            for R, seed in ((1, 3), (2, 5), (4, 2 ** 63 + 1)):
+                in_region = region(g, x, R)
+                if not in_region.all():
+                    assert_matches_reference(g, x, in_region, 3000,
+                                             100 * R * R, seed)
+
+    @given(connected_graphs(w_min=1e-6, w_max=1e6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_on_wide_weights(self, g, data):
+        # weights 12 decades apart put many thresholds in one bucket
+        n = g.vertex_count
+        x = data.draw(st.integers(0, n - 1))
+        R = data.draw(st.integers(1, n))
+        assert_matches_reference(g, x, region(g, x, R),
+                                 data.draw(st.integers(1, 200)),
+                                 data.draw(st.integers(1, 300)),
+                                 data.draw(st.integers(0, 2 ** 64 - 1)))
+
+    def test_start_outside_region_refused(self):
+        g, c = lattice_box(2, 21)
+        with pytest.raises(ValueError, match="outside the walk region"):
+            _kernels.simulate_exits(g.indptr, g.indices,
+                                    g.transition_profile(), region(g, c, 2),
+                                    c + 5, 10, 10, 1)
+
+    def test_memory_follows_region(self):
+        # B(c,4) has 41 vertices on either host; one int64 per vertex of
+        # 401x401 alone is 1.2 MiB
+        peaks = []
+        for side in (41, 401):
+            g, c = lattice_box(2, side)
+            aug = g.transition_profile()
+            in_region = region(g, c, 4)
+            tracemalloc.start()
+            try:
+                _kernels.simulate_exits(g.indptr, g.indices, aug, in_region,
+                                        c, 1000, 1600, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0]
+
+
+def check_bucket_table(g, in_region):
+    """Every table entry against ``_row_choice`` on the host arrays at the
+    two ends of its bucket; returns the table and the region's rows."""
+    aug = g.transition_profile()
+    rows, ptr, raug, code = _kernels._region_csr(g.indptr, g.indices, aug,
+                                                 in_region)
+    table = _kernels._bucket_table(rows, ptr, raug, code).ravel()
+    b = _kernels.BUCKET_BITS
+    j = np.arange(1 << b)
+    u_lo = (j << (53 - b)) * 2.0 ** -53
+    u_hi = (((j + 1) << (53 - b)) - 1) * 2.0 ** -53
+    assert u_hi[-1] == U_MAX
+    pos = np.repeat(rows, j.size)
+    key_lo = pos + np.tile(u_lo, rows.size)
+    key_hi = pos + np.tile(u_hi, rows.size)
+    span = int(np.diff(g.indptr).max()) - 1
+    k_lo = _kernels._row_choice(g.indptr, aug, pos, key_lo, span)
+    k_hi = _kernels._row_choice(g.indptr, aug, pos, key_hi, span)
+    nbr = g.indices[k_lo]
+    want = np.where(in_region[nbr], np.searchsorted(rows, nbr), -2 - nbr)
+    fixed = table != _kernels.AMBIGUOUS
+    assert np.array_equal(k_lo[fixed], k_hi[fixed])
+    assert np.array_equal(table[fixed], want[fixed])
+    # an ambiguous bucket holds the row threshold its low end sits below
+    amb = ~fixed
+    assert np.all(aug[k_lo[amb]] > key_lo[amb])
+    assert np.all(aug[k_lo[amb]] <= key_hi[amb])
+    return table.reshape(rows.size, j.size), rows
+
+
+class TestBucketTable:
+    def test_entries_match_row_choice(self):
+        for g, x in walk_hosts():
+            table, _ = check_bucket_table(g, region(g, x, 3))
+            assert (table == _kernels.AMBIGUOUS).any()
+            assert (table < _kernels.AMBIGUOUS).any()
+            assert (table >= 0).any()
+
+    def test_last_bucket_key_rounds_to_row_end(self):
+        # the triangle of test_key_rounding_to_row_end: the last bucket's
+        # top key v + U_MAX rounds to v + 1.0 and takes the row's last entry
+        g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1e-30)])
+        table, rows = check_bucket_table(g, np.ones(3, dtype=bool))
+        for v in (1, 2):
+            assert v + U_MAX == v + 1.0
+            last = g.indices[g.indptr[v + 1] - 1]
+            assert table[v, -1] == np.searchsorted(rows, last)
 
 
 class TestRowChoice:
