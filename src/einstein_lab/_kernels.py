@@ -102,6 +102,8 @@ def bfs_distances(W, sources, limit=np.inf):
 # decreases.  Neighbour choice at vertex v with uniform u is the first k
 # in row v with aug[k] > v + u, clamped to the row's last entry (v + u can
 # round up to v + 1.0).  ``_row_choice`` is that rule; it reads row v only.
+# The kernel builds ``aug`` at entry for the region's rows alone, from the
+# host's weights and mu (``_region_csr``).
 #
 # simulate_exits evaluates the rule through a bucket table.  A bucket is
 # the top BUCKET_BITS bits of the 53-bit word behind u, so bucket j holds
@@ -117,17 +119,18 @@ AMBIGUOUS = -1
 _BUCKET_SHIFT = np.uint64(64 - BUCKET_BITS)
 
 
-def build_transition_profile(indptr, indices, weights, mu):
-    """aug array the walk kernel reads; rows of one degree k are one
+def build_transition_profile(ptr, rows, weights, mu):
+    """aug entries of a CSR with row pointers ``ptr``, host vertex ids
+    ``rows`` and measures ``mu`` per row; rows of one degree k are one
     (rows, k) block, summed left to right."""
-    deg = np.diff(indptr)
+    deg = np.diff(ptr)
     aug = np.empty(weights.shape[0], dtype=np.float64)
-    for k in np.unique(deg[deg > 0]):
-        rows = np.flatnonzero(deg == k)
-        at = indptr[rows, None] + np.arange(k)
-        cum = np.cumsum(weights[at], axis=1) / mu[rows, None]
+    for k in np.unique(deg):
+        r = np.flatnonzero(deg == k)
+        at = ptr[r, None] + np.arange(k)
+        cum = np.cumsum(weights[at], axis=1) / mu[r, None]
         cum[:, -1] = 1.0
-        aug[at] = rows[:, None] + cum
+        aug[at] = rows[r, None] + cum
     return aug
 
 
@@ -154,7 +157,7 @@ def _row_choice(indptr, aug, pos, key, span):
     return np.minimum(k, last, out=k)
 
 
-def _region_csr(indptr, indices, aug, in_region):
+def _region_csr(indptr, indices, weights, mu, in_region):
     """The walk's region as its own CSR: the sorted host ids ``rows``, row
     pointers and ``aug`` entries of those rows, and each entry's code,
     the neighbour's local id (index into ``rows``) or -2 - v for a host
@@ -167,7 +170,8 @@ def _region_csr(indptr, indices, aug, in_region):
     at = np.repeat(first - ptr[:-1], deg) + np.arange(ptr[-1])
     nbr = indices[at]
     code = np.where(in_region[nbr], np.searchsorted(rows, nbr), -2 - nbr)
-    return rows, ptr, aug[at], code.astype(np.int32)
+    aug = build_transition_profile(ptr, rows, weights[at], mu[rows])
+    return rows, ptr, aug, code.astype(np.int32)
 
 
 def _bucket_table(rows, ptr, aug, code):
@@ -188,7 +192,7 @@ def _bucket_table(rows, ptr, aug, code):
     return table
 
 
-def simulate_exits(indptr, indices, aug, in_region, start, n_walks,
+def simulate_exits(indptr, indices, weights, mu, in_region, start, n_walks,
                    step_cap, seed):
     """Simulate ``n_walks`` killed walks from ``start``; vectorized over walks.
 
@@ -212,7 +216,8 @@ def simulate_exits(indptr, indices, aug, in_region, start, n_walks,
         raise ValueError(f"start {start} outside the walk region")
     steps = np.full(n_walks, step_cap, dtype=np.int64)
     exit_vertex = np.full(n_walks, -1, dtype=np.int64)
-    rows, ptr, raug, code = _region_csr(indptr, indices, aug, in_region)
+    rows, ptr, raug, code = _region_csr(indptr, indices, weights, mu,
+                                        in_region)
     span = int(np.diff(ptr).max()) - 1
     table = _bucket_table(rows, ptr, raug, code).ravel()
     wid = np.arange(n_walks, dtype=np.int64)

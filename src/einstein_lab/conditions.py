@@ -25,7 +25,7 @@ import numpy as np
 
 from ._kernels import bfs_distances
 from .errors import ConvergenceError, MarginError, UnreachableError
-from .graph import (annulus_volume, ball, eccentricities, host_frontier,
+from .graph import (annulus_volume, ball, eccentricities, host_reach,
                     min_transition, sphere, volume)
 from .potential import (
     GreenOperator,
@@ -60,11 +60,7 @@ def ball_inside_host(g, x, K):
     proper subset and stays off the truncation frontier (so no clipped
     neighbourhoods leak into the evaluation).  x itself may sit on the
     frontier - a distinguished corner is a legitimate blow-up point."""
-    x = g.check_vertex(x)
-    if eccentricities(g)[x] < K:
-        return False
-    frontier = host_frontier(g)
-    return bool(np.all(frontier[np.isin(frontier, ball(g, x, K))] == x))
+    return K <= host_reach(g, x)
 
 
 def valid_cells(g, grid, m):

@@ -25,12 +25,8 @@ class WeightedGraph:
     ``indices`` and ``weights`` that the walk kernel reads.  Every reader
     of the edge set takes its upper triangle.  All arrays are frozen after
     construction.  No per-center state is host-sized: balls are memoized
-    per (center, radius) in ``_balls``, each as long as its ball.
-    ``potential.exit_times`` keeps exit-time vectors in ``_exit_times``,
-    keyed by a digest of the Dirichlet system (shapes, triplets and mu on
-    the region) so that translated balls share one solve; it holds
-    vectors, not factors, at most ``potential.EXIT_MEMO_BYTES`` of them
-    (``_exit_bytes``), least recently used first out.
+    per (center, radius) in ``_balls``, each as long as its ball, and
+    ``_exit_times`` is ``potential.exit_times``'s memo.
     """
 
     def __init__(self, vertex_count, edges):
@@ -100,10 +96,9 @@ class WeightedGraph:
 
         self._balls = {}
         self._exit_times = {}           # system key -> exit-time vector
-        self._exit_bytes = 0
-        self._profile = None
         self._ecc_all = None
         self._frontier = None
+        self._reach = {}                # center -> host_reach
 
         if int(_kernels.bfs_distances(matrix, 0).min()) < 0:
             raise GraphFormatError("graph is not connected")
@@ -139,15 +134,6 @@ class WeightedGraph:
 
     def total_measure(self):
         return float(self.mu.sum())
-
-    def transition_profile(self):
-        """Cumulative transition rows, read by the walk kernel."""
-        if self._profile is None:
-            self._profile = _kernels.build_transition_profile(
-                self.indptr, self.indices, self.weights, self.mu
-            )
-            self._profile.setflags(write=False)
-        return self._profile
 
 
 def eccentricities(g):
@@ -200,6 +186,19 @@ def host_frontier(g):
         g._frontier = np.flatnonzero(mask).astype(np.int64)
         g._frontier.setflags(write=False)
     return g._frontier
+
+
+def host_reach(g, x):
+    """The largest K for which B(x,K) lies strictly inside the host:
+    min(ecc(x), d(x, frontier minus x)), from one BFS out of x, memoized
+    per center.  B(x,K) = {d < K} is proper iff K <= ecc(x), and holds no
+    frontier vertex but x iff each lies at distance >= K."""
+    x = g.check_vertex(x)
+    if x not in g._reach:
+        d = _kernels.bfs_distances(g.matrix, x)
+        frontier = host_frontier(g)
+        g._reach[x] = int(np.min(d[frontier[frontier != x]], initial=d.max()))
+    return g._reach[x]
 
 
 def ball(g, x, radius):

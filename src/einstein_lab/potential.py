@@ -36,7 +36,6 @@ DIRECT_SOLVE_LIMIT = 5000
 SOLVE_TOL = 1e-10
 EIGEN_TOL = 1e-9
 EIGEN_MAXITER = 10_000
-EXIT_MEMO_BYTES = 4 << 20       # exit-time vectors kept per graph
 
 
 # -- linear algebra plumbing -------------------------------------------------
@@ -55,9 +54,10 @@ def _gather(g, rows, cols):
     return i[hit], j[hit], g.weights[pos[hit]]
 
 
-def _dirichlet_matrix(g, region):
-    """(D - W)|_region in CSC: mu - w on a self-loop, exact zeros dropped."""
-    i, j, w = _gather(g, region, region)
+def _dirichlet_matrix(g, region, triplets=None):
+    """(D - W)|_region in CSC: mu - w on a self-loop, exact zeros dropped.
+    ``triplets`` are the region's ``_gather``, when the caller has them."""
+    i, j, w = _gather(g, region, region) if triplets is None else triplets
     k = np.arange(region.size)
     M = sp.csc_matrix((np.r_[g.mu[region], -w], (np.r_[k, i], np.r_[k, j])),
                       shape=(k.size, k.size))
@@ -97,7 +97,13 @@ def _relative_residual(M, x, b):
 
 
 def _as_vertex_set(g, A):
-    A = np.unique(np.asarray(A, dtype=np.int64))
+    """A as a sorted int64 vertex array without repeats.  A read-only, 1-D,
+    int64, strictly increasing array (a memoized ball) is returned itself;
+    anything else is copied through np.unique."""
+    if not (isinstance(A, np.ndarray) and A.ndim == 1
+            and A.dtype == np.int64 and not A.flags.writeable
+            and np.all(A[1:] > A[:-1])):
+        A = np.unique(np.asarray(A, dtype=np.int64))
     if A.size and (A[0] < 0 or A[-1] >= g.vertex_count):
         raise ValueError("vertex id out of range")
     return A
@@ -210,9 +216,10 @@ class GreenOperator:
     factored once and reused across right-hand sides.  Every solve is
     checked against the relative residual SOLVE_TOL; ``residual`` is the
     worst one seen so far.  kernel(y,z) is g^A(y,z) = M^{-1}(y,z); it is
-    exactly symmetric because M is."""
+    exactly symmetric because M is.  ``triplets``: as for
+    ``_dirichlet_matrix``."""
 
-    def __init__(self, g, region):
+    def __init__(self, g, region, triplets=None):
         region = _as_vertex_set(g, region)
         if region.size == 0:
             raise ValueError("region is empty")
@@ -222,7 +229,7 @@ class GreenOperator:
         self.region = region
         self.size = int(region.size)
         self.mu = g.mu[region]
-        self._M = _dirichlet_matrix(g, region)
+        self._M = _dirichlet_matrix(g, region, triplets)
         self._raw_solve = _make_solver(self._M)
         self.residual = 0.0
 
@@ -278,24 +285,17 @@ def exit_times(g, region):
     exit-time vector.  Vectors are memoized per graph in ``g._exit_times``
     under the system's key, so a ball that is a translate of one solved
     before (same triplets, same mu, in the same order) costs a gather and
-    a hash.  A miss solves through a fresh GreenOperator; a failed solve
-    raises and stores nothing.  The memo holds at most EXIT_MEMO_BYTES
-    of vectors, dropping the least recently used first; a vector larger
-    than that is returned unstored."""
+    a hash.  A miss factors the triplets just hashed; a failed solve
+    raises and stores nothing.  The memo holds one vector per distinct
+    system the graph has solved, one float per vertex of its region."""
     region = _as_vertex_set(g, region)
-    i, j, w = _gather(g, region, region)
-    key = _system_key(region.size, i, j, w, g.mu[region])
-    memo = g._exit_times
-    E = memo.pop(key, None)
+    triplets = _gather(g, region, region)
+    key = _system_key(region.size, *triplets, g.mu[region])
+    E = g._exit_times.get(key)
     if E is None:
-        E = GreenOperator(g, region).exit_times()
+        E = GreenOperator(g, region, triplets).exit_times()
         E.setflags(write=False)
-        if E.nbytes > EXIT_MEMO_BYTES:
-            return E
-        g._exit_bytes += E.nbytes
-        while g._exit_bytes > EXIT_MEMO_BYTES:
-            g._exit_bytes -= memo.pop(next(iter(memo))).nbytes
-    memo[key] = E
+        g._exit_times[key] = E
     return E
 
 

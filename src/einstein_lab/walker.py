@@ -53,7 +53,7 @@ def _simulate(g, x, R, cfg: WalkConfig):
     in_region[region] = True
     cap = cfg.step_cap if cfg.step_cap is not None else 100 * R * R
     steps, exit_vertex = _kernels.simulate_exits(
-        g.indptr, g.indices, g.transition_profile(), in_region,
+        g.indptr, g.indices, g.weights, g.mu, in_region,
         x, cfg.n_walks, cap, cfg.seed,
     )
     exited = exit_vertex >= 0

@@ -8,6 +8,7 @@ import re
 import shlex
 
 from einstein_lab import _kernels, cli, conditions
+from test_potential import count_factors
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -55,3 +56,15 @@ def test_readme_states_the_bucket_table_size():
     buckets, bits, kib = map(int, found.groups())
     assert (buckets, bits) == (1 << _kernels.BUCKET_BITS, _kernels.BUCKET_BITS)
     assert kib * 1024 == 4 * buckets            # one int32 entry per bucket
+
+
+def test_readme_states_the_z41_factor_count(tmp_path, monkeypatch):
+    stated = re.search(r"a z41 `verify` factors (\d+) systems",
+                       README.read_text(encoding="utf-8"))
+    path = str(tmp_path / "z41.txt")
+    assert cli.main(["generate", "--family", "lattice", "--side", "41",
+                     "--out", path]) == cli.EXIT_OK
+    factors = count_factors(monkeypatch)
+    assert cli.main(["verify", "--graph", path,
+                     "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_OK
+    assert len(factors) == int(stated.group(1))

@@ -417,35 +417,33 @@ class TestExitMemo:
         for _ in range(2):
             with pytest.raises(ConvergenceError, match="exactly singular"):
                 mean_exit_time(g, 32, 8)
-        assert g._exit_times == {} and g._exit_bytes == 0
+        assert g._exit_times == {}
 
-    def test_memo_bounded_by_bytes(self, monkeypatch):
+    def test_second_pass_builds_nothing(self, monkeypatch):
+        # one vector per distinct system, and every one of them kept
         g, _ = sierpinski_gasket(5)
-        cap = 4 * 8 * ball(g, 0, 3).size
-        monkeypatch.setattr(potential, "EXIT_MEMO_BYTES", cap)
-        for x in range(30):
-            mean_exit_time(g, x, 3)
-            stored = sum(E.nbytes for E in g._exit_times.values())
-            assert g._exit_bytes == stored <= cap
-        assert 1 <= len(g._exit_times) < 30
-
-    def test_least_recently_used_is_dropped(self, monkeypatch):
-        # singletons of distinct measure: one 8-byte vector each
-        g = WeightedGraph(6, [(i, i + 1, 1.0 + i) for i in range(5)])
-        monkeypatch.setattr(potential, "EXIT_MEMO_BYTES", 16)
-        for v in (1, 2, 1, 3):
-            exit_times(g, [v])
+        first = [mean_exit_time(g, x, 3) for x in range(g.vertex_count)]
         factors = count_factors(monkeypatch)
-        exit_times(g, [1])
+        assert [mean_exit_time(g, x, 3)
+                for x in range(g.vertex_count)] == first
         assert factors == []
-        exit_times(g, [2])
-        assert factors == [(1, 1)]
+        keys = set()
+        for x in range(g.vertex_count):
+            B = ball(g, x, 3)
+            keys.add(potential._system_key(
+                B.size, *potential._gather(g, B, B), g.mu[B]))
+        assert len(g._exit_times) == len(keys) < g.vertex_count
 
-    def test_vector_larger_than_the_cap_is_not_stored(self, monkeypatch):
+    def test_miss_gathers_once(self, monkeypatch):
         g, c = lattice_box(2, 21)
-        monkeypatch.setattr(potential, "EXIT_MEMO_BYTES", 8)
-        assert exit_times(g, ball(g, c, 2)).size == 5
-        assert g._exit_times == {} and g._exit_bytes == 0
+        calls = []
+        gather = potential._gather
+        monkeypatch.setattr(potential, "_gather",
+                            lambda *a: calls.append(a) or gather(*a))
+        factors = count_factors(monkeypatch)
+        E = exit_times(g, ball(g, c, 3))
+        assert len(factors) == 1 and len(calls) == 1
+        assert E.tobytes() == fresh_exit_times(g, ball(g, c, 3)).tobytes()
 
     def test_returned_vector_is_read_only(self):
         g, c = lattice_box(2, 21)
@@ -453,6 +451,40 @@ class TestExitMemo:
         with pytest.raises(ValueError, match="read-only"):
             E[0] = 0.0
         assert exit_times(g, ball(g, c + 1, 3)) is E
+
+
+class TestVertexSet:
+    def test_memoized_ball_is_returned_itself(self):
+        g, c = lattice_box(2, 21)
+        B = ball(g, c, 3)
+        assert potential._as_vertex_set(g, B) is B
+
+    def test_other_input_is_sorted_and_deduplicated(self):
+        g = path_graph(10)
+        repeated = np.array([1, 1, 3])
+        descending = np.array([7, 4, 2])
+        narrow = np.array([2, 4, 7], dtype=np.int32)
+        for A in (repeated, descending, narrow):
+            A.setflags(write=False)
+        for A, want in (([5, 2, 5, 0], [0, 2, 5]), (repeated, [1, 3]),
+                        (descending, [2, 4, 7]), (narrow, [2, 4, 7])):
+            got = potential._as_vertex_set(g, A)
+            assert got.dtype == np.int64 and got.tolist() == want
+
+    def test_writable_input_is_never_aliased(self):
+        g = path_graph(10)
+        A = np.array([2, 4, 7])
+        got = potential._as_vertex_set(g, A)
+        assert got.tolist() == [2, 4, 7]
+        assert not np.shares_memory(got, A)
+
+    def test_out_of_range_refused(self):
+        g = path_graph(10)
+        frozen = np.array([3, 10])
+        frozen.setflags(write=False)
+        for A in ([-1, 2], [3, 10], frozen):
+            with pytest.raises(ValueError, match="out of range"):
+                potential._as_vertex_set(g, A)
 
 
 def shrunk_host_exit_time(g, x, R):

@@ -12,7 +12,7 @@ from einstein_lab.generators import (apply_radial_weights, binary_tree,
 from einstein_lab.graph import WeightedGraph, ball, shrink
 from einstein_lab.potential import harmonic_measure, mean_exit_time
 from einstein_lab.walker import WalkConfig, mc_exit_sample, mc_exit_time
-from test_graph import connected_graphs
+from test_graph import connected_graphs, host_profile
 
 
 def test_u01_scalar_vector_agree():
@@ -78,17 +78,18 @@ def reference_exits(indptr, indices, aug, in_region, start, n_walks,
 
 
 def assert_matches_reference(g, x, in_region, n_walks, step_cap, seed):
-    args = (g.indptr, g.indices, g.transition_profile(), in_region, x,
-            n_walks, step_cap, seed)
-    steps, exits = _kernels.simulate_exits(*args)
-    want_steps, want_exits = reference_exits(*args)
+    run = (in_region, x, n_walks, step_cap, seed)
+    steps, exits = _kernels.simulate_exits(g.indptr, g.indices, g.weights,
+                                           g.mu, *run)
+    want_steps, want_exits = reference_exits(g.indptr, g.indices,
+                                             host_profile(g), *run)
     assert np.array_equal(steps, want_steps)
     assert np.array_equal(exits, want_exits)
 
 
 def exits_digest(g, x, R, n, seed):
     steps, exits = _kernels.simulate_exits(
-        g.indptr, g.indices, g.transition_profile(), region(g, x, R),
+        g.indptr, g.indices, g.weights, g.mu, region(g, x, R),
         x, n, 100 * R * R, seed)
     blob = steps.astype("<i8").tobytes() + exits.astype("<i8").tobytes()
     return hashlib.sha256(blob).hexdigest(), int(steps.sum())
@@ -135,8 +136,8 @@ class TestBucketKernel:
     def test_start_outside_region_refused(self):
         g, c = lattice_box(2, 21)
         with pytest.raises(ValueError, match="outside the walk region"):
-            _kernels.simulate_exits(g.indptr, g.indices,
-                                    g.transition_profile(), region(g, c, 2),
+            _kernels.simulate_exits(g.indptr, g.indices, g.weights, g.mu,
+                                    region(g, c, 2),
                                     c + 5, 10, 10, 1)
 
     def test_memory_follows_region(self):
@@ -145,12 +146,11 @@ class TestBucketKernel:
         peaks = []
         for side in (41, 401):
             g, c = lattice_box(2, side)
-            aug = g.transition_profile()
             in_region = region(g, c, 4)
             tracemalloc.start()
             try:
-                _kernels.simulate_exits(g.indptr, g.indices, aug, in_region,
-                                        c, 1000, 1600, 1)
+                _kernels.simulate_exits(g.indptr, g.indices, g.weights, g.mu,
+                                        in_region, c, 1000, 1600, 1)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -160,9 +160,13 @@ class TestBucketKernel:
 def check_bucket_table(g, in_region):
     """Every table entry against ``_row_choice`` on the host arrays at the
     two ends of its bucket; returns the table and the region's rows."""
-    aug = g.transition_profile()
-    rows, ptr, raug, code = _kernels._region_csr(g.indptr, g.indices, aug,
-                                                 in_region)
+    aug = host_profile(g)
+    rows, ptr, raug, code = _kernels._region_csr(g.indptr, g.indices,
+                                                 g.weights, g.mu, in_region)
+    # the region's profile is the host's, entry for entry
+    at = np.concatenate([np.arange(g.indptr[v], g.indptr[v + 1])
+                         for v in rows])
+    assert raug.tobytes() == aug[at].tobytes()
     table = _kernels._bucket_table(rows, ptr, raug, code).ravel()
     b = _kernels.BUCKET_BITS
     j = np.arange(1 << b)
@@ -214,7 +218,7 @@ class TestRowChoice:
                             _kernels._u01_np(np.arange(64, dtype=np.uint64),
                                              0)])
         for g, _ in walk_hosts():
-            aug = g.transition_profile()
+            aug = host_profile(g)
             pos = np.repeat(np.arange(g.vertex_count), u.size)
             key = pos + np.tile(u, g.vertex_count)
             last = g.indptr[pos + 1] - 1
@@ -227,7 +231,7 @@ class TestRowChoice:
         # row 2 starts with a tiny weight, so its first aug entry is
         # 2 + 1e-30 == 2.0; keys v + U_MAX round up to v + 1.0
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1e-30)])
-        aug = g.transition_profile()
+        aug = host_profile(g)
         assert aug[g.indptr[2]] == 2.0
         for v in (1, 2):
             key = np.array([v + U_MAX])
