@@ -23,8 +23,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, conditions, generators, graph, potential, walker
-from .errors import (ConvergenceError, GraphFormatError, MarginError,
-                     UnreachableError)
+from .errors import ConvergenceError, MarginError, UnreachableError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -92,48 +91,27 @@ def _manifest(args, graph_info, seed=None, timestamp=False):
         man["seed"] = seed
     if timestamp:
         man["timestamp"] = datetime.now(timezone.utc).isoformat()
-        hook = os.environ.get("EINSTEIN_LAB_CORRUPT")
-        if hook:
-            man["EINSTEIN_LAB_CORRUPT"] = hook
     return man
 
 
 def _load_graph(path):
     g = graph.load(path)
-    hook = os.environ.get("EINSTEIN_LAB_CORRUPT")
-    if hook:
-        print(f"note: EINSTEIN_LAB_CORRUPT={hook} bumps a stored weight; "
-              "results are not the graph file's", file=sys.stderr)
-        g = _corrupt_graph(g, *_fields(f"EINSTEIN_LAB_CORRUPT={hook}", hook,
-                                       "u,v,delta", (int, int, float)))
     return g, {"path": path, "vertices": g.vertex_count,
                "edges": g.edge_count}
 
 
-def _corrupt_graph(g, u, v, delta):
-    """Test hook: bump one directed weight, breaking reversibility."""
-    lo, hi = g.indptr[u:u + 2] if 0 <= u < g.vertex_count else (0, 0)
-    hits = lo + np.flatnonzero(g.indices[lo:hi] == v)
-    if hits.size == 0:
-        raise ValueError(f"no edge {u}->{v} to corrupt")
-    w = g.weights.copy()
-    w[hits[0]] += delta
-    if not 0.0 < w[hits[0]] < math.inf:     # a NaN weight is refused too
-        raise GraphFormatError(f"edge ({u},{v}) has weight "
-                               f"{w.item(hits[0])!r}, not positive and finite")
-    return graph.WeightedGraph.from_csr(g.indptr, g.indices, w)
-
-
-def _fields(given, text, need, kinds=(int,), sep=","):
-    """``text`` split on ``sep`` into one field per parser in ``kinds``
-    (kinds None: any number of ints, empty fields skipped), or a usage
-    error naming ``given``, the flag or hook as written, and ``need``."""
+def _fields(given, text, need, count=1, sep=","):
+    """``text`` split on ``sep`` into ``count`` ints (None: any number,
+    empty fields skipped), or a usage error naming ``given``, the flag as
+    written, and ``need``."""
     parts = text.split(sep)
-    if kinds is None:
+    if count is None:
         parts = [t for t in parts if t]
-        kinds = [int] * len(parts)
+        count = len(parts)
     try:
-        return [kind(t) for kind, t in zip(kinds, parts, strict=True)]
+        if len(parts) != count:
+            raise ValueError
+        return [int(t) for t in parts]
     except ValueError:
         raise ValueError(f"{given}: need {need}") from None
 
@@ -156,7 +134,7 @@ def _sidecar_center(path):
 def _parse_radii(text):
     """A comma list, or a dyadic ladder lo..hi; every radius is >= 1."""
     if ".." in text:
-        lo, hi = _fields(f"--radii {text}", text, "lo..hi", (int, int), "..")
+        lo, hi = _fields(f"--radii {text}", text, "lo..hi", 2, "..")
         radii = []
         R = lo
         while 1 <= R <= hi:
@@ -227,7 +205,7 @@ def _int_fields(args, name, fields="x,r"):
     """Compute flag --name as the ints that ``fields`` names."""
     text = getattr(args, name)
     return _fields(f"--{name.replace('_', '-')} {text}", text, fields,
-                   (int,) * len(fields.split(",")))
+                   len(fields.split(",")))
 
 
 # flags each compute quantity needs; resistance with --annulus needs no ball

@@ -18,15 +18,17 @@ from .errors import GraphFormatError, MarginError
 
 
 class WeightedGraph:
-    """Immutable connected graph, each edge stored both ways, weights > 0.
+    """Immutable connected graph built from an edge list, weights > 0.
 
-    The adjacency is held once, as ``matrix``: a scipy CSR that every BFS
-    and every Dirichlet block slices, whose own arrays are the ``indptr``,
-    ``indices`` and ``weights`` that the walk kernel reads.  Every reader
-    of the edge set takes its upper triangle.  All arrays are frozen after
-    construction.  No per-center state is host-sized: balls are memoized
-    per (center, radius) in ``_balls``, each as long as its ball, and
-    ``_exit_times`` is ``potential.exit_times``'s memo.
+    Each edge is stored both ways with its one weight, so mu_xy = mu_yx
+    and the walk is reversible by construction.  The adjacency is held
+    once, as ``matrix``: a scipy CSR that every BFS and every Dirichlet
+    block slices, whose own arrays are the ``indptr``, ``indices`` and
+    ``weights`` that the walk kernel reads.  Every reader of the edge set
+    takes its upper triangle.  All arrays are frozen after construction.
+    No per-center state is host-sized: balls are memoized per (center,
+    radius) in ``_balls``, each as long as its ball, and ``_exit_times``
+    is ``potential.exit_times``'s memo.
     """
 
     def __init__(self, vertex_count, edges):
@@ -59,28 +61,9 @@ class WeightedGraph:
                             np.concatenate([hi, lo[off]]))), shape=(n, n))
         self._init_csr(W)
 
-    @classmethod
-    def from_csr(cls, indptr, indices, weights):
-        """CSR arrays taken as given.  Each x->y needs a stored y->x, whose
-        weight may differ (a non-reversible walk); edges: upper triangle."""
-        n = int(indptr.shape[0]) - 1
-        matrix = sp.csr_matrix((weights, indices, indptr), shape=(n, n))
-        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(matrix.indptr))
-        # int64 keys: n * n passes 2**31 from 46 341 vertices on
-        keys = np.sort(rows * n + matrix.indices)
-        mirror = matrix.indices.astype(np.int64) * n + rows
-        one_way = np.append(keys, -1)[np.searchsorted(keys, mirror)] != mirror
-        if one_way.any():
-            k = int(np.argmax(one_way))
-            raise GraphFormatError(f"entry ({rows[k]},{matrix.indices[k]}) is "
-                                   "stored one way, not both")
-        g = cls.__new__(cls)
-        g._init_csr(matrix)
-        return g
-
     def _init_csr(self, matrix):
-        """The one construction path: measure, frozen arrays, caches and
-        the connectivity check."""
+        """The rest of ``__init__`` once the symmetric CSR is built:
+        measure, frozen arrays, caches and the connectivity check."""
         n = matrix.shape[0]
         self.vertex_count = n
         self.matrix = matrix
@@ -115,7 +98,8 @@ class WeightedGraph:
 
     def _upper(self):
         """The CSR's entries with u <= v as arrays (u, v, w) in CSR order:
-        the edge list sorted by (u, v), self-loops included."""
+        each edge once, as the list sorted by (u, v), self-loops
+        included."""
         rows = np.repeat(np.arange(self.vertex_count), np.diff(self.indptr))
         up = rows <= self.indices
         return rows[up], self.indices[up], self.weights[up]
@@ -253,9 +237,22 @@ def annulus_volume(g, x, r, R):
     return volume(g, x, R) - volume(g, x, r)
 
 
+def _as_vertex_set(g, A):
+    """A as a sorted int64 vertex array without repeats.  A read-only, 1-D,
+    int64, strictly increasing array (a memoized ball) is returned itself;
+    anything else is copied through np.unique."""
+    if not (isinstance(A, np.ndarray) and A.ndim == 1
+            and A.dtype == np.int64 and not A.flags.writeable
+            and np.all(A[1:] > A[:-1])):
+        A = np.unique(np.asarray(A, dtype=np.int64))
+    if A.size and (A[0] < 0 or A[-1] >= g.vertex_count):
+        raise ValueError("vertex id out of range")
+    return A
+
+
 def closure(g, A):
     """A together with every vertex adjacent to A."""
-    A = np.asarray(A, dtype=np.int64)
+    A = _as_vertex_set(g, A)
     if A.size == 0:
         raise ValueError("closure of the empty set")
     return np.union1d(A, g.matrix[A].indices)
@@ -263,7 +260,8 @@ def closure(g, A):
 
 def boundary(g, A):
     """External boundary: closure(A) minus A."""
-    return np.setdiff1d(closure(g, A), A)
+    A = _as_vertex_set(g, A)
+    return np.setdiff1d(closure(g, A), A, assume_unique=True)
 
 
 @dataclass(frozen=True)
@@ -280,7 +278,7 @@ def shrink(g, A):
     the summed weight of all former edges from x into A; edges internal
     to A are dropped.  The returned mapping sends removed vertices to -1.
     """
-    A = np.asarray(A, dtype=np.int64)
+    A = _as_vertex_set(g, A)
     if A.size == 0:
         raise ValueError("cannot shrink the empty set")
     if A.size >= g.vertex_count:

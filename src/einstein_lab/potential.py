@@ -29,8 +29,8 @@ import scipy.sparse.linalg as spla
 
 from ._kernels import bfs_distances
 from .errors import ConvergenceError, MarginError, UnreachableError
-from .graph import (WeightedGraph, ball, boundary, closure, proper_ball,
-                    shrink, volume)
+from .graph import (WeightedGraph, _as_vertex_set, ball, boundary, closure,
+                    proper_ball, shrink, volume)
 
 DIRECT_SOLVE_LIMIT = 5000
 SOLVE_TOL = 1e-10
@@ -94,19 +94,6 @@ def _make_solver(M):
 def _relative_residual(M, x, b):
     bnorm = np.linalg.norm(b)
     return float(np.linalg.norm(M @ x - b) / bnorm) if bnorm else 0.0
-
-
-def _as_vertex_set(g, A):
-    """A as a sorted int64 vertex array without repeats.  A read-only, 1-D,
-    int64, strictly increasing array (a memoized ball) is returned itself;
-    anything else is copied through np.unique."""
-    if not (isinstance(A, np.ndarray) and A.ndim == 1
-            and A.dtype == np.int64 and not A.flags.writeable
-            and np.all(A[1:] > A[:-1])):
-        A = np.unique(np.asarray(A, dtype=np.int64))
-    if A.size and (A[0] < 0 or A[-1] >= g.vertex_count):
-        raise ValueError("vertex id out of range")
-    return A
 
 
 def _locate(region, v):
@@ -312,14 +299,15 @@ def max_exit_time(g, x, R):
 
 def shrunk_exit_time(g, x, R):
     """E_a(T_B), B = B(x,2R), once A = B(x,R) is shrunk to a vertex a.
-    Only C = closure(B) is shrunk: it holds B's rows in order, so the system
-    is the shrunk host's."""
+    Only C = closure(B) is shrunk, rebuilt from its gather's edges (i <= j):
+    it holds B's edges in order, so the system is the shrunk host's."""
     A = proper_ball(g, x, R)
     B = proper_ball(g, x, 2 * R, what="outer ball")
     C = closure(g, B)
     i, j, w = _gather(g, C, C)
-    indptr = np.r_[0, np.cumsum(np.bincount(i, minlength=C.size))]
-    sr = shrink(WeightedGraph.from_csr(indptr, j, w), np.searchsorted(C, A))
+    up = i <= j
+    sr = shrink(WeightedGraph(C.size, np.column_stack([i[up], j[up], w[up]])),
+                np.searchsorted(C, A))
     keep = sr.old_to_new[np.searchsorted(C, B)]
     return float(exit_times(sr.graph, np.append(keep[keep >= 0], sr.a))[-1])
 

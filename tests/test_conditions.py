@@ -336,7 +336,7 @@ class TestVerifySuite:
         assert res.witness == (0, 1, 1) and math.isnan(res.worst_slack)
 
     def test_corrupted_weights_fail_reversibility(self, z41):
-        from einstein_lab.cli import _corrupt_graph
+        from test_graph import _corrupt_graph
         g, c, _ = z41
         bad = _corrupt_graph(g, c, c + 1, 0.25)
         results = verify_inequalities(bad, SweepGrid((c,), (2,)))

@@ -1,16 +1,23 @@
 """The README's code runs against the current API, its command lines
-parse, and its lists of condition tags and compute quantities are the
-program's, so a public name, a flag, a tag or a quantity that is added,
-deleted or renamed on one side only fails here."""
+parse, the names it cites resolve, and its lists of condition tags and
+compute quantities are the program's, so a public name, a flag, a tag or
+a quantity that is added, deleted or renamed on one side only fails
+here."""
 
+import functools
+import importlib
 import pathlib
+import pkgutil
 import re
 import shlex
 
+import einstein_lab
 from einstein_lab import _kernels, cli, conditions
+from einstein_lab.generators import lattice_box
 from test_potential import count_factors
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = pathlib.Path(einstein_lab.__file__).parent
 
 
 def test_readme_library_example_runs(capsys):
@@ -68,3 +75,40 @@ def test_readme_states_the_z41_factor_count(tmp_path, monkeypatch):
     assert cli.main(["verify", "--graph", path,
                      "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_OK
     assert len(factors) == int(stated.group(1))
+
+
+def readme_dotted_names():
+    """Every dotted name that opens a backticked span of the README's prose
+    (fenced blocks left out), e.g. ``graph.ball`` or ``g.edges``."""
+    prose = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"),
+                   flags=re.S)
+    return [m.group(1) for span in re.findall(r"`([^`]+)`", prose)
+            if (m := re.match(r"(\w+(?:\.\w+)+)", span))]
+
+
+def test_readme_names_resolve():
+    # a name whose head is a module of the package, WeightedGraph or a
+    # built graph g must resolve: a deleted function or attribute fails
+    heads = {m.name: importlib.import_module(f"einstein_lab.{m.name}")
+             for m in pkgutil.iter_modules([str(PACKAGE)])}
+    heads["WeightedGraph"] = einstein_lab.WeightedGraph
+    heads["g"] = lattice_box(2, 5)[0]
+    names = [name for name in readme_dotted_names()
+             if name.split(".")[0] in heads]
+    unresolved = []
+    for name in names:
+        head, *attrs = name.split(".")
+        try:
+            functools.reduce(getattr, attrs, heads[head])
+        except AttributeError:
+            unresolved.append(name)
+    assert names and unresolved == []
+
+
+def test_package_reads_no_environment():
+    # no environment variable may change what the lab computes
+    readers = [f"{path.name}: {hit}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for hit in re.findall(r"environ|getenv",
+                                     path.read_text(encoding="utf-8"))]
+    assert readers == []

@@ -5,11 +5,11 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from einstein_lab import _kernels, graph
 from einstein_lab._kernels import bfs_distances
-from einstein_lab.cli import _corrupt_graph
 from einstein_lab.conditions import auto_centers, ball_inside_host
 from einstein_lab.errors import GraphFormatError
 from einstein_lab.graph import (WeightedGraph, annulus_volume, ball, boundary,
@@ -22,6 +22,24 @@ from einstein_lab.generators import (apply_radial_weights, binary_tree,
 
 def path_graph(n, w=1.0):
     return WeightedGraph(n, [(i, i + 1, w) for i in range(n - 1)])
+
+
+def stored_graph(indptr, indices, weights):
+    """CSR arrays taken as given, through the constructor's ``_init_csr``:
+    each x->y needs a stored y->x, but the two weights may differ (a
+    non-reversible walk, which no edge list can build)."""
+    n = int(indptr.shape[0]) - 1
+    g = WeightedGraph.__new__(WeightedGraph)
+    g._init_csr(sp.csr_matrix((weights, indices, indptr), shape=(n, n)))
+    return g
+
+
+def _corrupt_graph(g, u, v, delta):
+    """g with ``delta`` added to the stored weight of u->v alone."""
+    w = g.weights.copy()
+    row = slice(g.indptr[u], g.indptr[u + 1])
+    w[g.indptr[u] + np.flatnonzero(g.indices[row] == v)[0]] += delta
+    return stored_graph(g.indptr, g.indices, w)
 
 
 @st.composite
@@ -46,7 +64,7 @@ def connected_graphs(draw, w_min=0.25, w_max=4.0):
 
 @st.composite
 def stored_walks(draw, bases=None):
-    """Graphs built by ``from_csr`` over a connected pattern (drawn from
+    """Graphs built by ``stored_graph`` over a connected pattern (drawn from
     ``connected_graphs`` or from ``bases``' edge lists) whose two
     directions carry independent weights from a small set, so tied minima
     and asymmetric stored weights are common, plus a few extra entries,
@@ -67,7 +85,7 @@ def stored_walks(draw, bases=None):
     keys = sorted(W)
     rows = np.array([x for x, _ in keys], dtype=np.int64)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    return WeightedGraph.from_csr(
+    return stored_graph(
         indptr, np.array([y for _, y in keys], dtype=np.int64),
         np.array([W[k] for k in keys], dtype=np.float64))
 
@@ -366,7 +384,7 @@ class TestOneAdjacency:
 
     def test_no_stored_edge_list(self):
         g = path_graph(4)
-        h = WeightedGraph.from_csr(g.indptr, g.indices, g.weights)
+        h = stored_graph(g.indptr, g.indices, g.weights)
         for x in (g, h, shrink(g, [0, 1]).graph, shrink(h, [3]).graph):
             assert "edges" not in vars(x)
             assert x.edges == x.edges and x.edges is not x.edges
@@ -381,22 +399,6 @@ class TestOneAdjacency:
         assert g.edges == upper
         assert g.edge_count == len(upper)
 
-    def test_from_csr_refuses_one_way_entry(self):
-        # the unit path 0-9 stored both ways plus the entry 1->5 alone
-        g = path_graph(10)
-        indices = np.insert(g.indices, 3, 5)
-        indptr = g.indptr + (np.arange(11) >= 2)
-        with pytest.raises(GraphFormatError,
-                           match=r"entry \(1,5\) is stored one way"):
-            WeightedGraph.from_csr(indptr, indices, np.ones(indices.size))
-
-    def test_from_csr_accepts_host_beyond_int32_keys(self):
-        # 217**4 passes 2**31: keys built from the int32 indices would wrap
-        g, _ = lattice_box(2, 217)
-        h = WeightedGraph.from_csr(g.indptr, g.indices, g.weights)
-        assert h.indices.dtype == np.int32 and g.vertex_count ** 2 > 2 ** 31
-        assert np.array_equal(h.mu, g.mu)
-
     @pytest.mark.parametrize("entry, merged", [(2, 1.5), (3, 1.0)],
                              ids=["upper", "lower"])
     def test_shrink_reads_stored_upper_entry(self, entry, merged):
@@ -405,7 +407,7 @@ class TestOneAdjacency:
         g = path_graph(4)
         w = g.weights.copy()
         w[entry] = 1.5
-        h = WeightedGraph.from_csr(g.indptr, g.indices, w)
+        h = stored_graph(g.indptr, g.indices, w)
         assert shrink(h, [2, 3]).graph.edges == [(0, 1, 1.0), (1, 2, merged)]
 
 
@@ -638,6 +640,28 @@ class TestShrink:
         at_a = sum(w for u, v, w in sr.graph.edges if sr.a in (u, v))
         assert at_a == pytest.approx(crossing)
         assert sr.graph.mu[sr.a] == pytest.approx(crossing)
+
+
+class TestVertexSets:
+    """closure, boundary and shrink read their vertex set by one rule: ids
+    in [0, n), repeats counted once."""
+
+    @pytest.mark.parametrize("A", [[-1], [5], [2, 9]])
+    @pytest.mark.parametrize("op", [closure, boundary, shrink],
+                             ids=["closure", "boundary", "shrink"])
+    def test_out_of_range_refused(self, op, A):
+        # numpy would wrap -1 to the last vertex and index past n raw
+        with pytest.raises(ValueError, match="vertex id out of range"):
+            op(path_graph(5), A)
+
+    def test_repeats_are_a_set(self):
+        g = path_graph(5)
+        assert closure(g, [2, 2]).tolist() == [1, 2, 3]
+        assert boundary(g, [3, 2, 3]).tolist() == [1, 4]
+        # six ids, four vertices: not the whole vertex set
+        sr = shrink(g, [0, 0, 1, 1, 2, 3])
+        assert (sr.a, sr.graph.edges) == (1, [(0, 1, 1.0)])
+        assert sr.old_to_new.tolist() == [-1, -1, -1, -1, 0]
 
 
 class TestP0:

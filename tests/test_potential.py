@@ -696,8 +696,9 @@ def test_exit_time_green_consistency_on_gasket():
 # -- the ball-local gather against the scipy slicing it replaced --------------
 
 # connected graphs, graphs with self-loops, a hub of degree >= 8 and weights
-# whose sums depend on their order (1 + 2**-53 + 2**-53), and ``from_csr``
-# walks whose two directions carry different weights
+# whose sums depend on their order (1 + 2**-53 + 2**-53), and stored walks
+# (the test helper ``stored_graph``) whose two directions carry different
+# weights
 GATHER_GRAPHS = st.one_of(
     connected_graphs(),
     edge_lists(hub=True).map(lambda c: WeightedGraph(*c)),
