@@ -7,6 +7,8 @@ is the tests' reference for the vector one, which the kernel uses.  A
 walk step is one lookup in a table built per region at kernel entry;
 only a draw that falls in a bucket straddling a transition threshold
 searches its row, so every step takes the same neighbour as the search.
+A walker that exits hands its slot to a live one from the end of the
+batch, so a step's bookkeeping follows its exits, not the batch size.
 """
 
 import numpy as np
@@ -73,12 +75,15 @@ def _bits_np(keys: np.ndarray, step: int) -> np.ndarray:
     return _mix_np(keys + np.uint64(((step + 1) * _GAMMA) & _MASK))
 
 
-def _u01_np(keys: np.ndarray, step: int) -> np.ndarray:
-    word = _bits_np(keys, step)
-    word >>= _S11
-    u = word.astype(np.float64)
+def _u01_from_bits(word: np.ndarray) -> np.ndarray:
+    """u of each mixed word: its top 53 bits, scaled to [0, 1)."""
+    u = (word >> _S11).astype(np.float64)
     u *= _INV53
     return u
+
+
+def _u01_np(keys: np.ndarray, step: int) -> np.ndarray:
+    return _u01_from_bits(_bits_np(keys, step))
 
 
 # -- BFS distances -----------------------------------------------------------
@@ -204,9 +209,15 @@ def simulate_exits(indptr, indices, weights, mu, in_region, start, n_walks,
     an AMBIGUOUS bucket run ``_row_choice`` on their own key.  The result
     is the rule's, bit for bit, whatever BUCKET_BITS is.
 
-    Walker state (id, stream key, table row) is compacted as walks exit.
-    Only the region's rows are read, so memory and time follow the
-    region and the number of live walkers, not the size of the host.
+    A step mixes each walker's counter once: the top BUCKET_BITS bits of
+    the word pick the bucket, and an ambiguous walker takes its u from
+    the same word.  Walker state (id, stream key, local vertex) lives in
+    arrays cut to the live walkers; each exiting walker's slot below the
+    new end takes a live walker from the tail, so retiring costs
+    O(exits) and allocates nothing batch-sized.  Results are indexed by
+    walk id, so the order of walkers in the arrays never shows.  Only
+    the region's rows are read, so memory and time follow the region and
+    the number of live walkers, not the size of the host.
 
     Returns (steps, exit_vertex); exit_vertex is -1 for capped walks and
     steps then equals step_cap.  ``start`` must lie in the region
@@ -225,29 +236,41 @@ def simulate_exits(indptr, indices, weights, mu, in_region, start, n_walks,
     # each walker's table row offset: local id << BUCKET_BITS
     base = np.full(n_walks, np.searchsorted(rows, start) << BUCKET_BITS)
     for t in range(step_cap):
-        if wid.size == 0:
+        live = wid.size
+        if live == 0:
             break
-        cell = _bits_np(keys, t)
-        cell >>= _BUCKET_SHIFT
-        cell = cell.view(np.int64)
+        word = _bits_np(keys, t)
+        cell = (word >> _BUCKET_SHIFT).view(np.int64)
         cell |= base
         nxt = table[cell]
-        # freed before compaction allocates: peak RSS is 3 MB lower on
-        # gasket 6, B(0,16), 100 000 walks
+        # each batch-sized array is dropped once spent, before the next
+        # one is allocated: kept to the end of the step, they raised the
+        # peak RSS of 100 000 walks on gasket 6, B(0,16), by 0.5-1 MB
         del cell
-        amb = np.flatnonzero(nxt == AMBIGUOUS)
-        if amb.size:
-            local = base[amb] >> BUCKET_BITS
-            key = _u01_np(keys[amb], t)
-            key += rows[local]
-            nxt[amb] = code[_row_choice(ptr, raug, local, key, span)]
-        out = np.flatnonzero(nxt < AMBIGUOUS)
+        neg = np.flatnonzero(nxt < 0)
+        if neg.size:
+            amb = neg[nxt[neg] == AMBIGUOUS]
+            if amb.size:
+                local = base[amb] >> BUCKET_BITS
+                key = _u01_from_bits(word[amb])
+                key += rows[local]
+                nxt[amb] = code[_row_choice(ptr, raug, local, key, span)]
+            del word
+            out = neg[nxt[neg] < AMBIGUOUS]
+            if out.size:
+                done = wid[out]
+                steps[done] = t + 1
+                exit_vertex[done] = -2 - nxt[out]
+                # move the tail's live walkers into the holes below the
+                # new end, then cut the tail off (views: nothing copied)
+                live -= out.size
+                below = np.searchsorted(out, live)
+                keep = np.ones(out.size, dtype=bool)
+                keep[out[below:] - live] = False
+                hole, fill = out[:below], np.flatnonzero(keep) + live
+                for a in (wid, keys, nxt):
+                    a[hole] = a[fill]
+                wid, keys, nxt = wid[:live], keys[:live], nxt[:live]
         base = np.left_shift(nxt, BUCKET_BITS, dtype=np.int64)
-        if out.size:
-            done = wid[out]
-            steps[done] = t + 1
-            exit_vertex[done] = -2 - nxt[out]
-            stay = np.ones(wid.size, dtype=bool)
-            stay[out] = False
-            wid, keys, base = wid[stay], keys[stay], base[stay]
+        word = nxt = None
     return steps, exit_vertex

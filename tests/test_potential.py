@@ -980,3 +980,26 @@ def test_lattice_symmetry_oracle(z41, sigma, x):
     for R in (2, 4, 8):
         assert ball_quantities(z41, 41 * i + j, R) == pytest.approx(
             ball_quantities(z41, x, R), rel=1e-12, abs=0)
+
+
+# 9^3 box vertex id = 81 i + 9 j + k; permuting the axes is an automorphism
+BOX9_SYMMETRIES = {
+    "swap": lambda i, j, k: (k, j, i),
+    "cycle": lambda i, j, k: (j, k, i),
+}
+
+
+@pytest.fixture(scope="module")
+def box9():
+    return lattice_box(3, 9)[0]
+
+
+@pytest.mark.parametrize("sigma", BOX9_SYMMETRIES)
+@pytest.mark.parametrize("x", [284, 105, 43])
+def test_box_symmetry_oracle(box9, sigma, x):
+    # centers (3,4,5), (1,2,6) and (0,4,7): the box clips B(x,2R) at
+    # R = 4 for all three, and at R = 2 for the last two
+    i, j, k = BOX9_SYMMETRIES[sigma](*np.unravel_index(x, (9, 9, 9)))
+    for R in (2, 4):
+        assert ball_quantities(box9, 81 * i + 9 * j + k, R) == pytest.approx(
+            ball_quantities(box9, x, R), rel=1e-12, abs=0)

@@ -9,8 +9,9 @@ from einstein_lab import _kernels
 from einstein_lab.errors import MarginError
 from einstein_lab.generators import (apply_radial_weights, binary_tree,
                                      lattice_box, sierpinski_gasket)
-from einstein_lab.graph import WeightedGraph, ball, shrink
-from einstein_lab.potential import harmonic_measure, mean_exit_time
+from einstein_lab.graph import WeightedGraph, ball, eccentricities, shrink
+from einstein_lab.potential import (harmonic_measure, max_exit_time,
+                                    mean_exit_time)
 from einstein_lab.walker import WalkConfig, mc_exit_sample, mc_exit_time
 from test_graph import connected_graphs, host_profile
 
@@ -132,6 +133,22 @@ class TestBucketKernel:
                                  data.draw(st.integers(1, 200)),
                                  data.draw(st.integers(1, 300)),
                                  data.draw(st.integers(0, 2 ** 64 - 1)))
+
+    def test_batch_independence(self):
+        # walk w draws from (seed, w, t) alone, so the first n walks of a
+        # larger batch are the n walks of a batch of n, however the kernel
+        # orders its live walkers as others exit
+        n = 400
+        for g, x in walk_hosts():
+            for R in (1, 2, 4):
+                in_region = region(g, x, R)
+                for seed in (0, 5, 2 ** 63 + 1):
+                    run = (g.indptr, g.indices, g.weights, g.mu, in_region, x)
+                    small = _kernels.simulate_exits(*run, n, 100 * R * R, seed)
+                    large = _kernels.simulate_exits(*run, 2 * n + 1,
+                                                    100 * R * R, seed)
+                    for a, b in zip(small, large):
+                        assert np.array_equal(a, b[:n])
 
     def test_start_outside_region_refused(self):
         g, c = lattice_box(2, 21)
@@ -271,6 +288,22 @@ class TestMcExitTime:
         est = mc_exit_time(g, c, 6, WalkConfig(seed=3, n_walks=10_000))
         assert est.valid
         assert abs(est.mean - exact) <= 4 * est.std_error
+
+    @given(connected_graphs(), st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_random_hosts_match_exact_solver(self, g, data):
+        x = data.draw(st.integers(0, g.vertex_count - 1))
+        # B(x, ecc(x)) misses the farthest vertices; B(x, ecc(x) + 1) is
+        # the whole host
+        R = data.draw(st.integers(1, int(eccentricities(g)[x])))
+        # P(T > 2k Ebar) <= 2^-k from any start, so a cap of 100 Ebar
+        # leaves each walk a 2^-50 chance of reaching it
+        cap = int(100 * max_exit_time(g, x, R)) + 1
+        est = mc_exit_time(g, x, R, WalkConfig(
+            seed=data.draw(st.integers(0, 2 ** 64 - 1)), n_walks=4000,
+            step_cap=cap))
+        assert est.capped_count == 0
+        assert abs(est.mean - mean_exit_time(g, x, R)) <= 4 * est.std_error
 
     def test_capping_flags_invalid(self):
         g, c = lattice_box(2, 21)
