@@ -10,7 +10,10 @@ class MarginError(Exception):
 
 
 class ConvergenceError(Exception):
-    """An iterative solver failed to reach its residual tolerance."""
+    """A solve the lab cannot trust: an exactly singular LU factor, a
+    linear solve that misses its residual contract, or inverse iteration
+    that does not converge or cannot resolve its eigenvalue.  ``residual``
+    and ``iterations`` are set where the failing step knows them."""
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)

@@ -32,7 +32,6 @@ from .errors import ConvergenceError, MarginError, UnreachableError
 from .graph import (WeightedGraph, _as_vertex_set, ball, boundary, closure,
                     proper_ball, shrink, volume)
 
-DIRECT_SOLVE_LIMIT = 5000
 SOLVE_TOL = 1e-10
 EIGEN_TOL = 1e-9
 EIGEN_MAXITER = 10_000
@@ -66,29 +65,16 @@ def _dirichlet_matrix(g, region, triplets=None):
 
 
 def _make_solver(M):
-    """Factor M once and return its raw solve(b): sparse LU below
-    DIRECT_SOLVE_LIMIT unknowns, Jacobi-preconditioned conjugate gradients
-    above.  GreenOperator.solve checks the residual contract.
+    """Factor M once with scipy's sparse LU (default column ordering) and
+    return its raw solve(b); every region, whatever its size, takes this
+    one factor.  A singular factor raises ConvergenceError, and
+    GreenOperator.solve checks the residual contract.
     """
-    n = M.shape[0]
-    if n < DIRECT_SOLVE_LIMIT:
-        try:
-            return spla.splu(M).solve
-        except RuntimeError as exc:     # "Factor is exactly singular"
-            raise ConvergenceError(
-                f"LU factor of {n} unknowns failed: {exc}") from None
-    diag = M.diagonal()
-    precond = spla.LinearOperator(M.shape, matvec=lambda v: v / diag)
-
-    def solve(b):
-        x, info = spla.cg(M, b, rtol=1e-12, atol=0.0, maxiter=20_000,
-                          M=precond)
-        if info != 0:
-            raise ConvergenceError(f"CG failed on {n} unknowns",
-                                   iterations=info)
-        return x
-
-    return solve
+    try:
+        return spla.splu(M).solve
+    except RuntimeError as exc:         # "Factor is exactly singular"
+        raise ConvergenceError(
+            f"LU factor of {M.shape[0]} unknowns failed: {exc}") from None
 
 
 def _relative_residual(M, x, b):
