@@ -2,13 +2,15 @@
 weight CSR; the random-walk kernel is vectorized numpy and draws from a
 counter-based generator (splitmix64-style finalizer keyed by ``(seed,
 walk, step)``), so a simulation result does not depend on batching or
-call order.  The scalar generator below reproduces any single draw; it
-is the tests' reference for the vector one, which the kernel uses.  A
-walk step is one lookup in a table built per region at kernel entry;
+call order.  A walk step is one lookup in a table built per region at
+kernel entry, whose entries are the next row's offset in the table;
 only a draw that falls in a bucket straddling a transition threshold
 searches its row, so every step takes the same neighbour as the search.
-A walker that exits hands its slot to a live one from the end of the
-batch, so a step's bookkeeping follows its exits, not the batch size.
+The bucket is the top bits of the draw's mixed word, read before the
+mix's last xor-shift, which leaves them as they are.  A step works in
+buffers allocated at entry, and a walker that exits hands its slot to a
+live one from the end of the batch, so a step's bookkeeping follows its
+exits, not the batch size.
 """
 
 import numpy as np
@@ -27,39 +29,30 @@ _INV53 = 2.0 ** -53
 # u(seed, walk, step)    = mix(stream_key + (step+1) * GAMMA) >> 11, scaled
 #
 # mix is the splitmix64 finalizer; every quantity is a wrapping uint64.
-# The scalar and vector versions below must stay in lockstep.
-
-
-def _mix_py(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
-def stream_key_py(seed: int, walk: int) -> int:
-    return _mix_py((seed & _MASK) ^ _mix_py(((walk + 1) * _GAMMA) & _MASK))
-
-
-def u01_py(seed: int, walk: int, step: int) -> float:
-    key = stream_key_py(seed, walk)
-    word = _mix_py((key + ((step + 1) * _GAMMA) & _MASK) & _MASK)
-    return (word >> 11) * _INV53
-
+# Its last step, z ^= z >> 31, leaves the top 31 bits of z as they are,
+# so the kernel reads a step's bucket before that step (``_mix_head``)
+# and finishes the word only for the walkers that need their u.
 
 _S11, _S27, _S30, _S31 = (np.uint64(b) for b in (11, 27, 30, 31))
 
 
-def _mix_np(z: np.ndarray) -> np.ndarray:
-    """mix applied to ``z`` in place; returns ``z``."""
-    tmp = z >> _S30
+def _mix_head(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """mix but its last xor-shift, applied to ``z`` in place with the
+    scratch ``tmp`` of z's shape; returns ``z``."""
+    np.right_shift(z, _S30, out=tmp)
     z ^= tmp
     z *= np.uint64(_MIX1)
     np.right_shift(z, _S27, out=tmp)
     z ^= tmp
     z *= np.uint64(_MIX2)
-    np.right_shift(z, _S31, out=tmp)
-    z ^= tmp
+    return z
+
+
+def _mix_np(z: np.ndarray) -> np.ndarray:
+    """mix applied to ``z`` in place; returns ``z``."""
+    tmp = np.empty_like(z)
+    _mix_head(z, tmp)
+    z ^= np.right_shift(z, _S31, out=tmp)
     return z
 
 
@@ -69,21 +62,11 @@ def stream_keys_np(seed: int, walks: np.ndarray) -> np.ndarray:
     return _mix_np(pre)
 
 
-def _bits_np(keys: np.ndarray, step: int) -> np.ndarray:
-    """The 64-bit mixed word of each stream at ``step``; u is its top 53
-    bits, scaled."""
-    return _mix_np(keys + np.uint64(((step + 1) * _GAMMA) & _MASK))
-
-
 def _u01_from_bits(word: np.ndarray) -> np.ndarray:
     """u of each mixed word: its top 53 bits, scaled to [0, 1)."""
     u = (word >> _S11).astype(np.float64)
     u *= _INV53
     return u
-
-
-def _u01_np(keys: np.ndarray, step: int) -> np.ndarray:
-    return _u01_from_bits(_bits_np(keys, step))
 
 
 # -- BFS distances -----------------------------------------------------------
@@ -115,9 +98,12 @@ def bfs_distances(W, sources, limit=np.inf):
 # the uniforms j * 2^-b <= u <= (j + 1) * 2^-b - 2^-53, b = BUCKET_BITS.
 # The table has one int32 entry per (region vertex, bucket): the rule's
 # choice when it is the same at both ends of the bucket, else AMBIGUOUS.
-# A step is one gather; only ambiguous walkers run ``_row_choice`` on
-# their exact key.  b = 8 puts about 1% of steps on a 4-neighbour row in
-# an ambiguous bucket; b = 10 is no faster and costs 4 KiB per vertex.
+# The kernel stores a choice inside the region as that vertex's row
+# offset, local id << b, so a walker's state plus its bucket is the
+# index of its next entry.  A step is one gather; only ambiguous walkers
+# run ``_row_choice`` on their exact key.  b = 8 puts about 1% of steps
+# on a 4-neighbour row in an ambiguous bucket; b = 10 is no faster and
+# costs 4 KiB per vertex.
 
 BUCKET_BITS = 8                  # 1 KiB of table per region vertex
 AMBIGUOUS = -1
@@ -183,17 +169,19 @@ def _bucket_table(rows, ptr, aug, code):
     """(len(rows), 2^BUCKET_BITS) int32 table of the step from each region
     vertex: the code of the entry ``_row_choice`` picks at both ends of
     the bucket, or AMBIGUOUS where the two picks differ.  Arguments are
-    ``_region_csr``'s.  Built one bucket at a time, so scratch stays the
-    size of the region."""
+    ``_region_csr``'s.  One ``_row_choice`` runs over both ends of every
+    bucket of a chunk of rows, so scratch stays the size of the chunk."""
     span = int(np.diff(ptr).max()) - 1
-    local = np.arange(rows.size)
-    width = 1 << (53 - BUCKET_BITS)              # 53-bit words per bucket
-    table = np.empty((rows.size, 1 << BUCKET_BITS), dtype=np.int32)
-    for j in range(table.shape[1]):
-        lo = _row_choice(ptr, aug, local, rows + j * width * _INV53, span)
-        hi = _row_choice(ptr, aug, local,
-                         rows + ((j + 1) * width - 1) * _INV53, span)
-        table[:, j] = np.where(lo == hi, code[lo], AMBIGUOUS)
+    n_buckets = 1 << BUCKET_BITS
+    ends = np.arange(n_buckets + 1) << (53 - BUCKET_BITS)   # 53-bit words
+    u = np.concatenate([ends[:-1], ends[1:] - 1]) * _INV53  # low, high ends
+    table = np.empty((rows.size, n_buckets), dtype=np.int32)
+    for r in range(0, rows.size, 64):      # 2^15 keys a search at b = 8
+        local = np.arange(r, min(r + 64, rows.size))
+        key = rows[local, None] + u
+        k = _row_choice(ptr, aug, np.repeat(local, u.size), key.ravel(),
+                        span).reshape(local.size, 2, n_buckets)
+        table[local] = np.where(k[:, 0] == k[:, 1], code[k[:, 0]], AMBIGUOUS)
     return table
 
 
@@ -209,53 +197,64 @@ def simulate_exits(indptr, indices, weights, mu, in_region, start, n_walks,
     an AMBIGUOUS bucket run ``_row_choice`` on their own key.  The result
     is the rule's, bit for bit, whatever BUCKET_BITS is.
 
-    A step mixes each walker's counter once: the top BUCKET_BITS bits of
-    the word pick the bucket, and an ambiguous walker takes its u from
-    the same word.  Walker state (id, stream key, local vertex) lives in
-    arrays cut to the live walkers; each exiting walker's slot below the
-    new end takes a live walker from the tail, so retiring costs
-    O(exits) and allocates nothing batch-sized.  Results are indexed by
-    walk id, so the order of walkers in the arrays never shows.  Only
-    the region's rows are read, so memory and time follow the region and
-    the number of live walkers, not the size of the host.
+    A step adds the step's counter to each stream key in a buffer
+    allocated at entry and mixes it there, all but the last xor-shift
+    (``_mix_head``): that shift keeps the top bits that pick the bucket.
+    Table entries hold the next row's offset (local id << BUCKET_BITS),
+    so the walker state ``nxt`` is that offset or a negative code, the
+    cell is the bucket OR'd into it, and the step is one ``take`` whose
+    index is in range by construction.  Only ambiguous walkers finish
+    their word and take u from it.  Walker state (id, stream key, ``nxt``)
+    lives in arrays cut to the live walkers, and the buffers are read as
+    views of that length; each exiting walker's slot below the new end
+    takes a live walker from the tail, so retiring costs O(exits) and no
+    step allocates anything batch-sized but its sign mask.  Results are
+    indexed by walk id, so the order of walkers in the arrays never
+    shows.  Only the region's rows are read, so memory and time follow
+    the region and the number of live walkers, not the size of the host.
 
     Returns (steps, exit_vertex); exit_vertex is -1 for capped walks and
-    steps then equals step_cap.  ``start`` must lie in the region
-    (ValueError otherwise).
+    steps then equals step_cap.  ``start`` must lie in the region, and
+    the region must have fewer than 2^(31 - BUCKET_BITS) vertices, so
+    that every row offset fits an int32 (ValueError otherwise).
     """
     if not in_region[start]:
         raise ValueError(f"start {start} outside the walk region")
-    steps = np.full(n_walks, step_cap, dtype=np.int64)
-    exit_vertex = np.full(n_walks, -1, dtype=np.int64)
     rows, ptr, raug, code = _region_csr(indptr, indices, weights, mu,
                                         in_region)
+    if rows.size >= 1 << (31 - BUCKET_BITS):
+        raise ValueError(f"walk region of {rows.size} vertices: its row "
+                         f"offsets pass int32 with {BUCKET_BITS} bucket bits")
     span = int(np.diff(ptr).max()) - 1
+    # local ids become row offsets, in the table too, once here
+    np.left_shift(code, BUCKET_BITS, out=code, where=code >= 0)
     table = _bucket_table(rows, ptr, raug, code).ravel()
+    steps = np.full(n_walks, step_cap, dtype=np.int64)
+    exit_vertex = np.full(n_walks, -1, dtype=np.int64)
     wid = np.arange(n_walks, dtype=np.int64)
     keys = stream_keys_np(seed, wid)
-    # each walker's table row offset: local id << BUCKET_BITS
-    base = np.full(n_walks, np.searchsorted(rows, start) << BUCKET_BITS)
+    nxt = np.full(n_walks, np.searchsorted(rows, start) << BUCKET_BITS,
+                  dtype=np.int32)
+    zbuf, cbuf = np.empty((2, n_walks), dtype=np.uint64)
     for t in range(step_cap):
         live = wid.size
         if live == 0:
             break
-        word = _bits_np(keys, t)
-        cell = (word >> _BUCKET_SHIFT).view(np.int64)
-        cell |= base
-        nxt = table[cell]
-        # each batch-sized array is dropped once spent, before the next
-        # one is allocated: kept to the end of the step, they raised the
-        # peak RSS of 100 000 walks on gasket 6, B(0,16), by 0.5-1 MB
-        del cell
+        z, cell = zbuf[:live], cbuf[:live]
+        np.add(keys, np.uint64(((t + 1) * _GAMMA) & _MASK), out=z)
+        _mix_head(z, cell)
+        cell = np.right_shift(z, _BUCKET_SHIFT, out=cell).view(np.int64)
+        cell |= nxt
+        np.take(table, cell, out=nxt, mode="wrap")
         neg = np.flatnonzero(nxt < 0)
         if neg.size:
             amb = neg[nxt[neg] == AMBIGUOUS]
             if amb.size:
-                local = base[amb] >> BUCKET_BITS
-                key = _u01_from_bits(word[amb])
+                local = cell[amb] >> BUCKET_BITS
+                word = z[amb]
+                key = _u01_from_bits(word ^ (word >> _S31))
                 key += rows[local]
                 nxt[amb] = code[_row_choice(ptr, raug, local, key, span)]
-            del word
             out = neg[nxt[neg] < AMBIGUOUS]
             if out.size:
                 done = wid[out]
@@ -271,6 +270,4 @@ def simulate_exits(indptr, indices, weights, mu, in_region, start, n_walks,
                 for a in (wid, keys, nxt):
                     a[hole] = a[fill]
                 wid, keys, nxt = wid[:live], keys[:live], nxt[:live]
-        base = np.left_shift(nxt, BUCKET_BITS, dtype=np.int64)
-        word = nxt = None
     return steps, exit_vertex

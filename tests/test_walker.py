@@ -15,17 +15,69 @@ from einstein_lab.potential import (harmonic_measure, max_exit_time,
 from einstein_lab.walker import WalkConfig, mc_exit_sample, mc_exit_time
 from test_graph import connected_graphs, host_profile
 
+# -- scalar reference for the walk's generator --------------------------------
+#
+# stream_key(seed, walk) = mix(seed ^ mix((walk+1) * GAMMA))
+# u(seed, walk, step)    = mix(stream_key + (step+1) * GAMMA) >> 11, scaled
+#
+# mix is the splitmix64 finalizer; every quantity is a wrapping uint64.
+
+MASK = (1 << 64) - 1
+
+
+def mix_py(z: int) -> int:
+    z &= MASK
+    z = ((z ^ (z >> 30)) * _kernels._MIX1) & MASK
+    z = ((z ^ (z >> 27)) * _kernels._MIX2) & MASK
+    return z ^ (z >> 31)
+
+
+def stream_key_py(seed: int, walk: int) -> int:
+    pre = mix_py(((walk + 1) * _kernels._GAMMA) & MASK)
+    return mix_py((seed & MASK) ^ pre)
+
+
+def u01_py(seed: int, walk: int, step: int) -> float:
+    key = stream_key_py(seed, walk)
+    word = mix_py((key + ((step + 1) * _kernels._GAMMA) & MASK) & MASK)
+    return (word >> 11) * 2.0 ** -53
+
+
+def bits_np(keys, step):
+    """The 64-bit mixed word of each stream at ``step``; u is its top 53
+    bits, scaled."""
+    return _kernels._mix_np(keys + np.uint64(((step + 1) * _kernels._GAMMA)
+                                             & MASK))
+
+
+def u01_np(keys, step):
+    return _kernels._u01_from_bits(bits_np(keys, step))
+
 
 def test_u01_scalar_vector_agree():
     walks = np.arange(64, dtype=np.uint64)
     for seed in (0, 7, 2 ** 63 + 11):
         keys = _kernels.stream_keys_np(seed, walks)
         for step_idx in (0, 1, 1000):
-            vec = _kernels._u01_np(keys, step_idx)
-            sca = [_kernels.u01_py(seed, int(w), step_idx) for w in walks]
+            vec = u01_np(keys, step_idx)
+            sca = [u01_py(seed, int(w), step_idx) for w in walks]
             assert vec.tolist() == sca
-    u = _kernels._u01_np(_kernels.stream_keys_np(3, walks), 5)
+    u = u01_np(_kernels.stream_keys_np(3, walks), 5)
     assert np.all((0 <= u) & (u < 1))
+
+
+@given(st.lists(st.integers(0, MASK), min_size=1, max_size=64))
+def test_mix_head_keeps_the_top_bits(words):
+    # the mix's last step z ^= z >> 31 changes none of the top 31 bits, so
+    # the kernel's bucket (the top BUCKET_BITS) is read before it
+    z = np.array(words, dtype=np.uint64)
+    head = _kernels._mix_head(z.copy(), np.empty_like(z))
+    full = _kernels._mix_np(z.copy())
+    assert np.array_equal(head >> np.uint64(33), full >> np.uint64(33))
+    assert _kernels.BUCKET_BITS <= 31
+    head ^= head >> np.uint64(31)
+    assert np.array_equal(head, full)
+    assert full.tolist() == [mix_py(w) for w in words]
 
 
 # the largest uniform the generator can return: (2^53 - 1) * 2^-53
@@ -64,7 +116,7 @@ def reference_exits(indptr, indices, aug, in_region, start, n_walks,
     for t in range(step_cap):
         if wid.size == 0:
             break
-        key = _kernels._u01_np(keys, t)
+        key = u01_np(keys, t)
         key += pos
         nxt = indices[_kernels._row_choice(indptr, aug, pos, key, span)]
         out = ~in_region[nxt]
@@ -173,6 +225,35 @@ class TestBucketKernel:
                 tracemalloc.stop()
         assert peaks[1] <= 2 * peaks[0]
 
+    def test_memory_per_walk(self):
+        # walker state and the step's buffers are allocated once, at entry:
+        # a step that allocates batch-sized arrays peaks above 60 bytes a walk
+        g, _ = sierpinski_gasket(6)
+        n = 100_000
+        in_region = region(g, 0, 16)
+        tracemalloc.start()
+        try:
+            _kernels.simulate_exits(g.indptr, g.indices, g.weights, g.mu,
+                                    in_region, 0, n, 100 * 16 * 16, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60 * n
+
+    def test_region_past_int32_offsets_refused(self, monkeypatch):
+        # row offsets are local id << BUCKET_BITS in int32: with 28 bucket
+        # bits a region may hold 7 vertices, and B(c,3) holds 13.  The
+        # refusal comes before the table, which would take 1 GiB a vertex
+        def no_table(*args):
+            raise AssertionError("table built for a refused region")
+
+        g, c = lattice_box(2, 21)
+        monkeypatch.setattr(_kernels, "BUCKET_BITS", 28)
+        monkeypatch.setattr(_kernels, "_bucket_table", no_table)
+        with pytest.raises(ValueError, match="walk region of 13 vertices"):
+            _kernels.simulate_exits(g.indptr, g.indices, g.weights, g.mu,
+                                    region(g, c, 3), c, 10, 10, 1)
+
 
 def check_bucket_table(g, in_region):
     """Every table entry against ``_row_choice`` on the host arrays at the
@@ -232,8 +313,7 @@ class TestRowChoice:
         # reference rule: the first aug entry > v + u over the whole host,
         # clamped to the end of row v
         u = np.concatenate([[0.0, U_MAX], np.linspace(0, 1, 97)[:-1],
-                            _kernels._u01_np(np.arange(64, dtype=np.uint64),
-                                             0)])
+                            u01_np(np.arange(64, dtype=np.uint64), 0)])
         for g, _ in walk_hosts():
             aug = host_profile(g)
             pos = np.repeat(np.arange(g.vertex_count), u.size)
