@@ -617,7 +617,12 @@ class TestMc:
     (["lattice", "--side", "81"],
      "1965029c5de15cc9154b948320fb9927be01c0f549006940932477638dac020c",
      "a45f365f4cf555604dbdddb7946d58e7685a58a5e184af7378f62044a47f5b9f"),
-], ids=["sierpinski5", "vicsek3", "binary_tree7", "line129", "box7", "z81"])
+    # the mc_gasket6 benchmark host
+    (["sierpinski", "--level", "6"],
+     "3e4b939d8d836e00d9d1135fe58c9c171ca5caa90c03903ab448d28777273f9c",
+     "3d7206ef8fbde6b98e9234d27c97b102342a0bc32970998e2f6c5a5f4ab3ae2c"),
+], ids=["sierpinski5", "vicsek3", "binary_tree7", "line129", "box7", "z81",
+        "sierpinski6"])
 def test_verify_report_digest(tmp_path, family, digest, json_digest):
     path = str(tmp_path / "host.txt")
     assert cli.main(["generate", "--family", family[0], *family[1:],
@@ -626,12 +631,30 @@ def test_verify_report_digest(tmp_path, family, digest, json_digest):
                      "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_OK
     report = (tmp_path / "rep" / "verify.csv").read_bytes()
     assert hashlib.sha256(report).hexdigest() == digest
-    # the run's time and the host's temporary path are dropped
-    doc = json.loads((tmp_path / "rep" / "verify.json").read_text())
+    assert verify_json_digest(tmp_path / "rep") == json_digest
+
+
+def verify_json_digest(out_dir):
+    """sha256 of verify.json without the run's time and the host's
+    temporary path."""
+    doc = json.loads((out_dir / "verify.json").read_text())
     man = doc["manifest"]
     del man["timestamp"], man["graph"]["path"], man["params"]["graph"]
-    blob = json.dumps(doc, sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == json_digest
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_radial_verify_report_digest(tmp_path):
+    # radial weights lambda = 0.5 on z15 fail cE<rm at (112, 4, 4): the
+    # report of a run that exits with a violation is pinned too
+    path = str(tmp_path / "host.txt")
+    assert cli.main(["generate", "--family", "lattice", "--side", "15",
+                     "--weight-rule", "radial", "--lambda", "0.5",
+                     "--out", path]) == cli.EXIT_OK
+    assert cli.main(["verify", "--graph", path, "--out-dir",
+                     str(tmp_path / "rep")]) == cli.EXIT_VIOLATION
+    report = (tmp_path / "rep" / "verify.csv").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == \
+        "4ffa9915b8ca226eea7a3040c4cdb9e7e8380a761d2053f90ce6db2adec69873"
 
 
 def test_compute_hg_factors_once(z21_file, monkeypatch):
@@ -657,6 +680,8 @@ def test_verify_factors_each_lattice_system_once(tmp_path, monkeypatch):
     report = (tmp_path / "rep" / "verify.csv").read_bytes()
     assert hashlib.sha256(report).hexdigest() == \
         "6dfb0172309c20b44e1194921363b0942ff71c5ec9b7790def8efe0fbad4e04e"
+    assert verify_json_digest(tmp_path / "rep") == \
+        "c134ce748cc525fc81e78fff03b062032cd4ecf2ff4e821a54c1c0b2abb9f189"
 
 
 @pytest.mark.parametrize("argv, files, json_digest", [
