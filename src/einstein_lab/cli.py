@@ -266,13 +266,11 @@ def cmd_verify(args):
     g, info = _load_graph(args.graph)
     grid = _grid_for(args, g, args.graph)
     os.makedirs(args.out_dir, exist_ok=True)    # fail before the sweep
-    cache = conditions.QuantityCache(g)
-    checks = conditions.verify_inequalities(g, grid, cache=cache)
+    checks = conditions.verify_inequalities(g, grid)
     reports = {}
     for tag in conditions.CONDITION_TAGS:
         try:
-            reports[tag] = conditions.measure_condition(g, grid, tag,
-                                                        cache=cache)
+            reports[tag] = conditions.measure_condition(g, grid, tag)
         except (ValueError, *conditions.SOLVER_ERRORS) as exc:
             reports[tag] = None
             print(f"condition {tag}: skipped ({exc})", file=sys.stderr)

@@ -9,12 +9,13 @@ recorded reason.  Constant-free theorem inequalities are asserted at
 measured constants, never pass/failed.
 
 Both sweeps are tables in report order, and every entry is called as
-``entry(name, g, grid, cache)``.  CONDITIONS gives each ratio-type tag
-its margin, its pairing of cells and its value; CHECKS gives each proved
+``entry(name, g, grid)``.  CONDITIONS gives each ratio-type tag its
+margin, its pairing of cells and its value; CHECKS gives each proved
 inequality its margin, cell source and observer.  The few measurements
 of another shape sit in the same tables as plain functions.  Entries
-look up cache methods and module functions when they run, never at
-import.
+look up module functions when they run, never at import.  Every
+quantity an entry reads per cell is memoized on the graph by
+``graph._per_graph``, so a second sweep on the same graph solves nothing.
 """
 
 import math
@@ -25,8 +26,8 @@ import numpy as np
 
 from ._kernels import bfs_distances
 from .errors import ConvergenceError, MarginError, UnreachableError
-from .graph import (annulus_volume, ball, eccentricities, host_reach,
-                    min_transition, sphere, volume)
+from .graph import (_per_graph, annulus_volume, ball, boundary,
+                    eccentricities, host_reach, min_transition, volume)
 from .potential import (
     GreenOperator,
     g_condition,
@@ -135,55 +136,31 @@ def default_grid(g, centers=None, radii=None):
     return SweepGrid(tuple(centers), tuple(radii))
 
 
-# -- shared quantity cache -----------------------------------------------------
+# -- shared quantities ----------------------------------------------------------
 
 
-class QuantityCache:
-    """Memo for exact quantities over one graph."""
+@_per_graph
+def _lam(g, x, R):
+    """lambda(x,R), the smallest Dirichlet eigenvalue of B(x,R)."""
+    return lambda_min(g, ball(g, x, R)).lam
 
-    def __init__(self, g):
-        self.g = g
-        self._vals = {}
 
-    def _get(self, key, fn):
-        if key not in self._vals:
-            self._vals[key] = fn()
-        return self._vals[key]
+@_per_graph
+def _layered(g, x, r, R):
+    """(layered bound, shell count) between B(x,r) and the exterior of
+    B(x,R)."""
+    return layered_lower_bound(g, ball(g, x, r), ball(g, x, R))
 
-    def V(self, x, R):
-        return self._get(("V", x, R), lambda: volume(self.g, x, R))
 
-    def E(self, x, R):
-        return self._get(("E", x, R), lambda: mean_exit_time(self.g, x, R))
+@_per_graph
+def _center_kernel(g, x, R):
+    """g^A(x,x) = rho({x}, complement A) with A = B(x,R)."""
+    return GreenOperator(g, ball(g, x, R)).kernel(x, x)
 
-    def Ebar(self, x, R):
-        return self._get(("Eb", x, R), lambda: max_exit_time(self.g, x, R))
 
-    def rho(self, x, r, R):
-        return self._get(("rho", x, r, R),
-                         lambda: resistance_annulus(self.g, x, r, R))
-
-    def layered(self, x, r, R):
-        """(layered bound, shell count) between B(x,r) and the exterior
-        of B(x,R)."""
-        return self._get(
-            ("layered", x, r, R),
-            lambda: layered_lower_bound(self.g, ball(self.g, x, r),
-                                        ball(self.g, x, R)),
-        )
-
-    def lam(self, x, R):
-        return self._get(("lam", x, R),
-                         lambda: lambda_min(self.g, ball(self.g, x, R)).lam)
-
-    def w(self, x, R):
-        """rho(x,R,2R) * v(x,R,2R), the Einstein product."""
-        return self.rho(x, R, 2 * R) * annulus_volume(self.g, x, R, 2 * R)
-
-    def green(self, x, R):
-        """(g_low, g_high, hg) from one Green solve on B(x,2R): HG and g
-        share it."""
-        return self._get(("green", x, R), lambda: g_condition(self.g, x, R))
+def _w(g, x, R):
+    """rho(x,R,2R) * v(x,R,2R), the Einstein product."""
+    return resistance_annulus(g, x, R, 2 * R) * annulus_volume(g, x, R, 2 * R)
 
 
 # -- condition measurement ------------------------------------------------------
@@ -213,17 +190,17 @@ class Condition:
     den: Callable | None = None
     detail: str = ""
 
-    def __call__(self, tag, g, grid, cache):
+    def __call__(self, tag, g, grid):
         cells, note = _cells_with_note(g, grid, self.margin)
         found = []                  # (value, extremizer, csv row)
         for x, R in cells:
-            top = self.num(cache, x, R)
+            top = self.num(g, x, R)
             if self.pairs == "self":
-                val = top if self.den is None else top / self.den(cache, x, R)
+                val = top if self.den is None else top / self.den(g, x, R)
                 found.append((val, (x, R), (tag, x, R, R, self.detail, val)))
                 continue
             for y in _partners(g, grid, self, x, R):
-                val = top / self.den(cache, y, R)
+                val = top / self.den(g, y, R)
                 found.append((val, (x, y, R),
                               (tag, x, y, R, self.detail, val)))
         if not found:
@@ -260,46 +237,47 @@ def _cover_count(g, x, R):
     return float(K)
 
 
-def _p0_report(tag, g, grid, cache):
+def _p0_report(tag, g, grid):
     p0, edge = min_transition(g)
     return ConditionReport(tag, p0, edge, g.vertex_count,
                            details={"max_degree": int(np.diff(g.indptr).max()),
                                     "degree_bound": 1.0 / p0})
 
 
-def _anti_doubling_report(tag, g, grid, cache):
+def _anti_doubling_report(tag, g, grid):
     """Smallest dyadic A with 2 q(x,R) <= q(x,AR) on every cell where
     B(x, k*A*R) fits: q = V with k = 1 (aVD), q = rho v with k = 2 (adrv)."""
     cells, note = _cells_with_note(g, grid, 2)
     k = 1 if tag == "aVD" else 2
-    q = cache.V if tag == "aVD" else cache.w
+    q = volume if tag == "aVD" else _w
     for A in (2, 4, 8, 16):
         sub = [(x, R) for (x, R) in cells
                if ball_inside_host(g, x, k * A * R)]
         if not sub:
             break
-        if all(2 * q(x, R) <= q(x, A * R) * (1 + REL_TOL) for x, R in sub):
+        if all(2 * q(g, x, R) <= q(g, x, A * R) * (1 + REL_TOL)
+               for x, R in sub):
             return ConditionReport(tag, float(A), None, len(sub), note=note)
     return ConditionReport(tag, float("nan"), None, len(cells),
                            note=(note + "; " if note else "")
                            + "not achieved in range")
 
 
-def _er_report(tag, g, grid, cache):
+def _er_report(tag, g, grid):
     """The Einstein spread max Q / min Q over einstein_report's records."""
-    records, s = einstein_report(g, grid, cache)
+    records, s = einstein_report(g, grid)
     return ConditionReport(
         tag, s.spread, s.argmax, s.cells, note=_skip_note(s.skipped),
         details={"min_Q": s.min_Q, "max_Q": s.max_Q},
         rows=[(tag, r.x, r.R, r.R, "Q", r.Q) for r in records])
 
 
-def _g_report(tag, g, grid, cache):
+def _g_report(tag, g, grid):
     """Green bounds (c_low, C_high) per cell; the constant is max C_high."""
     cells, note = _cells_with_note(g, grid, 2)
     if not cells:
         raise MarginError(f"no valid cells for condition {tag}")
-    bounds = [cache.green(x, R) for x, R in cells]
+    bounds = [g_condition(g, x, R) for x, R in cells]
     los = [lo for lo, _, _ in bounds]
     his = [hi for _, hi, _ in bounds]
     k = int(np.argmax(his))
@@ -315,28 +293,26 @@ def _g_report(tag, g, grid, cache):
 # every tag in report order; the time comparisons TC, wTC, TD and E_hom
 # take the wider 3R margin
 CONDITIONS = {
-    "BC": Condition(2, "self", lambda c, x, R: _cover_count(c.g, x, R),
-                    detail="greedy"),
-    "VD": Condition(2, "self", lambda c, x, R: c.V(x, 2 * R),
-                    lambda c, y, R: c.V(y, R)),
-    "wVC": Condition(2, "ball", lambda c, x, R: c.V(x, R),
-                     lambda c, y, R: c.V(y, R)),
-    "TC": Condition(3, "ball", lambda c, x, R: c.E(x, 2 * R),
-                    lambda c, y, R: c.E(y, R)),
-    "wTC": Condition(3, "ball", lambda c, x, R: c.E(x, R),
-                     lambda c, y, R: c.E(y, R)),
-    "TD": Condition(3, "self", lambda c, x, R: c.E(x, 2 * R),
-                    lambda c, y, R: c.E(y, R)),
+    "BC": Condition(2, "self", _cover_count, detail="greedy"),
+    "VD": Condition(2, "self", lambda g, x, R: volume(g, x, 2 * R),
+                    lambda g, y, R: volume(g, y, R)),
+    "wVC": Condition(2, "ball", lambda g, x, R: volume(g, x, R),
+                     lambda g, y, R: volume(g, y, R)),
+    "TC": Condition(3, "ball", lambda g, x, R: mean_exit_time(g, x, 2 * R),
+                    lambda g, y, R: mean_exit_time(g, y, R)),
+    "wTC": Condition(3, "ball", lambda g, x, R: mean_exit_time(g, x, R),
+                     lambda g, y, R: mean_exit_time(g, y, R)),
+    "TD": Condition(3, "self", lambda g, x, R: mean_exit_time(g, x, 2 * R),
+                    lambda g, y, R: mean_exit_time(g, y, R)),
     "ER": _er_report,
-    "rho_v": Condition(2, "centers", lambda c, x, R: c.w(x, R),
-                       lambda c, y, R: c.w(y, R)),
-    "E_hom": Condition(3, "centers", lambda c, x, R: c.E(x, R),
-                       lambda c, y, R: c.E(y, R)),
+    "rho_v": Condition(2, "centers", _w, _w),
+    "E_hom": Condition(3, "centers", lambda g, x, R: mean_exit_time(g, x, R),
+                       lambda g, y, R: mean_exit_time(g, y, R)),
     "p0": _p0_report,
-    "H": Condition(2, "self", lambda c, x, R: harnack_constant(c.g, x, R)),
-    "Ebar": Condition(2, "self", lambda c, x, R: c.Ebar(x, R),
-                      lambda c, y, R: c.E(y, R)),
-    "HG": Condition(2, "self", lambda c, x, R: c.green(x, R)[2]),
+    "H": Condition(2, "self", lambda g, x, R: harnack_constant(g, x, R)),
+    "Ebar": Condition(2, "self", lambda g, x, R: max_exit_time(g, x, R),
+                      lambda g, y, R: mean_exit_time(g, y, R)),
+    "HG": Condition(2, "self", lambda g, x, R: g_condition(g, x, R)[2]),
     "g": _g_report,
     "aVD": _anti_doubling_report,
     "adrv": _anti_doubling_report,
@@ -344,12 +320,12 @@ CONDITIONS = {
 CONDITION_TAGS = tuple(CONDITIONS)
 
 
-def measure_condition(g, grid, tag, cache=None):
+def measure_condition(g, grid, tag):
     """Empirical best constant for one lettered condition over the grid."""
     cond = CONDITIONS.get(tag)
     if cond is None:
         raise ValueError(f"unknown condition tag {tag!r}")
-    return cond(tag, g, grid, cache or QuantityCache(g))
+    return cond(tag, g, grid)
 
 
 # -- inequality suite -----------------------------------------------------------
@@ -374,17 +350,17 @@ def _rel_slack(lhs, rhs):
 @dataclass(frozen=True)
 class Check:
     """A proved inequality lhs <= rhs, asserted at REL_TOL on every cell
-    (x, r, R) that ``cells(g, grid, margin)`` lists; ``observe(cache, x,
-    r, R)`` yields the cell's (lhs, rhs, detail) observations."""
+    (x, r, R) that ``cells(g, grid, margin)`` lists; ``observe(g, x, r,
+    R)`` yields the cell's (lhs, rhs, detail) observations."""
     margin: int
     cells: Callable
     observe: Callable
 
-    def __call__(self, name, g, grid, cache):
+    def __call__(self, name, g, grid):
         rows = []
         worst, witness = math.inf, None
         for cell in self.cells(g, grid, self.margin):
-            for lhs, rhs, detail, slack in self._observations(cache, cell):
+            for lhs, rhs, detail, slack in self._observations(g, cell):
                 rows.append((name, *cell, detail, lhs, rhs, slack,
                              slack >= -REL_TOL))
                 # a NaN slack (an infinite side) fails and ranks below
@@ -397,12 +373,12 @@ class Check:
         return InequalityResult(name, all(r[-1] for r in rows), worst,
                                 witness, None, len(rows), rows)
 
-    def _observations(self, cache, cell):
+    def _observations(self, g, cell):
         """(lhs, rhs, detail, slack) per observation.  A solver breakdown
         is a failing row of slack -inf, ranked like any other: the suite
         reports, it never aborts mid-sweep."""
         try:
-            for lhs, rhs, detail in self.observe(cache, *cell):
+            for lhs, rhs, detail in self.observe(g, *cell):
                 yield lhs, rhs, detail, _rel_slack(lhs, rhs)
         except SOLVER_ERRORS as exc:
             yield math.nan, math.nan, f"solver: {exc}", -math.inf
@@ -434,7 +410,7 @@ def _lmarkov_cells(g, grid, m):
             if ball_inside_host(g, x, R + r)]
 
 
-def _reversibility(name, g, grid, cache):
+def _reversibility(name, g, grid):
     """mu(x)P(x,y) == mu(y)P(y,x) on the stored weights: one row for the
     largest relative asymmetry, asserted at REVERSIBILITY_TOL."""
     W = g.matrix.tocoo()                # stored entries in CSR order
@@ -450,15 +426,16 @@ def _reversibility(name, g, grid, cache):
         (name, *pair, "max relative asymmetry", worst, 0.0, slack, ok)])
 
 
-def _te_rv(name, g, grid, cache):
+def _te_rv(name, g, grid):
     """E(x,2R) <= C rho(x,R,5R) v(x,R,5R) on cells with a 5R margin; the
     constant C is reported, not asserted."""
     rows = []
     best = None
     for x, R in valid_cells(g, grid, 5)[0]:
         try:
-            val = cache.E(x, 2 * R) / (cache.rho(x, R, 5 * R)
-                                       * annulus_volume(g, x, R, 5 * R))
+            val = mean_exit_time(g, x, 2 * R) / (
+                resistance_annulus(g, x, R, 5 * R)
+                * annulus_volume(g, x, R, 5 * R))
         except SOLVER_ERRORS as exc:
             rows.append((name, x, R, R, f"solver: {exc}",
                          math.nan, math.nan, math.nan, False))
@@ -471,46 +448,51 @@ def _te_rv(name, g, grid, cache):
         best[0] if best else None, len(rows), rows)
 
 
-def _lmarkov(c, x, r, R):
+def _lmarkov(g, x, r, R):
     """Superadditivity E(x,R+r) >= E(x,R) + min over S(x,R) of E(y,r)."""
-    zs = sphere(c.g, x, R)
+    # S(x,R) is the boundary of B(x,R): no BFS once the ball is memoized
+    zs = boundary(g, ball(g, x, R))
     if zs.size:
-        bump = min(c.E(int(y), r) for y in zs)
-        yield c.E(x, R) + bump, c.E(x, R + r), ""
+        bump = min(mean_exit_time(g, int(y), r) for y in zs)
+        yield (mean_exit_time(g, x, R) + bump, mean_exit_time(g, x, R + r),
+               "")
 
 
-def _le_rm(c, x, r, R):
+def _le_rm(g, x, r, R):
     """E_x(T_A) <= rho({x}, complement A) mu(A) with A = B(x,R)."""
-    op = GreenOperator(c.g, ball(c.g, x, R))
-    yield c.E(x, R), op.kernel(x, x) * c.V(x, R), ""
+    yield (mean_exit_time(g, x, R), _center_kernel(g, x, R) * volume(g, x, R),
+           "")
 
 
-def _rho_v_sets(c, x, R):
+def _rho_v_sets(g, x, R):
     """rho(A, complement B) v(x,R,2R) with A = B(x,R) = {d <= R-1} and
     B = B(x,2R)."""
-    return c.rho(x, R - 1, 2 * R) * annulus_volume(c.g, x, R, 2 * R)
+    return (resistance_annulus(g, x, R - 1, 2 * R)
+            * annulus_volume(g, x, R, 2 * R))
 
 
-def _lmin_e_rv(c, x, r, R):
+def _lmin_e_rv(g, x, r, R):
     """min over S(x,3R/2) of E(z,R/2) <= rho v, for even R."""
     if R % 2:
         return
-    zs = sphere(c.g, x, 3 * R // 2)
+    zs = boundary(g, ball(g, x, 3 * R // 2))
     if zs.size:
-        yield min(c.E(int(z), R // 2) for z in zs), _rho_v_sets(c, x, R), ""
+        yield (min(mean_exit_time(g, int(z), R // 2) for z in zs),
+               _rho_v_sets(g, x, R), "")
 
 
-def _pra_l2(c, x, r, R):
+def _pra_l2(g, x, r, R):
     """d(A, complement B)^2 <= (layered bound) v(x,r,R)."""
-    bound, L = c.layered(x, r, R)
-    yield float(L * L), bound * annulus_volume(c.g, x, r, R), ""
+    bound, L = _layered(g, x, r, R)
+    yield float(L * L), bound * annulus_volume(g, x, r, R), ""
 
 
-def _llcce(c, x, r, R):
+def _llcce(g, x, r, R):
     """The chain rho(x,R,2R) V(x,R) <= 1/lambda(x,2R) <= Ebar(x,2R)."""
-    lam_inv = 1.0 / c.lam(x, 2 * R)
-    yield c.rho(x, R, 2 * R) * c.V(x, R), lam_inv, "rhoV<=1/lam"
-    yield lam_inv, c.Ebar(x, 2 * R), "1/lam<=Ebar"
+    lam_inv = 1.0 / _lam(g, x, 2 * R)
+    yield (resistance_annulus(g, x, R, 2 * R) * volume(g, x, R), lam_inv,
+           "rhoV<=1/lam")
+    yield lam_inv, max_exit_time(g, x, 2 * R), "1/lam<=Ebar"
 
 
 # the suite in report order; te<rv needs a 5R margin, the series law 4R
@@ -518,44 +500,47 @@ CHECKS = {
     "reversibility": _reversibility,
     # lambda(B) rho(A, complement B) mu(A) <= 1 on ball pairs; with
     # A = B(x,r) = {d <= r-1} that resistance is rho(x,r-1,R)
-    "llrv": Check(2, _pair_cells, lambda c, x, r, R: [(
-        c.lam(x, R) * c.rho(x, r - 1, R) * c.V(x, r), 1.0, "")]),
+    "llrv": Check(2, _pair_cells, lambda g, x, r, R: [(
+        _lam(g, x, R) * resistance_annulus(g, x, r - 1, R) * volume(g, x, r),
+        1.0, "")]),
     # lambda(x,2R) rho(x,R,2R) V(x,R) <= 1
-    "lrvb": Check(2, _ball_cells, lambda c, x, r, R: [(
-        c.lam(x, 2 * R) * c.rho(x, R, 2 * R) * c.V(x, R), 1.0, "")]),
+    "lrvb": Check(2, _ball_cells, lambda g, x, r, R: [(
+        _lam(g, x, 2 * R) * resistance_annulus(g, x, R, 2 * R)
+        * volume(g, x, R), 1.0, "")]),
     # 1/lambda(A) <= Ebar(A) on balls
-    "lebar": Check(2, _lebar_cells, lambda c, x, r, R: [(
-        1.0 / c.lam(x, R), c.Ebar(x, R), "")]),
+    "lebar": Check(2, _lebar_cells, lambda g, x, r, R: [(
+        1.0 / _lam(g, x, R), max_exit_time(g, x, R), "")]),
     "lmarkov": Check(3, _lmarkov_cells, _lmarkov),
     "lE<rm": Check(2, _ball_cells, _le_rm),
     # on the graph with A = B(x,R) shrunk to a point a: E_a(T_B) <= rho v
-    "cE<rm": Check(2, _ball_cells, lambda c, x, r, R: [(
-        shrunk_exit_time(c.g, x, R), _rho_v_sets(c, x, R), "")]),
+    "cE<rm": Check(2, _ball_cells, lambda g, x, r, R: [(
+        shrunk_exit_time(g, x, R), _rho_v_sets(g, x, R), "")]),
     "lminE<rv": Check(2, _ball_cells, _lmin_e_rv),
     "pra>l2": Check(2, _pair_cells, _pra_l2),
     # the layered bound never exceeds rho(A, complement B)
-    "layered": Check(2, _pair_cells, lambda c, x, r, R: [(
-        c.layered(x, r, R)[0], c.rho(x, r - 1, R), "bound<=rho")]),
+    "layered": Check(2, _pair_cells, lambda g, x, r, R: [(
+        _layered(g, x, r, R)[0], resistance_annulus(g, x, r - 1, R),
+        "bound<=rho")]),
     # rho(x,r,R) v(x,r,R) >= (R-r)^2
-    "crv>r2": Check(2, _pair_cells, lambda c, x, r, R: [(
-        float((R - r) ** 2), c.rho(x, r, R) * annulus_volume(c.g, x, r, R),
-        "")]),
+    "crv>r2": Check(2, _pair_cells, lambda g, x, r, R: [(
+        float((R - r) ** 2),
+        resistance_annulus(g, x, r, R) * annulus_volume(g, x, r, R), "")]),
     "te<rv": _te_rv,
     # series law: rho(x,R,4R) >= rho(x,R,2R) + rho(x,2R,4R).
     # Exact under the annulus-surface convention: every unit of current
     # crosses S(x,2R), and shorting that sphere splits the annulus into
     # the two sub-annuli with no shared edge layer.
-    "series": Check(4, _ball_cells, lambda c, x, r, R: [(
-        c.rho(x, R, 2 * R) + c.rho(x, 2 * R, 4 * R), c.rho(x, R, 4 * R),
-        "")]),
+    "series": Check(4, _ball_cells, lambda g, x, r, R: [(
+        resistance_annulus(g, x, R, 2 * R)
+        + resistance_annulus(g, x, 2 * R, 4 * R),
+        resistance_annulus(g, x, R, 4 * R), "")]),
     "llcce": Check(2, _ball_cells, _llcce),
 }
 
 
-def verify_inequalities(g, grid, cache=None):
+def verify_inequalities(g, grid):
     """Run the proved-inequality suite; failures are data, not errors."""
-    cache = cache or QuantityCache(g)
-    return [check(name, g, grid, cache) for name, check in CHECKS.items()]
+    return [check(name, g, grid) for name, check in CHECKS.items()]
 
 
 # -- Einstein relation -----------------------------------------------------------
@@ -582,17 +567,16 @@ class EinsteinSummary:
     skipped: tuple
 
 
-def einstein_report(g, grid, cache=None):
+def einstein_report(g, grid):
     """Records Q = E(x,2R)/(rho v) where B(x,2R) fits, and the spread."""
-    cache = cache or QuantityCache(g)
     cells, skipped = valid_cells(g, grid, 2)
     if not cells:
         raise MarginError("empty grid: no valid Einstein cells")
 
     def one(cell):
         x, R = cell
-        e2 = cache.E(x, 2 * R)
-        rho = cache.rho(x, R, 2 * R)
+        e2 = mean_exit_time(g, x, 2 * R)
+        rho = resistance_annulus(g, x, R, 2 * R)
         v = annulus_volume(g, x, R, 2 * R)
         if rho * v < (R * R) * (1 - REL_TOL):
             raise AssertionError(

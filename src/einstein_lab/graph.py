@@ -7,6 +7,7 @@ mu_xy / mu(x).  Distances are hop counts (weights play no metric role), and
 balls are open: B(x, R) = {y : d(x, y) < R}.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +27,9 @@ class WeightedGraph:
     block slices, whose own arrays are the ``indptr``, ``indices`` and
     ``weights`` that the walk kernel reads.  Every reader of the edge set
     takes its upper triangle.  All arrays are frozen after construction.
-    No per-center state is host-sized: balls are memoized per (center,
-    radius) in ``_balls``, each as long as its ball, and ``_exit_times``
-    is ``potential.exit_times``'s memo.
+    It holds two memos: ``_memo``, where ``_per_graph`` keeps every derived
+    quantity of the graph (a ball is as long as itself), and
+    ``_exit_times``, ``potential.exit_times``'s memo.
     """
 
     def __init__(self, vertex_count, edges):
@@ -63,7 +64,7 @@ class WeightedGraph:
 
     def _init_csr(self, matrix):
         """The rest of ``__init__`` once the symmetric CSR is built:
-        measure, frozen arrays, caches and the connectivity check."""
+        measure, frozen arrays, memos and the connectivity check."""
         n = matrix.shape[0]
         self.vertex_count = n
         self.matrix = matrix
@@ -77,11 +78,8 @@ class WeightedGraph:
         for arr in (self.indptr, self.indices, self.weights, self.mu):
             arr.setflags(write=False)
 
-        self._balls = {}
+        self._memo = {}                 # (function, *args) -> value
         self._exit_times = {}           # system key -> exit-time vector
-        self._ecc_all = None
-        self._frontier = None
-        self._reach = {}                # center -> host_reach
 
         if int(_kernels.bfs_distances(matrix, 0).min()) < 0:
             raise GraphFormatError("graph is not connected")
@@ -120,8 +118,21 @@ class WeightedGraph:
         return float(self.mu.sum())
 
 
+def _per_graph(fn):
+    """Memoize fn(g, *args) in ``g._memo`` under (fn, *args).  A call that
+    raises stores nothing.  Arguments are positional and hashable."""
+    @functools.wraps(fn)
+    def memoized(g, *args):
+        key = (fn, *args)
+        if key not in g._memo:
+            g._memo[key] = fn(g, *args)
+        return g._memo[key]
+    return memoized
+
+
+@_per_graph
 def eccentricities(g):
-    """Exact eccentricity of every vertex from a few BFS, cached once.
+    """Exact eccentricity of every vertex from a few BFS.
 
     Bounds lo <= ecc <= hi per vertex (Takes & Kosters, "Computing the
     eccentricity distribution of large graphs", 2013): a source v of
@@ -130,26 +141,25 @@ def eccentricities(g):
     open vertex of least lo and of greatest hi (smallest id on ties);
     each source closes, so at most n BFS.
     """
-    if g._ecc_all is None:
-        n = g.vertex_count
-        lo = np.zeros(n, dtype=np.int64)
-        hi = np.full(n, n, dtype=np.int64)
-        open_ = np.ones(n, dtype=bool)
-        least_lo = True
-        while open_.any():
-            v = int(np.argmin(np.where(open_, lo, n)) if least_lo
-                    else np.argmax(np.where(open_, hi, -1)))
-            least_lo = not least_lo
-            d = _kernels.bfs_distances(g.matrix, v)
-            e = int(d.max())
-            lo = np.maximum(lo, np.maximum(d, e - d))
-            hi = np.minimum(hi, e + d)
-            open_ &= lo != hi
-        lo.setflags(write=False)
-        g._ecc_all = lo
-    return g._ecc_all
+    n = g.vertex_count
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.full(n, n, dtype=np.int64)
+    open_ = np.ones(n, dtype=bool)
+    least_lo = True
+    while open_.any():
+        v = int(np.argmin(np.where(open_, lo, n)) if least_lo
+                else np.argmax(np.where(open_, hi, -1)))
+        least_lo = not least_lo
+        d = _kernels.bfs_distances(g.matrix, v)
+        e = int(d.max())
+        lo = np.maximum(lo, np.maximum(d, e - d))
+        hi = np.minimum(hi, e + d)
+        open_ &= lo != hi
+    lo.setflags(write=False)
+    return lo
 
 
+@_per_graph
 def host_frontier(g):
     """Vertices where the host was truncated.
 
@@ -160,46 +170,41 @@ def host_frontier(g):
     trees carry legitimate low-degree tips deep inside - so the frontier
     is their intersection: path endpoints, box corners, the far corners
     of a gasket, the extreme tips of a fractal tree.  Degree-regular
-    hosts have an empty frontier.  Computed once per graph and cached, as
-    the eccentricities are.
+    hosts have an empty frontier.
     """
-    if g._frontier is None:
-        ecc = eccentricities(g)
-        deg = np.diff(g.indptr)
-        mask = (deg < deg.max()) & (ecc == ecc.max())
-        g._frontier = np.flatnonzero(mask).astype(np.int64)
-        g._frontier.setflags(write=False)
-    return g._frontier
+    ecc = eccentricities(g)
+    deg = np.diff(g.indptr)
+    mask = (deg < deg.max()) & (ecc == ecc.max())
+    frontier = np.flatnonzero(mask).astype(np.int64)
+    frontier.setflags(write=False)
+    return frontier
 
 
+@_per_graph
 def host_reach(g, x):
     """The largest K for which B(x,K) lies strictly inside the host:
-    min(ecc(x), d(x, frontier minus x)), from one BFS out of x, memoized
-    per center.  B(x,K) = {d < K} is proper iff K <= ecc(x), and holds no
-    frontier vertex but x iff each lies at distance >= K."""
+    min(ecc(x), d(x, frontier minus x)), from one BFS out of x.  B(x,K) =
+    {d < K} is proper iff K <= ecc(x), and holds no frontier vertex but x
+    iff each lies at distance >= K."""
     x = g.check_vertex(x)
-    if x not in g._reach:
-        d = _kernels.bfs_distances(g.matrix, x)
-        frontier = host_frontier(g)
-        g._reach[x] = int(np.min(d[frontier[frontier != x]], initial=d.max()))
-    return g._reach[x]
+    d = _kernels.bfs_distances(g.matrix, x)
+    frontier = host_frontier(g)
+    return int(np.min(d[frontier[frontier != x]], initial=d.max()))
 
 
+@_per_graph
 def ball(g, x, radius):
     """Open ball {y : d(x,y) < radius} as a sorted, read-only vertex array,
-    from a BFS that stops at the last whole distance below the radius;
-    memoized per (x, radius) as given."""
+    from a BFS that stops at the last whole distance below the radius."""
+    x = g.check_vertex(x)
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if radius == 0:
-        return np.empty(0, dtype=np.int64)
-    B = g._balls.get((x, radius))
-    if B is None:
-        d = _kernels.bfs_distances(g.matrix, g.check_vertex(x),
-                                   np.ceil(radius) - 1)
+        B = np.empty(0, dtype=np.int64)
+    else:
+        d = _kernels.bfs_distances(g.matrix, x, np.ceil(radius) - 1)
         B = np.flatnonzero(d >= 0).astype(np.int64)
-        B.setflags(write=False)
-        g._balls[x, radius] = B
+    B.setflags(write=False)
     return B
 
 
@@ -225,6 +230,7 @@ def sphere(g, x, radius):
     return np.flatnonzero(d == radius).astype(np.int64)
 
 
+@_per_graph
 def volume(g, x, radius):
     """mu-measure V(x,R) of the open ball."""
     return float(g.mu[ball(g, x, radius)].sum())

@@ -29,8 +29,8 @@ import scipy.sparse.linalg as spla
 
 from ._kernels import bfs_distances
 from .errors import ConvergenceError, MarginError, UnreachableError
-from .graph import (WeightedGraph, _as_vertex_set, ball, boundary, closure,
-                    proper_ball, shrink, volume)
+from .graph import (WeightedGraph, _as_vertex_set, _per_graph, ball,
+                    boundary, closure, proper_ball, shrink, volume)
 
 SOLVE_TOL = 1e-10
 EIGEN_TOL = 1e-9
@@ -131,6 +131,7 @@ def resistance(g, A, B_outer):
     return 1.0 / current
 
 
+@_per_graph
 def resistance_annulus(g, x, r, R):
     """rho(x,r,R): source is the closed ball {d <= r}, sink the exterior
     of B(x,R); the resistance of the annulus between its surfaces."""
@@ -272,21 +273,25 @@ def exit_times(g, region):
     return E
 
 
+@_per_graph
 def mean_exit_time(g, x, R):
     """E(x,R): expected exit time of B(x,R) started at its center."""
     B = proper_ball(g, x, R)
     return float(exit_times(g, B)[_locate(B, x)])
 
 
+@_per_graph
 def max_exit_time(g, x, R):
     """Ebar(x,R): worst-case expected exit time over starting points."""
     return float(exit_times(g, proper_ball(g, x, R)).max())
 
 
+@_per_graph
 def shrunk_exit_time(g, x, R):
     """E_a(T_B), B = B(x,2R), once A = B(x,R) is shrunk to a vertex a.
     Only C = closure(B) is shrunk, rebuilt from its gather's edges (i <= j):
-    it holds B's edges in order, so the system is the shrunk host's."""
+    it holds B's edges in order, so the system is the shrunk host's.  The
+    shrunk graph dies at return, so its solve skips the exit-time memo."""
     A = proper_ball(g, x, R)
     B = proper_ball(g, x, 2 * R, what="outer ball")
     C = closure(g, B)
@@ -295,7 +300,8 @@ def shrunk_exit_time(g, x, R):
     sr = shrink(WeightedGraph(C.size, np.column_stack([i[up], j[up], w[up]])),
                 np.searchsorted(C, A))
     keep = sr.old_to_new[np.searchsorted(C, B)]
-    return float(exit_times(sr.graph, np.append(keep[keep >= 0], sr.a))[-1])
+    region = np.append(keep[keep >= 0], sr.a)
+    return float(GreenOperator(sr.graph, region).exit_times()[-1])
 
 
 # -- smallest Dirichlet eigenvalue ---------------------------------------------
@@ -369,6 +375,7 @@ def harmonic_measure(g, x, R):
     return HarmonicMeasure(B, bnd, omega)
 
 
+@_per_graph
 def harnack_constant(g, x, R):
     """Extremal Harnack ratio over non-negative functions harmonic in
     B(x,2R), maximised on the half ball B(x,R).
@@ -411,6 +418,7 @@ def hg_constant(g, x, R):
     return g_condition(g, x, R)[2]
 
 
+@_per_graph
 def g_condition(g, x, R):
     """From one Green solve: the bounds (min over B(x,R) of g) V/E and (max
     over the annulus of g) V/E, then hg_constant's ratio sup/inf."""

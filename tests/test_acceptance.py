@@ -12,16 +12,16 @@ import time
 import numpy as np
 import pytest
 
-from einstein_lab.conditions import (QuantityCache, SweepGrid, auto_centers,
-                                     default_grid, fit_exponents,
-                                     einstein_report, measure_condition,
-                                     radius_pairs, valid_cells,
-                                     verify_inequalities)
+from einstein_lab.conditions import (SweepGrid, auto_centers, default_grid,
+                                     fit_exponents, einstein_report,
+                                     measure_condition, radius_pairs,
+                                     valid_cells, verify_inequalities)
 from einstein_lab.generators import (lattice_box, sierpinski_gasket,
                                      vicsek_tree)
 from einstein_lab.graph import annulus_volume, ball, eccentricities, save
 from einstein_lab.potential import (GreenOperator, harmonic_measure,
-                                    resistance)
+                                    mean_exit_time, resistance,
+                                    resistance_annulus)
 from einstein_lab.walker import WalkConfig, mc_exit_sample, mc_exit_time
 
 REL_TOL = 1e-8
@@ -40,14 +40,14 @@ def fixtures():
         "gasket_5": sierpinski_gasket(5),
         "vicsek_4": vicsek_tree(4),
     }
-    return {name: (g, c, QuantityCache(g)) for name, (g, c) in built.items()}
+    return built
 
 
 def test_1_theorem_suite_zero_violations(fixtures):
     t0 = time.time()
     failures = []
-    for name, (g, c, cache) in fixtures.items():
-        results = verify_inequalities(g, default_grid(g), cache=cache)
+    for name, (g, c) in fixtures.items():
+        results = verify_inequalities(g, default_grid(g))
         for r in results:
             if r.passed is False:
                 failures.append((name, r.check, r.witness, r.worst_slack))
@@ -58,9 +58,9 @@ def test_1_theorem_suite_zero_violations(fixtures):
 
 
 def test_2_einstein_relation_band(fixtures):
-    g, c, cache = fixtures["lattice2d_41"]
+    g, c = fixtures["lattice2d_41"]
     grid = SweepGrid(tuple(auto_centers(g)), (2, 3, 4, 6, 8))
-    _, summary = einstein_report(g, grid, cache=cache)
+    _, summary = einstein_report(g, grid)
     gk, corner = sierpinski_gasket(6)
     grid_g = SweepGrid((corner,), (2, 4, 8, 16, 32))
     _, summary_g = einstein_report(gk, grid_g)
@@ -91,21 +91,21 @@ def test_3_exponent_consistency():
 
 def test_4_quadratic_lower_bound(fixtures):
     worst = np.inf
-    for name, (g, c, cache) in fixtures.items():
+    for name, (g, c) in fixtures.items():
         grid = default_grid(g)
         for x in grid.centers:
             for r, R in radius_pairs(grid):
                 if eccentricities(g)[x] < R:
                     continue
-                slack = cache.rho(x, r, R) * annulus_volume(g, x, r, R) \
+                slack = resistance_annulus(g, x, r, R) * annulus_volume(g, x, r, R) \
                     - (R - r) ** 2
                 worst = min(worst, slack / max((R - r) ** 2, 1))
     cs = []
     for name in ("lattice2d_41", "lattice1d_129"):
-        g, c, cache = fixtures[name]
+        g, c = fixtures[name]
         grid = default_grid(g)
         cells, _ = valid_cells(g, grid, 2)
-        cs.append(min(cache.E(x, R) / R ** 2 for x, R in cells))
+        cs.append(min(mean_exit_time(g, x, R) / R ** 2 for x, R in cells))
     ok = worst >= -REL_TOL and min(cs) >= 0.5
     report(4, ok, f"rho*v >= (R-r)^2 with worst relative slack "
                   f"{worst:+.2e}; exit-time prefactor c = {min(cs):.3f} "
@@ -115,7 +115,7 @@ def test_4_quadratic_lower_bound(fixtures):
 def test_5_green_identities(fixtures):
     rng = np.random.default_rng(20240809)
     worst = 0.0
-    for name, (g, c, cache) in fixtures.items():
+    for name, (g, c) in fixtures.items():
         for _ in range(100):
             x = int(rng.integers(0, g.vertex_count))
             R = int(rng.integers(1, 5))
@@ -147,18 +147,18 @@ MC_CELLS = [
 def test_6_monte_carlo_cross_validation(fixtures):
     bad = []
     for i, (name, where, R) in enumerate(MC_CELLS):
-        g, c, cache = fixtures[name]
+        g, c = fixtures[name]
         x = c if where == "center" else int(where)
         cfg = WalkConfig(seed=1000 + i, n_walks=10_000)
         est = mc_exit_time(g, x, R, cfg)
-        exact = cache.E(x, R)
+        exact = mean_exit_time(g, x, R)
         if not (est.valid and abs(est.mean - exact) <= 4 * est.std_error):
             bad.append((name, x, R, est.mean, exact, est.std_error))
         if mc_exit_time(g, x, R, cfg) != est:
             bad.append((name, x, R, "not reproducible"))
     # exit law against the harmonic measure, 4 sigma per boundary vertex
     for name, R, seed in (("lattice2d_41", 4, 77), ("lattice1d_129", 5, 78)):
-        g, c, cache = fixtures[name]
+        g, c = fixtures[name]
         hm = harmonic_measure(g, c, R)
         row = hm.row(c)
         sample = mc_exit_sample(g, c, R, WalkConfig(seed=seed, n_walks=10_000))
@@ -176,17 +176,17 @@ def test_6_monte_carlo_cross_validation(fixtures):
 def test_7_resistance_doubling_and_harnack(fixtures):
     lines = []
     ok = True
-    for name, (g, c, cache) in fixtures.items():
+    for name, (g, c) in fixtures.items():
         grid = default_grid(g)
         # doubling constants C1, C2 of rho over the 4R cells; the series
         # law rho(R,4R) >= rho(R,2R) + rho(2R,4R) gives (C1-1)(C2-1) >= 1
         cells, _ = valid_cells(g, grid, 4)
-        r14 = [cache.rho(x, R, 4 * R) for x, R in cells]
-        c1 = max(r / cache.rho(x, R, 2 * R) for r, (x, R) in zip(r14, cells))
-        c2 = max(r / cache.rho(x, 2 * R, 4 * R)
+        r14 = [resistance_annulus(g, x, R, 4 * R) for x, R in cells]
+        c1 = max(r / resistance_annulus(g, x, R, 2 * R) for r, (x, R) in zip(r14, cells))
+        c2 = max(r / resistance_annulus(g, x, 2 * R, 4 * R)
                  for r, (x, R) in zip(r14, cells))
         product = (c1 - 1) * (c2 - 1)
-        h = measure_condition(g, grid, "H", cache=cache)
+        h = measure_condition(g, grid, "H")
         ok &= product >= 1 - REL_TOL and np.isfinite(h.constant)
         lines.append(f"{name}: (C1-1)(C2-1)={product:.4f}, "
                      f"H_max={h.constant:.3f}")

@@ -187,6 +187,16 @@ class TestCompute:
         assert code == cli.EXIT_USAGE
         assert flag in capsys.readouterr().err
 
+    def test_out_of_range_center_of_empty_ball(self, tmp_path, capsys):
+        # B(99999, 0) is empty, but its center is checked first
+        path = str(tmp_path / "z9.txt")
+        save(lattice_box(2, 9)[0], path)
+        code = cli.main(["compute", "resistance", "--graph", path,
+                         "--A-ball", "99999,0", "--B-ball", "40,3"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: vertex id 99999 out of range\n"
+
     def test_margin_exit_code(self, z21_file):
         path, g, c = z21_file
         r = run_cli(["compute", "exit", "--graph", path,
@@ -253,10 +263,10 @@ class TestVerify:
         path, g, c = z21_file
         measure = conditions.measure_condition
 
-        def measure_or_unreachable(g, grid, tag, cache=None):
+        def measure_or_unreachable(g, grid, tag):
             if tag == "ER":
                 raise UnreachableError("no current flows from source to sink")
-            return measure(g, grid, tag, cache=cache)
+            return measure(g, grid, tag)
 
         monkeypatch.setattr(conditions, "measure_condition",
                             measure_or_unreachable)
@@ -423,7 +433,7 @@ class TestExitCodes:
         # table lookups, so one from inside the program is a defect
         path, g, c = z21_file
 
-        def broken(g, grid, cache=None):
+        def broken(g, grid):
             raise KeyError("internal")
 
         monkeypatch.setattr(conditions, "einstein_report", broken)
@@ -641,6 +651,23 @@ def verify_json_digest(out_dir):
     man = doc["manifest"]
     del man["timestamp"], man["graph"]["path"], man["params"]["graph"]
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_verify_leaves_two_memos_on_the_graph(tmp_path, monkeypatch):
+    # every derived quantity of the sweep sits in _memo, the exit-time
+    # vectors in _exit_times; the graph grows no other attribute
+    path = str(tmp_path / "z41.txt")
+    save(lattice_box(2, 41)[0], path)
+    loaded = []
+    plain = graph.load
+    monkeypatch.setattr(graph, "load", lambda p: loaded.append(plain(p))
+                        or loaded[-1])
+    assert cli.main(["verify", "--graph", path,
+                     "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_OK
+    (g,) = loaded
+    assert g._memo and g._exit_times
+    assert set(vars(g)) == {"vertex_count", "matrix", "indptr", "indices",
+                            "weights", "mu", "_memo", "_exit_times"}
 
 
 def test_radial_verify_report_digest(tmp_path):

@@ -452,6 +452,22 @@ class TestMetric:
         g = path_graph(3)
         assert ball(g, 1, 0).size == 0
 
+    def test_ball_zero_checks_its_center(self):
+        # the radius-0 ball of a vertex that does not exist is refused,
+        # and no memo entry is kept for it
+        g = path_graph(3)
+        with pytest.raises(ValueError, match="vertex id 1000000000 out of"):
+            ball(g, 10**9, 0)
+        assert g._memo == {}
+
+    def test_per_graph_memo_keys_on_the_function(self):
+        # one dict per graph; a key leads with the undecorated function
+        g, c = lattice_box(2, 7)
+        B, V = ball(g, c, 2), volume(g, c, 2)
+        assert g._memo[ball.__wrapped__, c, 2] is B
+        assert g._memo[volume.__wrapped__, c, 2] == V
+        assert len(g._memo) == 2
+
     def test_lattice_volume_doubling_values(self):
         # exact open-ball diamond counts; V(c,2R)/V(c,R) = 5 exactly at
         # the R=2 anchor and decays towards the continuum value 4

@@ -320,6 +320,15 @@ class TestExitTimes:
         for a, b in zip(values, values[1:]):
             assert b >= a + 1 - 1e-9
 
+    def test_raising_call_stores_nothing(self):
+        # B(c,100) covers the host: the MarginError is raised again on
+        # every call, and no value is kept under the call's key
+        g, c = lattice_box(2, 7)
+        for _ in range(2):
+            with pytest.raises(MarginError):
+                mean_exit_time(g, c, 100)
+        assert not any(k[0] is mean_exit_time.__wrapped__ for k in g._memo)
+
     def test_cold_exit_times_leave_no_host_arrays(self):
         # a ball is found by a BFS that stops at its radius and only the
         # ball is kept: 50 new centers on a 201x201 host must not leave a
