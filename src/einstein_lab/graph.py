@@ -27,9 +27,10 @@ class WeightedGraph:
     block slices, whose own arrays are the ``indptr``, ``indices`` and
     ``weights`` that the walk kernel reads.  Every reader of the edge set
     takes its upper triangle.  All arrays are frozen after construction.
-    It holds two memos: ``_memo``, where ``_per_graph`` keeps every derived
-    quantity of the graph (a ball is as long as itself), and
-    ``_exit_times``, ``potential.exit_times``'s memo.
+    No per-center state is host-sized.  It holds two memos: ``_memo``,
+    where ``_per_graph`` keeps every derived quantity (a ball's entry is as
+    long as the ball), and ``_exit_times``, ``potential.exit_times``'s
+    memo.
     """
 
     def __init__(self, vertex_count, edges):

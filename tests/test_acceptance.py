@@ -34,13 +34,12 @@ def report(num, ok, text):
 
 @pytest.fixture(scope="module")
 def fixtures():
-    built = {
+    return {
         "lattice2d_41": lattice_box(2, 41),
         "lattice1d_129": lattice_box(1, 129),
         "gasket_5": sierpinski_gasket(5),
         "vicsek_4": vicsek_tree(4),
     }
-    return built
 
 
 def test_1_theorem_suite_zero_violations(fixtures):
