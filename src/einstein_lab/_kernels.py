@@ -1,16 +1,17 @@
 """Hot inner loops.  BFS distances are scipy's csgraph over the graph's
-weight CSR; the random-walk kernel is vectorized numpy and draws from a
-counter-based generator (splitmix64-style finalizer keyed by ``(seed,
-walk, step)``), so a simulation result does not depend on batching or
-call order.  A walk step is one lookup in a table built per region at
-kernel entry, whose entries are the next row's offset in the table;
-only a draw that falls in a bucket straddling a transition threshold
-searches its row, so every step takes the same neighbour as the search.
-The bucket is the top bits of the draw's mixed word, read before the
-mix's last xor-shift, which leaves them as they are.  A step works in
-buffers allocated at entry, and a walker that exits hands its slot to a
-live one from the end of the batch, so a step's bookkeeping follows its
-exits, not the batch size.
+weight CSR, from the nearest of a set of sources or, for a family of
+balls, from each source on its own.  The random-walk kernel is
+vectorized numpy and draws from a counter-based generator
+(splitmix64-style finalizer keyed by ``(seed, walk, step)``), so a
+simulation result does not depend on batching or call order.  A walk
+step is one lookup in a table built per region at kernel entry, whose
+entries are the next row's offset in the table; only a draw that falls
+in a bucket straddling a transition threshold searches its row, so every
+step takes the same neighbour as the search.  The bucket is the top bits
+of the draw's mixed word, read before the mix's last xor-shift, which
+leaves them as they are.  A step works in buffers allocated at entry,
+and a walker that exits hands its slot to a live one from the end of the
+batch, so a step's bookkeeping follows its exits, not the batch size.
 """
 
 import numpy as np
@@ -80,6 +81,25 @@ def bfs_distances(W, sources, limit=np.inf):
                             min_only=True, limit=limit + 0.5)
     dist[np.isinf(dist)] = -1
     return dist.astype(np.int32)
+
+
+_BLOCK = 1 << 16                # float64 distances per search: 512 KiB
+
+
+def bfs_balls(W, sources, limit, labels):
+    """For each source on its own, ``labels`` of the vertices of ``W``
+    within ``limit`` hops of it, in vertex order, as one array per source.
+    Sources are searched in chunks whose distance block holds at most 2^16
+    float64 entries (512 KiB); a chunk holds at least one source, so a row
+    on more than 2^16 vertices is the one block that is larger.  Nothing
+    else the search allocates outlives its chunk."""
+    step = max(1, _BLOCK // W.shape[0])
+    balls = []
+    for k in range(0, len(sources), step):
+        dist = csgraph.dijkstra(W, indices=sources[k:k + step],
+                                unweighted=True, limit=limit + 0.5)
+        balls += [labels[np.flatnonzero(row != np.inf)] for row in dist]
+    return balls
 
 
 # -- walk simulation ---------------------------------------------------------

@@ -27,7 +27,8 @@ import numpy as np
 from ._kernels import bfs_distances
 from .errors import ConvergenceError, MarginError, UnreachableError
 from .graph import (_per_graph, annulus_volume, ball, boundary,
-                    eccentricities, host_reach, min_transition, volume)
+                    eccentricities, fill_balls, host_reach, min_transition,
+                    volume)
 from .potential import (
     GreenOperator,
     g_condition,
@@ -220,9 +221,12 @@ def _skip_note(skipped):
 
 
 def _partners(g, grid, cond, x, R):
-    """The y that a "ball" or "centers" condition pairs with (x, R)."""
+    """The y that a "ball" or "centers" condition pairs with (x, R).  The
+    balls B(y,R) of a "ball" pairing come from one search in B(x,2R)."""
     if cond.pairs == "ball":
-        return [int(y) for y in ball(g, x, R)]
+        ys = ball(g, x, R)
+        fill_balls(g, x, 2 * R, ys, R)
+        return ys.tolist()
     return [int(y) for y in grid.centers
             if y != x and ball_inside_host(g, y, cond.margin * R)]
 
@@ -450,9 +454,11 @@ def _te_rv(name, g, grid):
 
 def _lmarkov(g, x, r, R):
     """Superadditivity E(x,R+r) >= E(x,R) + min over S(x,R) of E(y,r)."""
-    # S(x,R) is the boundary of B(x,R): no BFS once the ball is memoized
+    # S(x,R) is the boundary of B(x,R): no BFS once the ball is memoized,
+    # and each B(y,r) lies in B(x,R+r)
     zs = boundary(g, ball(g, x, R))
     if zs.size:
+        fill_balls(g, x, R + r, zs, r)
         bump = min(mean_exit_time(g, int(y), r) for y in zs)
         yield (mean_exit_time(g, x, R) + bump, mean_exit_time(g, x, R + r),
                "")
@@ -477,6 +483,7 @@ def _lmin_e_rv(g, x, r, R):
         return
     zs = boundary(g, ball(g, x, 3 * R // 2))
     if zs.size:
+        fill_balls(g, x, 2 * R, zs, R // 2)
         yield (min(mean_exit_time(g, int(z), R // 2) for z in zs),
                _rho_v_sets(g, x, R), "")
 

@@ -121,13 +121,23 @@ class WeightedGraph:
 
 def _per_graph(fn):
     """Memoize fn(g, *args) in ``g._memo`` under (fn, *args).  A call that
-    raises stores nothing.  Arguments are positional and hashable."""
+    raises stores nothing.  Arguments are positional and hashable.  The
+    memoized function's ``stored(g, *args)`` tells whether a value is kept,
+    and ``store(g, args, value)`` keeps one computed elsewhere."""
     @functools.wraps(fn)
     def memoized(g, *args):
         key = (fn, *args)
         if key not in g._memo:
             g._memo[key] = fn(g, *args)
         return g._memo[key]
+
+    def stored(g, *args):
+        return (fn, *args) in g._memo
+
+    def store(g, args, value):
+        g._memo[(fn, *args)] = value
+
+    memoized.stored, memoized.store = stored, store
     return memoized
 
 
@@ -209,6 +219,27 @@ def ball(g, x, radius):
     return B
 
 
+def fill_balls(g, x, reach, ys, radius):
+    """Memoize ball(g, y, radius) for every y in ``ys`` from one
+    multi-source search on the subgraph induced by S = B(x, reach).  The
+    caller guarantees d(x, y) + radius <= reach for each y, so B(y, radius)
+    and every shortest path inside it lie in S, and the search inside S
+    finds the host's ball.  Radii are integers >= 1.  A ball already
+    memoized is not searched again; each one stored is the sorted,
+    read-only int64 array ``ball`` returns."""
+    todo = [y for y in map(int, ys) if not ball.stored(g, y, radius)]
+    if not todo:
+        return
+    S = ball(g, x, reach)
+    local = np.searchsorted(S, todo)
+    if np.any(np.append(S, -1)[local] != todo):
+        raise ValueError(f"a partner lies outside B({x},{reach})")
+    for y, B in zip(todo, _kernels.bfs_balls(_subgraph(g, S)[0], local,
+                                             radius - 1, S)):
+        B.setflags(write=False)
+        ball.store(g, (y, radius), B)
+
+
 def proper_ball(g, x, radius, what="ball"):
     """B(x, radius) as the region of a killed walk: x is a vertex, the
     radius is at least 1 (ValueError), and the ball is not the whole host
@@ -257,12 +288,39 @@ def _as_vertex_set(g, A):
     return A
 
 
+def _entries(g, rows):
+    """The rows' CSR slices: for each of their entries, row after row, the
+    row's index into ``rows`` and the entry's position in the CSR."""
+    hi = g.indptr[rows + 1]
+    counts = hi - g.indptr[rows]
+    i = np.repeat(np.arange(rows.size), counts)
+    return i, np.arange(i.size) + (hi - np.cumsum(counts))[i]
+
+
+def _gather(g, rows, cols):
+    """W[rows][:, cols] as triplets (i, j, w) in CSR order, i indexing
+    ``rows`` and j the sorted ``cols``; reads the rows' entries only."""
+    i, pos = _entries(g, rows)
+    nbr = g.indices[pos]
+    j = np.searchsorted(cols, nbr)
+    hit = np.append(cols, -1)[j] == nbr
+    return i[hit], j[hit], g.weights[pos[hit]]
+
+
+def _subgraph(g, C):
+    """The subgraph induced by the sorted vertex set C, as a CSR over
+    indices into C, and the triplets (i, j, w) it holds, from C's rows."""
+    i, j, w = _gather(g, C, C)
+    indptr = np.r_[0, np.cumsum(np.bincount(i, minlength=C.size))]
+    return sp.csr_matrix((w, j, indptr), shape=(C.size, C.size)), (i, j, w)
+
+
 def closure(g, A):
-    """A together with every vertex adjacent to A."""
+    """A together with every vertex adjacent to A, from A's CSR slices."""
     A = _as_vertex_set(g, A)
     if A.size == 0:
         raise ValueError("closure of the empty set")
-    return np.union1d(A, g.matrix[A].indices)
+    return np.union1d(A, g.indices[_entries(g, A)[1]])
 
 
 def boundary(g, A):

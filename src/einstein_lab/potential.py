@@ -29,8 +29,9 @@ import scipy.sparse.linalg as spla
 
 from ._kernels import bfs_distances
 from .errors import ConvergenceError, MarginError, UnreachableError
-from .graph import (WeightedGraph, _as_vertex_set, _per_graph, ball,
-                    boundary, closure, proper_ball, shrink, volume)
+from .graph import (WeightedGraph, _as_vertex_set, _gather, _per_graph,
+                    _subgraph, ball, boundary, closure, proper_ball, shrink,
+                    volume)
 
 SOLVE_TOL = 1e-10
 EIGEN_TOL = 1e-9
@@ -38,19 +39,6 @@ EIGEN_MAXITER = 10_000
 
 
 # -- linear algebra plumbing -------------------------------------------------
-
-
-def _gather(g, rows, cols):
-    """W[rows][:, cols] as triplets (i, j, w) in CSR order, i indexing
-    ``rows`` and j the sorted ``cols``; reads the rows' entries only."""
-    hi = g.indptr[rows + 1]
-    counts = hi - g.indptr[rows]
-    i = np.repeat(np.arange(rows.size), counts)
-    pos = np.arange(i.size) + (hi - np.cumsum(counts))[i]
-    nbr = g.indices[pos]
-    j = np.searchsorted(cols, nbr)
-    hit = np.append(cols, -1)[j] == nbr
-    return i[hit], j[hit], g.weights[pos[hit]]
 
 
 def _dirichlet_matrix(g, region, triplets=None):
@@ -160,10 +148,8 @@ def layered_lower_bound(g, A, B_outer):
     if np.setdiff1d(A, B, assume_unique=True).size:
         raise ValueError("source touches the sink")
     C = closure(g, B)
-    i, j, w = _gather(g, C, C)
-    indptr = np.r_[0, np.cumsum(np.bincount(i, minlength=C.size))]
-    dA = bfs_distances(sp.csr_matrix((w, j, indptr), shape=(C.size, C.size)),
-                       np.searchsorted(C, A))
+    W, (i, j, w) = _subgraph(g, C)
+    dA = bfs_distances(W, np.searchsorted(C, A))
     # a vertex of C that the BFS inside C misses is farther than L
     d_out = np.delete(dA, np.searchsorted(C, B))
     L = int(d_out[d_out >= 0].min())

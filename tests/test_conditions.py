@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from einstein_lab import _kernels, conditions, potential
+from einstein_lab import _kernels, cli, conditions, potential
 from einstein_lab.conditions import (SweepGrid, auto_centers, default_grid,
                                      dyadic_radii, einstein_report,
                                      fit_exponents, measure_condition,
@@ -14,9 +14,9 @@ from einstein_lab.errors import ConvergenceError, MarginError
 from einstein_lab.generators import (apply_radial_weights, binary_tree,
                                      lattice_box, sierpinski_gasket,
                                      vicsek_tree)
-from einstein_lab.graph import WeightedGraph, host_frontier
+from einstein_lab.graph import WeightedGraph, host_frontier, save
 from einstein_lab.potential import mean_exit_time, resistance_annulus
-from test_graph import stored_walks
+from test_graph import count_searches, stored_walks
 from test_potential import count_factors
 
 
@@ -370,12 +370,27 @@ class TestOneMemo:
 
         sweep()
         factors, bfs_calls = count_factors(monkeypatch), []
-        bfs = _kernels.bfs_distances
+        bfs, balls = _kernels.bfs_distances, _kernels.bfs_balls
         for module in (_kernels, conditions, potential):
             monkeypatch.setattr(module, "bfs_distances", lambda *a:
                                 bfs_calls.append(a) or bfs(*a))
+        monkeypatch.setattr(_kernels, "bfs_balls", lambda *a:
+                            bfs_calls.append(a) or balls(*a))
+        searches = count_searches(monkeypatch)
         sweep()
-        assert factors == [] and bfs_calls == []
+        assert factors == [] and bfs_calls == [] and searches == []
+
+    def test_z41_verify_searches_per_partner_chunk(self, tmp_path,
+                                                   monkeypatch):
+        # wVC, TC, wTC, lmarkov and lminE<rv pair a cell with every y of a
+        # ball or a sphere; one search per chunk of partners, not one per
+        # partner, keeps z41's verify well under one search per ball (2281)
+        path = str(tmp_path / "z41.txt")
+        save(lattice_box(2, 41)[0], path)
+        searches = count_searches(monkeypatch)
+        assert cli.main(["verify", "--graph", path,
+                         "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_OK
+        assert len(searches) <= 500
 
 
 class TestEinstein:

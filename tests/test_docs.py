@@ -4,6 +4,7 @@ compute quantities are the program's, so a public name, a flag, a tag or
 a quantity that is added, deleted or renamed on one side only fails
 here."""
 
+import ast
 import functools
 import importlib
 import pathlib
@@ -14,6 +15,7 @@ import shlex
 import einstein_lab
 from einstein_lab import _kernels, cli, conditions
 from einstein_lab.generators import lattice_box
+from test_graph import count_searches
 from test_potential import count_factors
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -77,6 +79,18 @@ def test_readme_states_the_z41_factor_count(tmp_path, monkeypatch):
     assert len(factors) == int(stated.group(1))
 
 
+def test_readme_states_the_z41_search_count(tmp_path, monkeypatch):
+    stated = re.search(r"and runs (\d+) searches",
+                       README.read_text(encoding="utf-8"))
+    path = str(tmp_path / "z41.txt")
+    assert cli.main(["generate", "--family", "lattice", "--side", "41",
+                     "--out", path]) == cli.EXIT_OK
+    searches = count_searches(monkeypatch)
+    assert cli.main(["verify", "--graph", path,
+                     "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_OK
+    assert len(searches) == int(stated.group(1))
+
+
 def readme_dotted_names():
     """Every dotted name that opens a backticked span of the README's prose
     (fenced blocks left out), e.g. ``graph.ball`` or ``g.edges``."""
@@ -103,6 +117,25 @@ def test_readme_names_resolve():
         except AttributeError:
             unresolved.append(name)
     assert names and unresolved == []
+
+
+def test_only_the_kernels_import_csgraph():
+    # one BFS: every search of the lab runs through _kernels, so no other
+    # module may import scipy.sparse.csgraph or reach it as an attribute
+    def reaches_csgraph(node):
+        if isinstance(node, ast.Import):
+            return any(a.name.startswith("scipy.sparse.csgraph")
+                       for a in node.names)
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").startswith("scipy.sparse.csgraph") \
+                or (node.module == "scipy.sparse"
+                    and any(a.name == "csgraph" for a in node.names))
+        return isinstance(node, ast.Attribute) and node.attr == "csgraph"
+
+    users = sorted(path.name for path in PACKAGE.glob("*.py")
+                   if any(map(reaches_csgraph, ast.walk(ast.parse(
+                       path.read_text(encoding="utf-8"))))))
+    assert users == ["_kernels.py"]
 
 
 def test_package_reads_no_environment():

@@ -13,8 +13,8 @@ from einstein_lab._kernels import bfs_distances
 from einstein_lab.conditions import auto_centers, ball_inside_host
 from einstein_lab.errors import GraphFormatError
 from einstein_lab.graph import (WeightedGraph, annulus_volume, ball, boundary,
-                                closure, eccentricities, load, min_transition,
-                                save, shrink, sphere, volume)
+                                closure, eccentricities, fill_balls, load,
+                                min_transition, save, shrink, sphere, volume)
 from einstein_lab.generators import (apply_radial_weights, binary_tree,
                                      lattice_box, sierpinski_gasket,
                                      vicsek_tree)
@@ -526,6 +526,79 @@ class TestMetric:
         for R in (1, 2, 4):
             expect = sum(float(g.mu[sphere(g, x, k)].sum()) for k in range(R))
             assert volume(g, x, R) == pytest.approx(expect)
+
+
+def count_searches(monkeypatch):
+    """A list that grows by one per csgraph search from here on, whichever
+    kernel runs it."""
+    searches = []
+    dijkstra = _kernels.csgraph.dijkstra
+    monkeypatch.setattr(_kernels.csgraph, "dijkstra", lambda *a, **k:
+                        searches.append(a) or dijkstra(*a, **k))
+    return searches
+
+
+def partner_families(g, x, R):
+    """The families a sweep pairs with (x, R): the ball B(x,R), the sphere
+    S(x,R) and x alone, read on a copy so that g's memo stays empty."""
+    copy = stored_graph(g.indptr, g.indices, g.weights)
+    return {"ball": ball(copy, x, R), "sphere": sphere(copy, x, R),
+            "one": np.array([x])}
+
+
+FAMILY_HOSTS = {
+    "z41": lambda: lattice_box(2, 41)[0],
+    "gasket6": lambda: sierpinski_gasket(6)[0],
+    "z15-radial": lambda: apply_radial_weights(*lattice_box(2, 15), 0.5),
+}
+
+
+class TestFillBalls:
+    """fill_balls(g, x, R + r, ys, r) stores for each y of a family inside
+    B(x,R+1) the ball a BFS of its own finds on a fresh graph."""
+
+    @staticmethod
+    def assert_family(g, x, R, r, ys):
+        fill_balls(g, x, R + r, ys, r)
+        fresh = stored_graph(g.indptr, g.indices, g.weights)
+        for y in ys.tolist():
+            assert ball.stored(g, y, r)
+            B = ball(g, y, r)
+            expect = np.flatnonzero(bfs_distances(fresh.matrix, y, r - 1) >= 0)
+            assert B.dtype == np.int64 and not B.flags.writeable
+            assert B.tolist() == expect.tolist()
+
+    @given(st.one_of(connected_graphs(), stored_walks()), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_family_matches_one_bfs_per_partner(self, g, data):
+        n = g.vertex_count
+        x = data.draw(st.integers(0, n - 1))
+        R = data.draw(st.integers(1, int(eccentricities(
+            stored_graph(g.indptr, g.indices, g.weights))[x]) + 1))
+        r = data.draw(st.integers(1, R))
+        kind = data.draw(st.sampled_from(["ball", "sphere", "one"]))
+        self.assert_family(g, x, R, r, partner_families(g, x, R)[kind])
+
+    @pytest.mark.parametrize("host, x, R, r", [
+        ("z41", 840, 8, 1), ("z41", 840, 8, 4), ("z41", 840, 8, 8),
+        ("gasket6", 0, 16, 8), ("gasket6", 200, 8, 4),
+        ("z15-radial", 112, 4, 2),
+    ], ids=["z41-r1", "z41-r4", "z41-r8", "gasket6-corner", "gasket6",
+            "z15-radial"])
+    @pytest.mark.parametrize("kind", ["ball", "sphere", "one"])
+    def test_fixed_hosts(self, host, x, R, r, kind, monkeypatch):
+        g = FAMILY_HOSTS[host]()
+        ys = partner_families(g, x, R)[kind]
+        self.assert_family(g, x, R, r, ys)
+        # every ball is now kept: the family needs no second search
+        searches = count_searches(monkeypatch)
+        fill_balls(g, x, R + r, ys, r)
+        assert searches == []
+
+    def test_partner_outside_the_reach_is_refused(self):
+        g, c = lattice_box(2, 9)
+        with pytest.raises(ValueError, match="outside B"):
+            fill_balls(g, c, 2, [c + 2], 1)
 
 
 # hosts whose eccentricities the bound-based sweep must reproduce exactly
