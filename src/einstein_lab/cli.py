@@ -235,10 +235,10 @@ def cmd_compute(args):
                 graph.ball(g, *_int_fields(args, "B_ball")))
             result = {"rho": rho, "convention": "set-poles"}
     elif q == "green":
-        op = potential.GreenOperator(
-            g, graph.ball(g, *_int_fields(args, "A_ball")))
-        result = {"g": op.kernel(args.y, args.z),
-                  "G": op.visits(args.y, args.z)}
+        A = graph.ball(g, *_int_fields(args, "A_ball"))
+        k = potential.GreenOperator(g, A).kernel(args.y, args.z)
+        # one solve: the visits G^A(y,z) are g^A(y,z) mu(z)
+        result = {"g": k, "G": k * float(g.mu[args.z])}
     elif q == "lambda":
         r = potential.lambda_min(g, graph.ball(g, *_int_fields(args, "ball")))
         result = {"lambda": r.lam, "iterations": r.iterations,

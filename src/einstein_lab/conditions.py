@@ -30,8 +30,8 @@ from .graph import (_per_graph, annulus_volume, ball, boundary,
                     eccentricities, fill_balls, host_reach, min_transition,
                     volume)
 from .potential import (
-    GreenOperator,
     g_condition,
+    green_column,
     harnack_constant,
     lambda_min,
     layered_lower_bound,
@@ -153,10 +153,10 @@ def _layered(g, x, r, R):
     return layered_lower_bound(g, ball(g, x, r), ball(g, x, R))
 
 
-@_per_graph
 def _center_kernel(g, x, R):
-    """g^A(x,x) = rho({x}, complement A) with A = B(x,R)."""
-    return GreenOperator(g, ball(g, x, R)).kernel(x, x)
+    """g^A(x,x) = rho({x}, complement A) with A = B(x,R), read from the
+    center column that HG and g read at (x, R/2)."""
+    return float(green_column(g, x, R)[np.searchsorted(ball(g, x, R), x)])
 
 
 def _w(g, x, R):

@@ -111,13 +111,6 @@ class WeightedGraph:
             raise ValueError(f"vertex id {x} out of range")
         return x
 
-    def neighbors(self, x):
-        x = self.check_vertex(x)
-        return self.indices[self.indptr[x]:self.indptr[x + 1]]
-
-    def total_measure(self):
-        return float(self.mu.sum())
-
 
 def _per_graph(fn):
     """Memoize fn(g, *args) in ``g._memo`` under (fn, *args).  A call that
@@ -252,14 +245,6 @@ def proper_ball(g, x, radius, what="ball"):
         raise MarginError(f"{what} B({x},{radius}) covers the whole host "
                           "graph")
     return B
-
-
-def sphere(g, x, radius):
-    """Distance shell {y : d(x,y) = radius}, from a BFS that stops there."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    d = _kernels.bfs_distances(g.matrix, g.check_vertex(x), radius)
-    return np.flatnonzero(d == radius).astype(np.int64)
 
 
 @_per_graph

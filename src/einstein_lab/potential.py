@@ -185,7 +185,6 @@ class GreenOperator:
             raise ValueError("region is empty")
         if region.size == g.vertex_count:
             raise ValueError("region must be a proper subset (killed walk)")
-        self.graph = g
         self.region = region
         self.size = int(region.size)
         self.mu = g.mu[region]
@@ -216,10 +215,6 @@ class GreenOperator:
 
     def kernel(self, y, z):
         return float(self.column(z)[self.local(y)])
-
-    def visits(self, y, z):
-        """G^A(y,z): expected visits to z by the walk killed outside A."""
-        return self.kernel(y, z) * float(self.graph.mu[z])
 
     def exit_times(self):
         """E_z(T_A) for z in the region: solves M E = mu."""
@@ -344,9 +339,6 @@ class HarmonicMeasure:
     boundary: np.ndarray
     omega: np.ndarray         # shape (|region|, |boundary|), rows sum to 1
 
-    def row(self, y):
-        return self.omega[_locate(self.region, y)]
-
 
 def harmonic_measure(g, x, R):
     """Exit-position law omega(y,z) = P_y(walk leaves B(x,R) at z)."""
@@ -384,17 +376,26 @@ def harnack_constant(g, x, R):
     return float(np.max(top[live] / bot[live], initial=1.0))
 
 
+@_per_graph
+def green_column(g, x, R):
+    """g^B(., x) over B = B(x,R), read-only: the one solve of a ball's
+    center column, which the lE<rm bound, HG and g all read."""
+    B = proper_ball(g, x, R)
+    gx = GreenOperator(g, B).column(x)
+    gx.setflags(write=False)
+    return gx
+
+
 def _green_ball_profile(g, x, R):
-    """One Green solve on B(x,2R): kernel row at x, split annulus/ball."""
+    """The center column of B(x,2R), split annulus/ball."""
     if R < 1:
         raise ValueError("radius must be >= 1")
     B2 = proper_ball(g, x, 2 * R, what="outer ball")
     sel_inner = np.isin(B2, ball(g, x, R))
     if sel_inner.all():
         raise MarginError("annulus B(x,2R) \\ B(x,R) is empty")
-    op = GreenOperator(g, B2)
-    gx = op.column(x)
-    e2r = float(gx @ op.mu)          # E(x,2R) via the visit identity
+    gx = green_column(g, x, 2 * R)
+    e2r = float(gx @ g.mu[B2])      # E(x,2R) via the visit identity
     return float(gx[sel_inner].min()), float(gx[~sel_inner].max()), e2r
 
 

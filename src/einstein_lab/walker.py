@@ -7,7 +7,7 @@ function of (seed, w, t), so results are reproducible bit-for-bit
 regardless of scheduling.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class McEstimate:
 class ExitSample:
     estimate: McEstimate
     exit_counts: dict            # exit vertex -> count over uncapped walks
-    steps: np.ndarray = field(repr=False)
 
 
 def _simulate(g, x, R, cfg: WalkConfig):
@@ -61,13 +60,13 @@ def _simulate(g, x, R, cfg: WalkConfig):
     used = steps[exited].astype(np.float64)
     if used.size == 0:
         est = McEstimate(float("nan"), float("nan"), 0, capped, False)
-        return ExitSample(est, {}, steps)
+        return ExitSample(est, {})
     mean = float(used.mean())
     std_error = float(used.std(ddof=1) / np.sqrt(used.size)) if used.size > 1 else 0.0
     valid = capped <= 0.01 * cfg.n_walks
     est = McEstimate(mean, std_error, int(used.size), capped, valid)
     verts, counts = np.unique(exit_vertex[exited], return_counts=True)
-    return ExitSample(est, {int(v): int(c) for v, c in zip(verts, counts)}, steps)
+    return ExitSample(est, {int(v): int(c) for v, c in zip(verts, counts)})
 
 
 def mc_exit_time(g, x, R, cfg: WalkConfig) -> McEstimate:

@@ -159,7 +159,7 @@ def test_6_monte_carlo_cross_validation(fixtures):
     for name, R, seed in (("lattice2d_41", 4, 77), ("lattice1d_129", 5, 78)):
         g, c = fixtures[name]
         hm = harmonic_measure(g, c, R)
-        row = hm.row(c)
+        row = hm.omega[np.searchsorted(hm.region, c)]
         sample = mc_exit_sample(g, c, R, WalkConfig(seed=seed, n_walks=10_000))
         n = sample.estimate.n
         for k, z in enumerate(hm.boundary):

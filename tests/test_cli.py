@@ -251,6 +251,30 @@ class TestCompute:
         assert code == cli.EXIT_USAGE
         assert f"error: vertex {y} not in region" in capsys.readouterr().err
 
+    @pytest.fixture(scope="class")
+    def z41_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("graphs") / "z41.txt"
+        save(lattice_box(2, 41)[0], path)
+        return str(path)
+
+    def test_green_z41_pin(self, z41_file, capsys):
+        # g^A(y,z) and the visits G^A(y,z) = g^A(y,z) mu(z) of the README's
+        # example, at 12 significant digits
+        assert cli.main(["compute", "green", "--graph", z41_file, "--A-ball",
+                         "840,4", "--y", "840", "--z", "841"]) == cli.EXIT_OK
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result == {"g": 0.186974789916, "G": 0.747899159664}
+
+    def test_green_solves_once(self, z41_file, monkeypatch):
+        # G is g times mu(z), not a second solve of the same column
+        solves = []
+        solve = potential.GreenOperator.solve
+        monkeypatch.setattr(potential.GreenOperator, "solve", lambda op, b:
+                            solves.append(b) or solve(op, b))
+        assert cli.main(["compute", "green", "--graph", z41_file, "--A-ball",
+                         "840,4", "--y", "840", "--z", "841"]) == cli.EXIT_OK
+        assert len(solves) == 1
+
     def test_missing_graph_usage(self):
         r = run_cli(["compute", "exit", "--graph", "/nonexistent",
                      "--x", "0", "--R", "1"])

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -14,8 +15,9 @@ from einstein_lab.errors import ConvergenceError, MarginError
 from einstein_lab.generators import (apply_radial_weights, binary_tree,
                                      lattice_box, sierpinski_gasket,
                                      vicsek_tree)
-from einstein_lab.graph import WeightedGraph, host_frontier, save
-from einstein_lab.potential import mean_exit_time, resistance_annulus
+from einstein_lab.graph import WeightedGraph, ball, host_frontier, save, volume
+from einstein_lab.potential import (GreenOperator, g_condition,
+                                    mean_exit_time, resistance_annulus)
 from test_graph import count_searches, stored_walks
 from test_potential import count_factors
 
@@ -354,6 +356,54 @@ class TestVerifySuite:
             tracemalloc.stop()
         assert len(rows) == 1
         assert peak < 256 * 1024
+
+
+def reference_center_kernel(g, x, R):
+    """lE<rm's g^A(x,x), A = B(x,R), from an operator of its own."""
+    return GreenOperator(g, ball(g, x, R)).kernel(x, x)
+
+
+def reference_g_condition(g, x, R):
+    """g_condition's (c_low, C_high, hg) from an operator of its own on
+    B(x,2R)."""
+    B2 = ball(g, x, 2 * R)
+    op = GreenOperator(g, B2)
+    gx = op.column(x)
+    inner = np.isin(B2, ball(g, x, R))
+    e2r = float(gx @ op.mu)
+    lo, hi = float(gx[inner].min()), float(gx[~inner].max())
+    V = volume(g, x, R)
+    return lo * V / e2r, hi * V / e2r, hi / lo
+
+
+CENTER_HOSTS = {
+    "z41": lambda: lattice_box(2, 41)[0],
+    "gasket6": lambda: sierpinski_gasket(6)[0],
+    "z15-radial": lambda: apply_radial_weights(*lattice_box(2, 15), 0.5),
+}
+
+
+class TestCenterColumn:
+    """lE<rm, HG and g read one memoized Green column per center ball."""
+
+    @pytest.mark.parametrize("host", list(CENTER_HOSTS))
+    def test_equals_an_operator_per_quantity(self, host):
+        g = CENTER_HOSTS[host]()
+        cells, _ = valid_cells(g, default_grid(g), 2)
+        assert cells
+        for x, R in cells:
+            assert conditions._center_kernel(g, x, R) == \
+                reference_center_kernel(g, x, R)
+            assert g_condition(g, x, R) == reference_g_condition(g, x, R)
+
+    def test_g_after_le_rm_builds_nothing(self, monkeypatch):
+        # lE<rm at (x, 2R) solves the column of B(x,2R) that g reads at
+        # (x, R)
+        g, c = lattice_box(2, 41)
+        conditions.CHECKS["lE<rm"]("lE<rm", g, SweepGrid((c,), (8,)))
+        factors = count_factors(monkeypatch)
+        g_condition(g, c, 4)
+        assert factors == []
 
 
 class TestOneMemo:

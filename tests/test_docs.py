@@ -138,6 +138,20 @@ def test_only_the_kernels_import_csgraph():
     assert users == ["_kernels.py"]
 
 
+def test_conditions_builds_no_solver():
+    # one solver object per ball: the sweep layer reads memoized potential
+    # quantities, so conditions.py never names GreenOperator
+    def names_it(node):
+        return (isinstance(node, ast.Name) and node.id == "GreenOperator"
+                or isinstance(node, ast.Attribute)
+                and node.attr == "GreenOperator"
+                or isinstance(node, ast.alias)
+                and node.name == "GreenOperator")
+
+    tree = ast.parse((PACKAGE / "conditions.py").read_text(encoding="utf-8"))
+    assert not any(map(names_it, ast.walk(tree)))
+
+
 def test_package_reads_no_environment():
     # no environment variable may change what the lab computes
     readers = [f"{path.name}: {hit}"
