@@ -236,8 +236,8 @@ def cmd_compute(args):
             result = {"rho": rho, "convention": "set-poles"}
     elif q == "green":
         A = graph.ball(g, *_int_fields(args, "A_ball"))
-        k = potential.GreenOperator(g, A).kernel(args.y, args.z)
         # one solve: the visits G^A(y,z) are g^A(y,z) mu(z)
+        k = float(potential.column(g, A, args.z)[potential.locate(A, args.y)])
         result = {"g": k, "G": k * float(g.mu[args.z])}
     elif q == "lambda":
         r = potential.lambda_min(g, graph.ball(g, *_int_fields(args, "ball")))

@@ -28,10 +28,10 @@ from ._kernels import bfs_distances
 from .errors import ConvergenceError, MarginError, UnreachableError
 from .graph import (_per_graph, annulus_volume, ball, boundary,
                     eccentricities, fill_balls, host_reach, min_transition,
-                    volume)
+                    proper_ball, volume)
 from .potential import (
+    column,
     g_condition,
-    green_column,
     harnack_constant,
     lambda_min,
     layered_lower_bound,
@@ -156,7 +156,8 @@ def _layered(g, x, r, R):
 def _center_kernel(g, x, R):
     """g^A(x,x) = rho({x}, complement A) with A = B(x,R), read from the
     center column that HG and g read at (x, R/2)."""
-    return float(green_column(g, x, R)[np.searchsorted(ball(g, x, R), x)])
+    B = proper_ball(g, x, R)
+    return float(column(g, B, x)[np.searchsorted(B, x)])
 
 
 def _w(g, x, R):

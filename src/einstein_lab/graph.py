@@ -29,8 +29,8 @@ class WeightedGraph:
     takes its upper triangle.  All arrays are frozen after construction.
     No per-center state is host-sized.  It holds two memos: ``_memo``,
     where ``_per_graph`` keeps every derived quantity (a ball's entry is as
-    long as the ball), and ``_exit_times``, ``potential.exit_times``'s
-    memo.
+    long as the ball), and ``_solves``, where ``potential.solve`` keeps one
+    read-only solution per system and right-hand side.
     """
 
     def __init__(self, vertex_count, edges):
@@ -80,7 +80,7 @@ class WeightedGraph:
             arr.setflags(write=False)
 
         self._memo = {}                 # (function, *args) -> value
-        self._exit_times = {}           # system key -> exit-time vector
+        self._solves = {}               # system and rhs key -> solution
 
         if int(_kernels.bfs_distances(matrix, 0).min()) < 0:
             raise GraphFormatError("graph is not connected")

@@ -70,12 +70,22 @@ def _relative_residual(M, x, b):
     return float(np.linalg.norm(M @ x - b) / bnorm) if bnorm else 0.0
 
 
-def _locate(region, v):
+def locate(region, v):
     """Position of vertex v in the sorted region."""
     i = int(np.searchsorted(region, v))
     if i == region.size or region[i] != v:
         raise ValueError(f"vertex {v} not in region")
     return i
+
+
+def _region(g, A):
+    """A as the region of a killed walk: neither empty nor the host."""
+    A = _as_vertex_set(g, A)
+    if A.size == 0:
+        raise ValueError("region is empty")
+    if A.size == g.vertex_count:
+        raise ValueError("region must be a proper subset (killed walk)")
+    return A
 
 
 # -- resistance ---------------------------------------------------------------
@@ -104,7 +114,7 @@ def resistance(g, A, B_outer):
         i, _, w = _gather(g, interior, A)
         rows, starts = np.unique(i, return_index=True)
         rhs = np.bincount(rows, np.add.reduceat(w, starts), interior.size)
-        u = GreenOperator(g, interior).solve(rhs)
+        u = solve(g, interior, rhs)
     # sum of mu_xy (1 - u(y)) over the cut, per row of A in CSR order,
     # then row after row; u is 0 on the cut outside B_outer
     cut = boundary(g, A)
@@ -173,27 +183,17 @@ def layered_lower_bound(g, A, B_outer):
 
 class GreenOperator:
     """The Dirichlet system M = (D - W)|_A of a region A, assembled and
-    factored once and reused across right-hand sides.  Every solve is
-    checked against the relative residual SOLVE_TOL; ``residual`` is the
-    worst one seen so far.  kernel(y,z) is g^A(y,z) = M^{-1}(y,z); it is
-    exactly symmetric because M is.  ``triplets``: as for
-    ``_dirichlet_matrix``."""
+    factored once.  Every solve is checked against the relative residual
+    SOLVE_TOL; ``residual`` is the worst one seen so far."""
 
     def __init__(self, g, region, triplets=None):
-        region = _as_vertex_set(g, region)
-        if region.size == 0:
-            raise ValueError("region is empty")
-        if region.size == g.vertex_count:
-            raise ValueError("region must be a proper subset (killed walk)")
+        region = _region(g, region)
         self.region = region
         self.size = int(region.size)
         self.mu = g.mu[region]
         self._M = _dirichlet_matrix(g, region, triplets)
         self._raw_solve = _make_solver(self._M)
         self.residual = 0.0
-
-    def local(self, v):
-        return _locate(self.region, v)
 
     def solve(self, rhs):
         """M^{-1} rhs, refused when it misses the residual contract
@@ -207,58 +207,57 @@ class GreenOperator:
         self.residual = max(self.residual, res)
         return x
 
-    def column(self, z):
-        """g^A(., z) over the region."""
-        rhs = np.zeros(self.size)
-        rhs[self.local(z)] = 1.0
-        return self.solve(rhs)
 
-    def kernel(self, y, z):
-        return float(self.column(z)[self.local(y)])
-
-    def exit_times(self):
-        """E_z(T_A) for z in the region: solves M E = mu."""
-        return self.solve(self.mu)
+# -- one keyed solve per system and right-hand side ---------------------------
 
 
-# -- exit times ----------------------------------------------------------------
-
-
-def _system_key(n, i, j, w, mu):
+def _system_key(n, i, j, w, mu, rhs):
     """Digest of the Dirichlet system on n unknowns with off-diagonal
-    triplets (i, j, w) and diagonal mu: every input of its assembly, its
-    factor and its solve.  The shapes lead, so two systems whose arrays
-    concatenate to the same bytes still differ."""
+    triplets (i, j, w) and diagonal mu, and of its right-hand side: every
+    input of its assembly, its factor and its solve.  The shapes lead, so
+    two systems whose arrays concatenate to the same bytes still differ."""
     h = hashlib.blake2b(np.array([n, w.size], dtype=np.int64).tobytes())
-    for a in (i, j, w, mu):
+    for a in (i, j, w, mu, rhs):
         h.update(a.tobytes())
     return h.digest()
 
 
-def exit_times(g, region):
-    """E_z(T_A) for z in the region A, read-only: the one path to an
-    exit-time vector.  Vectors are memoized per graph in ``g._exit_times``
-    under the system's key, so a ball that is a translate of one solved
-    before (same triplets, same mu, in the same order) costs a gather and
+def solve(g, A, rhs):
+    """M^{-1} rhs on the region A, read-only: the one path to a single
+    right-hand side.  Kept in ``g._solves`` under the key of the system
+    and rhs, so a translate of a system solved before costs a gather and
     a hash.  A miss factors the triplets just hashed; a failed solve
-    raises and stores nothing.  The memo holds one vector per distinct
-    system the graph has solved, one float per vertex of its region."""
+    stores nothing.  The memo holds vectors, never factors."""
+    A = _region(g, A)
+    triplets = _gather(g, A, A)
+    key = _system_key(A.size, *triplets, g.mu[A], rhs)
+    x = g._solves.get(key)
+    if x is None:
+        x = GreenOperator(g, A, triplets).solve(rhs)
+        x.setflags(write=False)
+        g._solves[key] = x
+    return x
+
+
+def column(g, A, z):
+    """g^A(., z) over the region A, read-only: ``solve`` at e_z."""
+    A = _region(g, A)
+    e = np.zeros(A.size)
+    e[locate(A, z)] = 1.0
+    return solve(g, A, e)
+
+
+def exit_times(g, region):
+    """E_z(T_A) for z in the region A, read-only: ``solve`` of M E = mu."""
     region = _as_vertex_set(g, region)
-    triplets = _gather(g, region, region)
-    key = _system_key(region.size, *triplets, g.mu[region])
-    E = g._exit_times.get(key)
-    if E is None:
-        E = GreenOperator(g, region, triplets).exit_times()
-        E.setflags(write=False)
-        g._exit_times[key] = E
-    return E
+    return solve(g, region, g.mu[region])
 
 
 @_per_graph
 def mean_exit_time(g, x, R):
     """E(x,R): expected exit time of B(x,R) started at its center."""
     B = proper_ball(g, x, R)
-    return float(exit_times(g, B)[_locate(B, x)])
+    return float(exit_times(g, B)[locate(B, x)])
 
 
 @_per_graph
@@ -272,7 +271,7 @@ def shrunk_exit_time(g, x, R):
     """E_a(T_B), B = B(x,2R), once A = B(x,R) is shrunk to a vertex a.
     Only C = closure(B) is shrunk, rebuilt from its gather's edges (i <= j):
     it holds B's edges in order, so the system is the shrunk host's.  The
-    shrunk graph dies at return, so its solve skips the exit-time memo."""
+    shrunk graph dies at return, so its solve skips the solve memo."""
     A = proper_ball(g, x, R)
     B = proper_ball(g, x, 2 * R, what="outer ball")
     C = closure(g, B)
@@ -282,7 +281,8 @@ def shrunk_exit_time(g, x, R):
                 np.searchsorted(C, A))
     keep = sr.old_to_new[np.searchsorted(C, B)]
     region = np.append(keep[keep >= 0], sr.a)
-    return float(GreenOperator(sr.graph, region).exit_times()[-1])
+    op = GreenOperator(sr.graph, region)
+    return float(op.solve(op.mu)[-1])
 
 
 # -- smallest Dirichlet eigenvalue ---------------------------------------------
@@ -376,29 +376,6 @@ def harnack_constant(g, x, R):
     return float(np.max(top[live] / bot[live], initial=1.0))
 
 
-@_per_graph
-def green_column(g, x, R):
-    """g^B(., x) over B = B(x,R), read-only: the one solve of a ball's
-    center column, which the lE<rm bound, HG and g all read."""
-    B = proper_ball(g, x, R)
-    gx = GreenOperator(g, B).column(x)
-    gx.setflags(write=False)
-    return gx
-
-
-def _green_ball_profile(g, x, R):
-    """The center column of B(x,2R), split annulus/ball."""
-    if R < 1:
-        raise ValueError("radius must be >= 1")
-    B2 = proper_ball(g, x, 2 * R, what="outer ball")
-    sel_inner = np.isin(B2, ball(g, x, R))
-    if sel_inner.all():
-        raise MarginError("annulus B(x,2R) \\ B(x,R) is empty")
-    gx = green_column(g, x, 2 * R)
-    e2r = float(gx @ g.mu[B2])      # E(x,2R) via the visit identity
-    return float(gx[sel_inner].min()), float(gx[~sel_inner].max()), e2r
-
-
 def hg_constant(g, x, R):
     """sup over the annulus of g^{B(x,2R)}(x,.) divided by the inf over
     B(x,R); the measured constant of the Green-kernel Harnack bound."""
@@ -407,8 +384,17 @@ def hg_constant(g, x, R):
 
 @_per_graph
 def g_condition(g, x, R):
-    """From one Green solve: the bounds (min over B(x,R) of g) V/E and (max
-    over the annulus of g) V/E, then hg_constant's ratio sup/inf."""
-    inf_ball, sup_ann, e2r = _green_ball_profile(g, x, R)
+    """From the center column of B(x,2R), split ball/annulus: the bounds
+    (min over B(x,R) of g) V/E and (max over the annulus of g) V/E, then
+    hg_constant's ratio sup/inf."""
+    if R < 1:
+        raise ValueError("radius must be >= 1")
+    B2 = proper_ball(g, x, 2 * R, what="outer ball")
+    inner = np.isin(B2, ball(g, x, R))
+    if inner.all():
+        raise MarginError("annulus B(x,2R) \\ B(x,R) is empty")
+    gx = column(g, B2, x)
+    e2r = float(gx @ g.mu[B2])      # E(x,2R) via the visit identity
+    inf_ball, sup_ann = float(gx[inner].min()), float(gx[~inner].max())
     V = volume(g, x, R)
     return inf_ball * V / e2r, sup_ann * V / e2r, sup_ann / inf_ball

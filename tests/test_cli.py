@@ -275,6 +275,17 @@ class TestCompute:
                          "840,4", "--y", "840", "--z", "841"]) == cli.EXIT_OK
         assert len(solves) == 1
 
+    @pytest.mark.parametrize("A_ball, message", [
+        ("840,0", "region is empty"),
+        ("840,100", "region must be a proper subset (killed walk)")])
+    def test_green_region_refused_first(self, z41_file, capsys, A_ball,
+                                        message):
+        # the region is refused before --z and --y are looked up in it
+        code = cli.main(["compute", "green", "--graph", z41_file, "--A-ball",
+                         A_ball, "--y", "0", "--z", "0"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_missing_graph_usage(self):
         r = run_cli(["compute", "exit", "--graph", "/nonexistent",
                      "--x", "0", "--R", "1"])
@@ -678,8 +689,8 @@ def verify_json_digest(out_dir):
 
 
 def test_verify_leaves_two_memos_on_the_graph(tmp_path, monkeypatch):
-    # every derived quantity of the sweep sits in _memo, the exit-time
-    # vectors in _exit_times; the graph grows no other attribute
+    # every derived quantity of the sweep sits in _memo, the solved
+    # vectors in _solves; the graph grows no other attribute
     path = str(tmp_path / "z41.txt")
     save(lattice_box(2, 41)[0], path)
     loaded = []
@@ -689,9 +700,9 @@ def test_verify_leaves_two_memos_on_the_graph(tmp_path, monkeypatch):
     assert cli.main(["verify", "--graph", path,
                      "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_OK
     (g,) = loaded
-    assert g._memo and g._exit_times
+    assert g._memo and g._solves
     assert set(vars(g)) == {"vertex_count", "matrix", "indptr", "indices",
-                            "weights", "mu", "_memo", "_exit_times"}
+                            "weights", "mu", "_memo", "_solves"}
 
 
 def test_radial_verify_report_digest(tmp_path):

@@ -19,7 +19,7 @@ from einstein_lab.graph import WeightedGraph, ball, host_frontier, save, volume
 from einstein_lab.potential import (GreenOperator, g_condition,
                                     mean_exit_time, resistance_annulus)
 from test_graph import count_searches, stored_walks
-from test_potential import count_factors
+from test_potential import count_factors, kernel, unit
 
 
 def reversibility_reference(g):
@@ -360,7 +360,7 @@ class TestVerifySuite:
 
 def reference_center_kernel(g, x, R):
     """lE<rm's g^A(x,x), A = B(x,R), from an operator of its own."""
-    return GreenOperator(g, ball(g, x, R)).kernel(x, x)
+    return kernel(GreenOperator(g, ball(g, x, R)), x, x)
 
 
 def reference_g_condition(g, x, R):
@@ -368,7 +368,7 @@ def reference_g_condition(g, x, R):
     B(x,2R)."""
     B2 = ball(g, x, 2 * R)
     op = GreenOperator(g, B2)
-    gx = op.column(x)
+    gx = op.solve(unit(op, x))
     inner = np.isin(B2, ball(g, x, R))
     e2r = float(gx @ op.mu)
     lo, hi = float(gx[inner].min()), float(gx[~inner].max())
@@ -404,6 +404,41 @@ class TestCenterColumn:
         factors = count_factors(monkeypatch)
         g_condition(g, c, 4)
         assert factors == []
+
+
+class TestOneSolvePath:
+    """Every annulus resistance and center column of a sweep comes from
+    potential.solve's memo and equals a fresh operator's solve bit for
+    bit."""
+
+    @pytest.mark.parametrize("host", list(CENTER_HOSTS))
+    def test_sweep_solves_equal_fresh_operators(self, host, monkeypatch):
+        g = CENTER_HOSTS[host]()
+        grid = default_grid(g)
+        columns, column = [], potential.column
+
+        def recorded(g, A, z):
+            gz = column(g, A, z)
+            columns.append((A, z, gz))
+            return gz
+
+        for module in (conditions, potential):
+            monkeypatch.setattr(module, "column", recorded)
+        verify_inequalities(g, grid)
+        for tag in conditions.CONDITION_TAGS:
+            measure_condition(g, grid, tag)
+        monkeypatch.undo()
+        annulus = potential.resistance_annulus.__wrapped__
+        rhos = [(key[1:], rho) for key, rho in g._memo.items()
+                if key[0] is annulus]
+        assert rhos and columns
+        for A, z, gz in columns:
+            op = GreenOperator(g, A)
+            assert gz.tobytes() == op.solve(unit(op, z)).tobytes()
+        monkeypatch.setattr(potential, "solve", lambda g, A, rhs:
+                            GreenOperator(g, A).solve(rhs))
+        for args, rho in rhos:
+            assert annulus(g, *args) == rho
 
 
 class TestOneMemo:

@@ -152,6 +152,27 @@ def test_conditions_builds_no_solver():
     assert not any(map(names_it, ast.walk(tree)))
 
 
+def test_four_functions_build_a_green_operator():
+    # one solve path: a single right-hand side goes through potential.solve,
+    # and only lambda_min, harmonic_measure and shrunk_exit_time keep an
+    # operator of their own; cli.py and conditions.py never name it
+    def builds_it(node):
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "GreenOperator"
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr == "GreenOperator")
+
+    sites = {(path.name, getattr(top, "name", None))
+             for path in sorted(PACKAGE.glob("*.py"))
+             for top in ast.parse(path.read_text(encoding="utf-8")).body
+             if any(map(builds_it, ast.walk(top)))}
+    assert sites == {("potential.py", name) for name in (
+        "solve", "lambda_min", "harmonic_measure", "shrunk_exit_time")}
+    for name in ("cli.py", "conditions.py"):
+        text = (PACKAGE / name).read_text(encoding="utf-8")
+        assert re.search(r"\bGreenOperator\b", text) is None
+
+
 def test_package_reads_no_environment():
     # no environment variable may change what the lab computes
     readers = [f"{path.name}: {hit}"

@@ -36,6 +36,18 @@ def subnormal_tail():
                              (3, 4, 1e-320)])
 
 
+def unit(op, z):
+    """The unit right-hand side at vertex z of the operator's region."""
+    e = np.zeros(op.size)
+    e[potential.locate(op.region, z)] = 1.0
+    return e
+
+
+def kernel(op, y, z):
+    """g^A(y,z) from the operator's own solve of the unit column at z."""
+    return float(op.solve(unit(op, z))[potential.locate(op.region, y)])
+
+
 def split_path():
     """65-vertex unit path with weight 1e-320 on edges 28-29 and 35-36:
     the block on 29..35 is decoupled in float64, so M is singular."""
@@ -237,14 +249,14 @@ class TestGreen:
         g = path_graph(3)
         op = GreenOperator(g, [1])
         # the visits G^A(1,1) are g^A(1,1) mu(1)
-        assert op.kernel(1, 1) * g.mu[1] == pytest.approx(1.0)
-        assert op.kernel(1, 1) == pytest.approx(0.5)
+        assert kernel(op, 1, 1) * g.mu[1] == pytest.approx(1.0)
+        assert kernel(op, 1, 1) == pytest.approx(0.5)
 
     def test_diagonal_is_point_resistance(self):
         g, c = lattice_box(2, 21)
         op = GreenOperator(g, ball(g, c, 4))
         rho = resistance(g, [c], ball(g, c, 4))
-        assert op.kernel(c, c) == pytest.approx(rho, rel=1e-8)
+        assert kernel(op, c, c) == pytest.approx(rho, rel=1e-8)
 
     @given(small_graphs())
     @settings(max_examples=25, deadline=None)
@@ -253,11 +265,11 @@ class TestGreen:
         if region.size == g.vertex_count:
             return
         op = GreenOperator(g, region)
-        cols = np.column_stack([op.column(z) for z in region])
+        cols = np.column_stack([op.solve(unit(op, z)) for z in region])
         assert np.allclose(cols, cols.T, rtol=1e-9, atol=1e-12)
-        e = op.exit_times()
+        e = op.solve(op.mu)
         for i, y in enumerate(region):
-            total = sum(op.kernel(int(y), int(z)) * g.mu[z] for z in region)
+            total = sum(kernel(op, int(y), int(z)) * g.mu[z] for z in region)
             assert total == pytest.approx(e[i], rel=1e-8)
 
     def test_whole_graph_rejected(self):
@@ -271,19 +283,21 @@ class TestGreen:
         g = path_graph(10)
         op = GreenOperator(g, [2, 3, 4, 6, 9])
         with pytest.raises(ValueError, match="not in region"):
-            op.local(v)
+            potential.locate(op.region, v)
         with pytest.raises(ValueError, match="not in region"):
-            op.kernel(v, 3)
-        assert [op.local(y) for y in (2, 3, 4, 6, 9)] == [0, 1, 2, 3, 4]
+            kernel(op, v, 3)
+        assert [potential.locate(op.region, y)
+                for y in (2, 3, 4, 6, 9)] == [0, 1, 2, 3, 4]
 
     def test_residual_is_worst_checked_solve(self):
         g, c = lattice_box(2, 21)
         op = GreenOperator(g, ball(g, c, 5))
         assert op.residual == 0.0
         rhs = np.zeros(op.size)
-        rhs[op.local(c)] = 1.0
-        seen = [potential._relative_residual(op._M, op.column(c), rhs),
-                potential._relative_residual(op._M, op.exit_times(), op.mu)]
+        rhs[potential.locate(op.region, c)] = 1.0
+        seen = [potential._relative_residual(op._M, op.solve(unit(op, c)),
+                                             rhs),
+                potential._relative_residual(op._M, op.solve(op.mu), op.mu)]
         assert op.residual == max(seen)
         assert 0.0 < op.residual <= potential.SOLVE_TOL
 
@@ -291,7 +305,7 @@ class TestGreen:
         # a NaN residual must fail the contract, not pass as 0.0
         op = GreenOperator(subnormal_tail(), [1, 2, 3])
         with pytest.raises(ConvergenceError) as exc:
-            op.exit_times()
+            op.solve(op.mu)
         assert math.isnan(exc.value.residual)
         assert op.residual == 0.0
 
@@ -349,7 +363,7 @@ class TestExitTimes:
     def test_exit_field_positive_and_max(self):
         g, c = lattice_box(1, 21)
         op = GreenOperator(g, ball(g, c, 4))
-        e = op.exit_times()
+        e = op.solve(op.mu)
         assert op.region[np.argmax(e)] == c
         assert e.max() == pytest.approx(16.0)
         assert np.all(e >= 1 - 1e-12)
@@ -375,7 +389,8 @@ def count_factors(monkeypatch):
 
 def fresh_exit_times(g, region):
     """The exit-time vector of a new GreenOperator, bypassing the memo."""
-    return GreenOperator(g, region).exit_times()
+    op = GreenOperator(g, region)
+    return op.solve(op.mu)
 
 
 class TestExitMemo:
@@ -400,7 +415,7 @@ class TestExitMemo:
         for region in regions + regions[::-1]:
             E = exit_times(g, region)
             assert E.tobytes() == fresh_exit_times(g, region).tobytes()
-        assert len(g._exit_times) <= len({r.tobytes() for r in regions})
+        assert len(g._solves) <= len({r.tobytes() for r in regions})
 
     def test_equal_length_streams_of_other_shapes(self):
         # {5, 6} has n = 2 and two off-diagonal entries, eight vertices
@@ -410,16 +425,16 @@ class TestExitMemo:
         for region in (pair, spread, pair, spread):
             assert exit_times(g, region).tobytes() == \
                 fresh_exit_times(g, region).tobytes()
-        assert len(g._exit_times) == 2
+        assert len(g._solves) == 2
 
     def test_key_carries_the_shapes(self):
         # one system's arrays are the other's bytes cut elsewhere
         mu = np.array([1.5, 2.5, 3.5, 4.5])
         key = potential._system_key
         empty = np.empty(0, dtype=np.int64)
-        four = key(4, empty, empty, np.empty(0), mu)
+        four = key(4, empty, empty, np.empty(0), mu, mu)
         one = key(1, mu[:1].view(np.int64), mu[1:2].view(np.int64), mu[2:3],
-                  mu[3:])
+                  mu[3:], mu)
         assert four != one
 
     def test_failed_solve_is_not_stored(self):
@@ -427,7 +442,7 @@ class TestExitMemo:
         for _ in range(2):
             with pytest.raises(ConvergenceError, match="exactly singular"):
                 mean_exit_time(g, 32, 8)
-        assert g._exit_times == {}
+        assert g._solves == {}
 
     def test_second_pass_builds_nothing(self, monkeypatch):
         # one vector per distinct system, and every one of them kept
@@ -441,8 +456,8 @@ class TestExitMemo:
         for x in range(g.vertex_count):
             B = ball(g, x, 3)
             keys.add(potential._system_key(
-                B.size, *potential._gather(g, B, B), g.mu[B]))
-        assert len(g._exit_times) == len(keys) < g.vertex_count
+                B.size, *potential._gather(g, B, B), g.mu[B], g.mu[B]))
+        assert len(g._solves) == len(keys) < g.vertex_count
 
     def test_miss_gathers_once(self, monkeypatch):
         g, c = lattice_box(2, 21)
@@ -461,6 +476,29 @@ class TestExitMemo:
         with pytest.raises(ValueError, match="read-only"):
             E[0] = 0.0
         assert exit_times(g, ball(g, c + 1, 3)) is E
+
+
+class TestSolveMemo:
+    def test_translated_annuli_share_one_factor(self, monkeypatch):
+        # rho(x,2,4) at two interior translates solves one capacity system
+        g, c = lattice_box(2, 41)
+        factors = count_factors(monkeypatch)
+        rho = [resistance_annulus(g, x, 2, 4) for x in (c, c + 1)]
+        assert len(factors) == 1
+        assert rho[0] == rho[1]
+
+    def test_failed_capacity_solve_is_not_stored(self):
+        # the capacity potential of {0} inside {0, 1, 2, 3} comes back NaN:
+        # every call raises the same error, and no memo keeps anything
+        g = subnormal_tail()
+        for _ in range(2):
+            with pytest.raises(ConvergenceError) as exc:
+                resistance(g, [0], [0, 1, 2, 3])
+            assert str(exc.value) == \
+                "linear solve on 3 unknowns missed the residual contract"
+            assert math.isnan(exc.value.residual)
+        assert [name for name, memo in vars(g).items()
+                if isinstance(memo, dict) and memo] == []
 
 
 class TestVertexSet:
@@ -646,7 +684,9 @@ class TestGreenRatios:
         # of the annulus boundary: the measured expression of (G-cap)
         g, c = lattice_box(2, 41)
         for R in (2, 4, 8):
-            lo, hi, _ = potential._green_ball_profile(g, c, R)
+            c_low, c_high, _ = g_condition(g, c, R)
+            scale = mean_exit_time(g, c, 2 * R) / volume(g, c, R)
+            lo, hi = c_low * scale, c_high * scale
             rho = resistance_annulus(g, c, R, 2 * R)
             assert 0.5 <= hi / rho <= 2.5
             assert 0.5 <= lo / rho <= 2.5
@@ -691,10 +731,11 @@ def test_exit_time_green_consistency_on_gasket():
     g, corner = sierpinski_gasket(4)
     region = ball(g, corner, 6)
     op = GreenOperator(g, region)
-    e = op.exit_times()
-    loc = op.local(corner)
+    e = op.solve(op.mu)
+    loc = potential.locate(op.region, corner)
     assert e[loc] == pytest.approx(mean_exit_time(g, corner, 6), rel=1e-10)
-    assert float(op.column(corner) @ op.mu) == pytest.approx(e[loc], rel=1e-9)
+    assert float(op.solve(unit(op, corner)) @ op.mu) == \
+        pytest.approx(e[loc], rel=1e-9)
 
 
 # -- the ball-local gather against the scipy slicing it replaced --------------
