@@ -233,11 +233,14 @@ def _partners(g, grid, cond, x, R):
 
 
 def _cover_count(g, x, R):
-    """Greedy number of R-balls that cover B(x,2R)."""
-    uncovered = set(int(v) for v in ball(g, x, 2 * R))
+    """Greedy count of R-balls covering B(x,2R), smallest uncovered first."""
+    B = ball(g, x, 2 * R)
+    uncovered = np.ones(B.size, dtype=bool)
     K = 0
-    while uncovered:
-        uncovered -= set(int(v) for v in ball(g, min(uncovered), R))
+    while uncovered.any():
+        C = ball(g, int(B[np.argmax(uncovered)]), R)    # B is sorted
+        k = np.searchsorted(B, C)
+        uncovered[k[np.append(B, -1)[k] == C]] = False
         K += 1
     return float(K)
 

@@ -2,8 +2,9 @@
 
 Every constructor returns ``(graph, center)`` where ``center`` is the
 distinguished vertex (lattice midpoint, gasket corner, tree hub/root).
-Vertex numbering is construction order, so outputs are reproducible
-byte-for-byte.
+Vertex ids follow first appearance in the family's construction order
+(row-major on the lattice, heap order on the binary tree), so outputs
+are reproducible byte-for-byte.
 """
 
 import numpy as np
@@ -13,6 +14,21 @@ from .graph import WeightedGraph
 
 RADIAL_LAMBDA_MIN = 0.25
 RADIAL_LAMBDA_MAX = 4.0
+
+
+def _first_seen(points):
+    """Distinct rows by first appearance, and each row's index among them."""
+    rows, first, inverse = np.unique(points, axis=0, return_index=True,
+                                     return_inverse=True)
+    order = np.argsort(first)
+    ids = np.empty_like(order)
+    ids[order] = np.arange(order.size)
+    return rows[order], ids[inverse.reshape(-1)]
+
+
+def _unit_edges(u, v):
+    """Edge rows (u, v, 1.0)."""
+    return np.column_stack([u, v, np.ones(len(u))])
 
 
 def lattice_box(d, L):
@@ -26,93 +42,65 @@ def lattice_box(d, L):
     # each vertex paired with its successor along every axis
     u = np.concatenate([np.delete(ids, -1, axis=ax).ravel() for ax in range(d)])
     v = np.concatenate([np.delete(ids, 0, axis=ax).ravel() for ax in range(d)])
-    edges = np.column_stack([u, v, np.ones(u.size)])
-    return WeightedGraph(L ** d, edges), (L ** d - 1) // 2
+    return WeightedGraph(L ** d, _unit_edges(u, v)), (L ** d - 1) // 2
+
+
+def _gasket(level):
+    """The level-k gasket's vertex coordinates and edges as id pairs."""
+    cell = np.arange(3 ** level)
+    unit = np.array([[0, 0], [1, 0], [0, 1]])
+    corner = sum(unit[cell // 3 ** e % 3] << e for e in range(level))
+    coords, ids = _first_seen((corner[:, None] + unit).reshape(-1, 2))
+    # each cell's 3-clique: (c, c+(1,0)), (c, c+(0,1)), (c+(1,0), c+(0,1))
+    return coords, ids.reshape(-1, 3)[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
 
 
 def sierpinski_gasket(level):
     """Level-k pre-fractal gasket: (3^(k+1)+3)/2 vertices, 3^(k+1) edges.
 
     Built on skewed integer coordinates: the outer triangle has corners
-    (0,0), (2^k,0), (0,2^k) and unit cells are 3-cliques.
+    (0,0), (2^k,0), (0,2^k) and unit cells are 3-cliques, taken depth
+    first: base-3 digit e of a cell's index picks the sub-triangle at
+    (0,0), (1,0) or (0,1) times 2^e.  Cell corners c, c+(1,0), c+(0,1)
+    are numbered in turn, so corner (0,0) is vertex 0.
     """
-    if not (1 <= level <= 8):
-        raise ValueError("gasket level must be in 1..8")
-    ids = {}
-    edges = []
+    if not (1 <= level <= 10):
+        raise ValueError("gasket level must be in 1..10")
+    coords, pairs = _gasket(level)
+    return WeightedGraph(len(coords), _unit_edges(*pairs.T)), 0
 
-    def vid(p):
-        if p not in ids:
-            ids[p] = len(ids)
-        return ids[p]
 
-    def rec(x, y, s):
-        if s == 1:
-            a, b, c = vid((x, y)), vid((x + 1, y)), vid((x, y + 1))
-            edges.append((a, b, 1.0))
-            edges.append((a, c, 1.0))
-            edges.append((b, c, 1.0))
-            return
-        h = s // 2
-        rec(x, y, h)
-        rec(x + h, y, h)
-        rec(x, y + h, h)
-
-    rec(0, 0, 2 ** level)
-    corner = ids[(0, 0)]
-    return WeightedGraph(len(ids), edges), corner
+def _vicsek(level):
+    """The level-k Vicsek tree's vertex coordinates and edges as id pairs."""
+    arm = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])
+    segs = np.column_stack([np.zeros_like(arm), arm])    # hub end first
+    for e in range(level - 1):
+        shift = np.vstack([[0, 0], 2 * 3 ** e * arm])
+        segs = (segs + np.tile(shift, 2)[:, None]).reshape(-1, 4)
+    ends = np.unique(segs, axis=0).reshape(-1, 2)
+    coords, ids = _first_seen(np.vstack([[0, 0], ends]))
+    return coords, ids[1:].reshape(-1, 2)
 
 
 def vicsek_tree(level):
     """Plus-sign fractal tree: 4*5^(k-1)+1 vertices, one fewer edges.
 
     Level 1 is a hub with four diagonal arms; each further level glues
-    five copies corner-to-corner, keeping the structure a tree with
-    maximum degree 4.
+    five copies corner-to-corner, keeping a tree of maximum degree 4.
+    The hub is vertex 0; the ends of the sorted segments follow.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    # coordinate edge set, grown by translation; copies share corners
-    pts = {(0, 0), (1, 1), (1, -1), (-1, 1), (-1, -1)}
-    segs = {((0, 0), (1, 1)), ((0, 0), (1, -1)),
-            ((0, 0), (-1, 1)), ((0, 0), (-1, -1))}
-    span = 1
-    for _ in range(1, level):
-        shift = 2 * span
-        new_pts = set(pts)
-        new_segs = set(segs)
-        for dx, dy in ((shift, shift), (shift, -shift),
-                       (-shift, shift), (-shift, -shift)):
-            for (x, y) in pts:
-                new_pts.add((x + dx, y + dy))
-            for (p, q) in segs:
-                new_segs.add(((p[0] + dx, p[1] + dy), (q[0] + dx, q[1] + dy)))
-        pts, segs = new_pts, new_segs
-        span *= 3
-
-    ids = {}
-
-    def vid(p):
-        if p not in ids:
-            ids[p] = len(ids)
-        return ids[p]
-
-    vid((0, 0))
-    edges = []
-    for p, q in sorted(segs):
-        edges.append((vid(p), vid(q), 1.0))
-    return WeightedGraph(len(ids), edges), ids[(0, 0)]
+    coords, pairs = _vicsek(level)
+    return WeightedGraph(len(coords), _unit_edges(*pairs.T)), 0
 
 
 def binary_tree(depth):
     """Complete binary tree with 2^(depth+1)-1 vertices; root is 0."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    n = 2 ** (depth + 1) - 1
-    edges = []
-    for child in range(1, n):
-        edges.append(((child - 1) // 2, child, 1.0))
-    return WeightedGraph(n, edges), 0
+    c = np.arange(1, 2 ** (depth + 1) - 1)
+    return WeightedGraph(c.size + 1, _unit_edges((c - 1) // 2, c)), 0
 
 
 def apply_radial_weights(g, root, lam):

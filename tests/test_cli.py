@@ -808,6 +808,69 @@ def test_generate_file_digest(tmp_path, family, digest):
                      "--out", str(path)]) == cli.EXIT_OK
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+# every family's `generate` graph file, pinned with the recursive and
+# set-growth constructions the index arithmetic replaced; every center
+# is vertex 0
+FAMILY_DIGESTS = {
+    ("sierpinski", 1):
+        "799302474e26369910e984e2179f8d2e607db2543efc8476752e4d1d02bacaa9",
+    ("sierpinski", 2):
+        "7d0f6407cf314efd3ae06a6f0bb98a84440194bb72b8b9a75155f14d3aa98560",
+    ("sierpinski", 3):
+        "fb1e14399702410414e3b6d091a6b3ea44c6bbb051ff6072218cdc7c9caf0795",
+    ("sierpinski", 4):
+        "afda378f3b258a0e2066f102cee963b5d2c24c6d56c3af9ffa0b110e7ede1a7a",
+    ("sierpinski", 5):
+        "65dc2e6bd194bdb1a200df4875bc48e88bd3239a5be763c4e160f66164058f4b",
+    ("sierpinski", 6):
+        "bde671f10259a2e6d1903135d2a7e4ff166398b57abe2bdfeb94aba7357f7905",
+    ("sierpinski", 7):
+        "381cb3236bef39a2a247b6440b24f2590508cabacbc51533decbf14b2aae2e02",
+    ("sierpinski", 8):
+        "3be4b46a76b0f862862451d30ee3b599ca400cdaa38005121d1dbb5010757824",
+    ("vicsek", 1):
+        "3d9c8d90cfd12e1fd16809281871ce3e118d181136c9ba150ab1ae7b993361f8",
+    ("vicsek", 2):
+        "e79f68493ef2e23c21a0b0e741fee793fd59965407b80d0dbbc339f373448d00",
+    ("vicsek", 3):
+        "8f919b4db8d920f76ae6f42e2e06d5225991b1542300eb004637f6d890ace9fe",
+    ("vicsek", 4):
+        "ac08359c0cb9e18cc989073fab8b2d865a5faacbcffb9cbdad4b8959093b241c",
+    ("vicsek", 5):
+        "5ec509004b3e105d08d5a2aa3691beb55e8014f65b230eb433ba092ce054a896",
+    ("binary_tree", 1):
+        "d94869e015fbbf99f8afa7873375764ebcc38c9ca56c13df4332fe3b24019aa5",
+    ("binary_tree", 2):
+        "c217d0edce5a75ef05886e58f9aef8118ed594cc001b0d7c107b6f1674cde259",
+    ("binary_tree", 3):
+        "0b8d66285d08d973aa5f8820d880c3b68c8e452b1be6478a816fe103b1335c64",
+    ("binary_tree", 4):
+        "b552fed32c90252da1299544b0375a034e2520d54d6906bba1843a9ab0402245",
+    ("binary_tree", 5):
+        "16bcc5aaee3bc1841826a80ba680a8ae32a9ea96de64d2c3ed6cf9834cc9f0a4",
+    ("binary_tree", 6):
+        "43777c4cebb8d8d9b51c6ad5e460f48cde3a2f833630a9df53cc11d0b7c9e541",
+    ("binary_tree", 7):
+        "ed1160b6893e208ac8f3981c51c2001d99a836d1ffe56b0ce323404f5a60c516",
+    ("binary_tree", 8):
+        "2ae6c60181c7a056d4d6aa1651e88393c79cdef0d0c2404a6abe96cd967f3426",
+    ("binary_tree", 9):
+        "700cd8da581108a61dbaaa23c0ca09e539f52e6d089e356fd4358f62cdb43dde",
+    ("binary_tree", 10):
+        "a197df3f2ec3d6d25140c9b394aca75ef5352b4e38f3641b99b8233adf7a1fa1",
+}
+
+
+@pytest.mark.parametrize("family, size", FAMILY_DIGESTS)
+def test_generate_family_digest(tmp_path, family, size):
+    path = tmp_path / "host.txt"
+    assert cli.main(["generate", "--family", family,
+                     f"--{cli.FAMILIES[family][0]}", str(size),
+                     "--out", str(path)]) == cli.EXIT_OK
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        FAMILY_DIGESTS[family, size]
+    assert (tmp_path / "host.txt.center").read_bytes() == b"0\n"
+
 
 def test_verify_corrupted_report_digest(z21_file, tmp_path, monkeypatch,
                                        capsys):

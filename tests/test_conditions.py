@@ -140,6 +140,23 @@ class TestMeasureCondition:
         assert rep.constant == 1.0
         assert rep.extremizer == (c, c, 1)
 
+    @pytest.mark.parametrize("make", [
+        lambda: lattice_box(2, 41), lambda: sierpinski_gasket(6),
+        lambda: vicsek_tree(4), lambda: binary_tree(7),
+        lambda: lattice_box(3, 9)],
+        ids=["z41", "gasket6", "vicsek4", "tree7", "box9"])
+    def test_cover_count_matches_set_greedy(self, make):
+        # the mask over B(x,2R) keeps the set loop's greedy order: the
+        # next ball is centered at the smallest vertex still uncovered
+        g, _ = make()
+        for x, R in valid_cells(g, default_grid(g), 2)[0]:
+            uncovered = set(ball(g, x, 2 * R).tolist())
+            K = 0
+            while uncovered:
+                uncovered -= set(ball(g, min(uncovered), R).tolist())
+                K += 1
+            assert conditions._cover_count(g, x, R) == K
+
     def test_p0_lattice(self, z41):
         g, c = z41
         rep = measure_condition(g, default_grid(g), "p0")

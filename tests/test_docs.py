@@ -12,9 +12,11 @@ import pkgutil
 import re
 import shlex
 
+import pytest
+
 import einstein_lab
 from einstein_lab import _kernels, cli, conditions
-from einstein_lab.generators import lattice_box
+from einstein_lab.generators import lattice_box, sierpinski_gasket
 from test_graph import count_searches
 from test_potential import count_factors
 
@@ -65,6 +67,25 @@ def test_readme_states_the_bucket_table_size():
     buckets, bits, kib = map(int, found.groups())
     assert (buckets, bits) == (1 << _kernels.BUCKET_BITS, _kernels.BUCKET_BITS)
     assert kib * 1024 == 4 * buckets            # one int32 entry per bucket
+
+
+def test_readme_states_the_gasket_level_range():
+    text = README.read_text(encoding="utf-8")
+    found = re.search(r"`--level` for `sierpinski` \((\d+)\.\.(\d+)\)",
+                      text)
+    lo, hi = map(int, found.groups())
+    message = rf"^gasket level must be in {lo}\.\.{hi}$"
+    for level in (lo - 1, hi + 1):
+        with pytest.raises(ValueError, match=message):
+            sierpinski_gasket(level)
+    # the size table's rows: (3^(k+1)+3)/2 vertices, 3^(k+1) edges
+    table = text.split("The largest gaskets", 1)[1]
+    rows = re.findall(r"^\| (\d+) \| ([\d ]+) \| ([\d ]+) \|", table, re.M)
+    assert [int(k) for k, _, _ in rows] == [hi - 1, hi]
+    for k, n, m in rows:
+        k = int(k)
+        assert (int(n.replace(" ", "")), int(m.replace(" ", ""))) == \
+            ((3 ** (k + 1) + 3) // 2, 3 ** (k + 1))
 
 
 def test_readme_states_the_z41_factor_count(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from einstein_lab.conditions import default_grid, valid_cells
 from einstein_lab.errors import ConvergenceError, MarginError, UnreachableError
-from einstein_lab.generators import (apply_radial_weights, lattice_box,
-                                     sierpinski_gasket)
+from einstein_lab.generators import (_gasket, _vicsek, apply_radial_weights,
+                                     lattice_box, sierpinski_gasket,
+                                     vicsek_tree)
 from einstein_lab.graph import (WeightedGraph, ball, boundary,
                                 eccentricities, shrink, volume)
 from einstein_lab import potential
@@ -1053,3 +1055,114 @@ def test_gasket8_mirror_pair_harnack():
     g, _ = sierpinski_gasket(8)
     assert harnack_constant(g, 3646, 64) == pytest.approx(
         harnack_constant(g, 6747, 64), rel=1e-12, abs=0)
+
+
+# vertex coordinates from the generators' own construction; an affine map
+# p -> matrix p + offset that permutes them and their edges is an
+# automorphism, so every ball quantity agrees at v and its image
+GASKET4_SYMMETRIES = [([[0, 1], [1, 0]], (0, 0)),            # reflection
+                      ([[-1, -1], [1, 0]], (2 ** 4, 0))]      # rotation
+# the 8 symmetries of the square about the hub: signed permutations
+VICSEK3_SYMMETRIES = [(np.diag([s, t])[::f], (0, 0))
+                      for s in (1, -1) for t in (1, -1) for f in (1, -1)]
+
+
+def vertex_map(coords, matrix, offset):
+    """The vertex permutation that p -> matrix p + offset induces."""
+    index = {p: i for i, p in enumerate(map(tuple, coords.tolist()))}
+    image = coords @ np.asarray(matrix).T + offset
+    return np.array([index[p] for p in map(tuple, image.tolist())])
+
+
+def proper_ball_quantities(g):
+    """V(v,R), E(v,R) and rho(v,R,2R) per vertex v and R in (1, 2, 4),
+    NaN where the ball the quantity lives on is the whole host."""
+    n = g.vertex_count
+    q = np.full((3, 3, n), np.nan)
+    for i, R in enumerate((1, 2, 4)):
+        for v in range(n):
+            if ball(g, v, R).size < n:
+                q[0, i, v] = volume(g, v, R)
+                q[1, i, v] = mean_exit_time(g, v, R)
+            if ball(g, v, 2 * R).size < n:
+                q[2, i, v] = resistance_annulus(g, v, R, 2 * R)
+    return q
+
+
+@pytest.mark.parametrize("family, symmetries", [
+    ((sierpinski_gasket, _gasket, 4), GASKET4_SYMMETRIES),
+    ((vicsek_tree, _vicsek, 3), VICSEK3_SYMMETRIES),
+], ids=["gasket4", "vicsek3"])
+def test_fractal_symmetry_oracle(family, symmetries):
+    build, construction, level = family
+    g, _ = build(level)
+    coords, _ = construction(level)
+    edges = {(u, v) for u, v, _ in g.edges}
+    q = proper_ball_quantities(g)
+    for matrix, offset in symmetries:
+        p = vertex_map(coords, matrix, offset)
+        assert {tuple(sorted((p[u], p[v]))) for u, v in edges} == edges
+        assert np.array_equal(q[0][:, p], q[0], equal_nan=True)
+        np.testing.assert_allclose(q[1:][:, :, p], q[1:], rtol=1e-12,
+                                   atol=0, equal_nan=True)
+
+
+def exact_solve(M, rhs):
+    """M^-1 rhs in exact rationals by Gauss-Jordan elimination, for a
+    symmetric positive definite M (no pivot vanishes)."""
+    n = len(M)
+    rows = [[Fraction(a) for a in M[i]] + [Fraction(b) for b in rhs[i]]
+            for i in range(n)]
+    for k in range(n):
+        rows[k] = [a / rows[k][k] for a in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                f = rows[i][k]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return [row[n:] for row in rows]
+
+
+@pytest.fixture(scope="module")
+def gasket8_cells():
+    """Gasket 8, and for n = 0..7 the corner cell G_n = {x + y <= 2^n},
+    A = G_n minus its far corners (2^n, 0) and (0, 2^n), and the number
+    of G_n's own edges."""
+    g, corner = sierpinski_gasket(8)
+    coords, pairs = _gasket(8)
+    cells = []
+    for n in range(8):
+        inside = coords.sum(axis=1) <= 2 ** n
+        far = inside & (coords.max(axis=1) == 2 ** n)
+        cells.append((np.flatnonzero(inside), np.flatnonzero(inside & ~far),
+                      int(inside[pairs].all(axis=1).sum())))
+    return g, corner, cells
+
+
+def test_gasket_corner_cell_exact_oracle(gasket8_cells):
+    # on the corner cell G_n the walk from 0 hits the far corners after
+    # E = 5^n steps on average, the resistance to them is (5/3)^n / 2, and
+    # 3 E = rho mu(G_n): M^-1 mu and M^-1 e_0 at 0, solved in rationals
+    # on at most 40 unknowns
+    g, corner, cells = gasket8_cells
+    for n, (_, A, edges) in enumerate(cells[:4]):
+        M = np.diag(g.mu[A]) - g.matrix[A][:, A].toarray()
+        E, rho = exact_solve(M.astype(int).tolist(),
+                             [[int(m), int(a == corner)]
+                              for m, a in zip(g.mu[A], A)])[0]
+        assert (E, rho) == (5 ** n, Fraction(5, 3) ** n / 2)
+        assert 3 * E == rho * 2 * edges
+
+
+def test_gasket_corner_cell_float_oracle(gasket8_cells):
+    # the same closed forms through exit_times and resistance, n = 0..7;
+    # mu(G_n) = 2 * 3^(n+1) counts G_n's own edges, the host measure of
+    # G_n is 4 more, from the far corners' edges leaving the cell
+    g, corner, cells = gasket8_cells
+    for n, (G, A, edges) in enumerate(cells):
+        assert edges == 3 ** (n + 1)
+        assert g.mu[G].sum() == 2 * edges + 4
+        E = float(exit_times(g, A)[potential.locate(A, corner)])
+        rho = resistance(g, [corner], A)
+        assert E == pytest.approx(5 ** n, rel=1e-12, abs=0)
+        assert rho == pytest.approx((5 / 3) ** n / 2, rel=1e-12, abs=0)
+        assert 3 * E == pytest.approx(rho * 2 * edges, rel=1e-12, abs=0)
