@@ -252,12 +252,10 @@ def _p0_report(tag, g, grid):
                                     "degree_bound": 1.0 / p0})
 
 
-def _anti_doubling_report(tag, g, grid):
+def _anti_doubling_report(k, q, tag, g, grid):
     """Smallest dyadic A with 2 q(x,R) <= q(x,AR) on every cell where
     B(x, k*A*R) fits: q = V with k = 1 (aVD), q = rho v with k = 2 (adrv)."""
     cells, note = _cells_with_note(g, grid, 2)
-    k = 1 if tag == "aVD" else 2
-    q = volume if tag == "aVD" else _w
     for A in (2, 4, 8, 16):
         sub = [(x, R) for (x, R) in cells
                if ball_inside_host(g, x, k * A * R)]
@@ -322,8 +320,10 @@ CONDITIONS = {
                       lambda g, y, R: mean_exit_time(g, y, R)),
     "HG": Condition(2, "self", lambda g, x, R: g_condition(g, x, R)[2]),
     "g": _g_report,
-    "aVD": _anti_doubling_report,
-    "adrv": _anti_doubling_report,
+    "aVD": lambda tag, g, grid:
+        _anti_doubling_report(1, volume, tag, g, grid),
+    "adrv": lambda tag, g, grid:
+        _anti_doubling_report(2, _w, tag, g, grid),
 }
 CONDITION_TAGS = tuple(CONDITIONS)
 

@@ -8,6 +8,7 @@ balls are open: B(x, R) = {y : d(x, y) < R}.
 """
 
 import functools
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -27,10 +28,10 @@ class WeightedGraph:
     block slices, whose own arrays are the ``indptr``, ``indices`` and
     ``weights`` that the walk kernel reads.  Every reader of the edge set
     takes its upper triangle.  All arrays are frozen after construction.
-    No per-center state is host-sized.  It holds two memos: ``_memo``,
-    where ``_per_graph`` keeps every derived quantity (a ball's entry is as
-    long as the ball), and ``_solves``, where ``potential.solve`` keeps one
-    read-only solution per system and right-hand side.
+    No per-center state is host-sized.  It holds one memo, ``_memo``,
+    written only through ``_keep``: every derived quantity ``_per_graph``
+    computes (a ball's entry is as long as the ball) and every solution
+    ``potential.solve`` computes, one per system and right-hand side.
     """
 
     def __init__(self, vertex_count, edges):
@@ -38,8 +39,10 @@ class WeightedGraph:
         if n <= 0:
             raise GraphFormatError("vertex_count must be positive")
         uvw = np.asarray(edges, dtype=np.float64).reshape(-1, 3)
-        ends = np.sort(np.trunc(uvw[:, :2]), axis=1)
-        inside = ((ends >= 0) & (ends < n)).all(axis=1)
+        ids = uvw[:, :2]
+        whole = (np.isfinite(ids) & (np.trunc(ids) == ids)).all(axis=1)
+        ends = np.sort(ids, axis=1)
+        inside = whole & ((ends >= 0) & (ends < n)).all(axis=1)
         lo, hi = np.where(inside, np.transpose(ends), 0).astype(np.int64)
         w = uvw[:, 2]
         bad_w = ~((0.0 < w) & (w < math.inf))
@@ -49,6 +52,9 @@ class WeightedGraph:
         if bad.any():
             # the first offending edge, its checks in the order above
             i = int(np.argmax(bad))
+            if not whole[i]:
+                raise GraphFormatError(f"edge ({edges[i][0]},{edges[i][1]}) "
+                                       "has a non-integer end")
             u, v = int(edges[i][0]), int(edges[i][1])
             if not inside[i]:
                 raise GraphFormatError(f"edge ({u},{v}) out of range")
@@ -79,8 +85,7 @@ class WeightedGraph:
         for arr in (self.indptr, self.indices, self.weights, self.mu):
             arr.setflags(write=False)
 
-        self._memo = {}                 # (function, *args) -> value
-        self._solves = {}               # system and rhs key -> solution
+        self._memo = {}                 # key -> value, through _keep
 
         if int(_kernels.bfs_distances(matrix, 0).min()) < 0:
             raise GraphFormatError("graph is not connected")
@@ -112,25 +117,24 @@ class WeightedGraph:
         return x
 
 
+def _keep(g, key, value):
+    """Store value in ``g._memo`` under key and return it, an ndarray
+    frozen first: the one writer of the memo, so every cached array is
+    read-only and ``_as_vertex_set`` may hand it on uncopied."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    g._memo[key] = value
+    return value
+
+
 def _per_graph(fn):
-    """Memoize fn(g, *args) in ``g._memo`` under (fn, *args).  A call that
-    raises stores nothing.  Arguments are positional and hashable.  The
-    memoized function's ``stored(g, *args)`` tells whether a value is kept,
-    and ``store(g, args, value)`` keeps one computed elsewhere."""
+    """Memoize fn(g, *args) in ``g._memo`` under (fn, *args), through
+    ``_keep`` on a miss; a call that raises stores nothing.  Arguments are
+    positional and hashable."""
     @functools.wraps(fn)
     def memoized(g, *args):
         key = (fn, *args)
-        if key not in g._memo:
-            g._memo[key] = fn(g, *args)
-        return g._memo[key]
-
-    def stored(g, *args):
-        return (fn, *args) in g._memo
-
-    def store(g, args, value):
-        g._memo[(fn, *args)] = value
-
-    memoized.stored, memoized.store = stored, store
+        return g._memo[key] if key in g._memo else _keep(g, key, fn(g, *args))
     return memoized
 
 
@@ -159,7 +163,6 @@ def eccentricities(g):
         lo = np.maximum(lo, np.maximum(d, e - d))
         hi = np.minimum(hi, e + d)
         open_ &= lo != hi
-    lo.setflags(write=False)
     return lo
 
 
@@ -179,9 +182,7 @@ def host_frontier(g):
     ecc = eccentricities(g)
     deg = np.diff(g.indptr)
     mask = (deg < deg.max()) & (ecc == ecc.max())
-    frontier = np.flatnonzero(mask).astype(np.int64)
-    frontier.setflags(write=False)
-    return frontier
+    return np.flatnonzero(mask).astype(np.int64)
 
 
 @_per_graph
@@ -204,12 +205,9 @@ def ball(g, x, radius):
     if radius < 0:
         raise ValueError("radius must be >= 0")
     if radius == 0:
-        B = np.empty(0, dtype=np.int64)
-    else:
-        d = _kernels.bfs_distances(g.matrix, x, np.ceil(radius) - 1)
-        B = np.flatnonzero(d >= 0).astype(np.int64)
-    B.setflags(write=False)
-    return B
+        return np.empty(0, dtype=np.int64)
+    d = _kernels.bfs_distances(g.matrix, x, np.ceil(radius) - 1)
+    return np.flatnonzero(d >= 0).astype(np.int64)
 
 
 def fill_balls(g, x, reach, ys, radius):
@@ -218,9 +216,11 @@ def fill_balls(g, x, reach, ys, radius):
     caller guarantees d(x, y) + radius <= reach for each y, so B(y, radius)
     and every shortest path inside it lie in S, and the search inside S
     finds the host's ball.  Radii are integers >= 1.  A ball already
-    memoized is not searched again; each one stored is the sorted,
-    read-only int64 array ``ball`` returns."""
-    todo = [y for y in map(int, ys) if not ball.stored(g, y, radius)]
+    memoized is not searched again; each one is kept under ball's key as
+    the sorted int64 array ``ball`` returns.  The key's function is ball
+    unwrapped to the end, so a wrapper bound over ``ball`` shares it."""
+    fn = inspect.unwrap(ball)
+    todo = [y for y in map(int, ys) if (fn, y, radius) not in g._memo]
     if not todo:
         return
     S = ball(g, x, reach)
@@ -229,8 +229,7 @@ def fill_balls(g, x, reach, ys, radius):
         raise ValueError(f"a partner lies outside B({x},{reach})")
     for y, B in zip(todo, _kernels.bfs_balls(_subgraph(g, S)[0], local,
                                              radius - 1, S)):
-        B.setflags(write=False)
-        ball.store(g, (y, radius), B)
+        _keep(g, (fn, y, radius), B)
 
 
 def proper_ball(g, x, radius, what="ball"):
@@ -262,8 +261,8 @@ def annulus_volume(g, x, r, R):
 
 def _as_vertex_set(g, A):
     """A as a sorted int64 vertex array without repeats.  A read-only, 1-D,
-    int64, strictly increasing array (a memoized ball) is returned itself;
-    anything else is copied through np.unique."""
+    int64, strictly increasing array (an array the memo kept, such as a
+    ball) is returned itself; anything else is copied through np.unique."""
     if not (isinstance(A, np.ndarray) and A.ndim == 1
             and A.dtype == np.int64 and not A.flags.writeable
             and np.all(A[1:] > A[:-1])):

@@ -29,9 +29,9 @@ import scipy.sparse.linalg as spla
 
 from ._kernels import bfs_distances
 from .errors import ConvergenceError, MarginError, UnreachableError
-from .graph import (WeightedGraph, _as_vertex_set, _gather, _per_graph,
-                    _subgraph, ball, boundary, closure, proper_ball, shrink,
-                    volume)
+from .graph import (WeightedGraph, _as_vertex_set, _gather, _keep,
+                    _per_graph, _subgraph, ball, boundary, closure,
+                    proper_ball, shrink, volume)
 
 SOLVE_TOL = 1e-10
 EIGEN_TOL = 1e-9
@@ -224,19 +224,17 @@ def _system_key(n, i, j, w, mu, rhs):
 
 def solve(g, A, rhs):
     """M^{-1} rhs on the region A, read-only: the one path to a single
-    right-hand side.  Kept in ``g._solves`` under the key of the system
-    and rhs, so a translate of a system solved before costs a gather and
-    a hash.  A miss factors the triplets just hashed; a failed solve
-    stores nothing.  The memo holds vectors, never factors."""
+    right-hand side.  Kept in ``g._memo`` under (solve, key of the system
+    and rhs), so a translate of a system solved before costs a gather and
+    a hash.  A miss factors the triplets just hashed and keeps the vector
+    through ``_keep``; a failed solve stores nothing.  The memo holds
+    vectors, never factors."""
     A = _region(g, A)
     triplets = _gather(g, A, A)
-    key = _system_key(A.size, *triplets, g.mu[A], rhs)
-    x = g._solves.get(key)
-    if x is None:
-        x = GreenOperator(g, A, triplets).solve(rhs)
-        x.setflags(write=False)
-        g._solves[key] = x
-    return x
+    key = (solve, _system_key(A.size, *triplets, g.mu[A], rhs))
+    if key in g._memo:
+        return g._memo[key]
+    return _keep(g, key, GreenOperator(g, A, triplets).solve(rhs))
 
 
 def column(g, A, z):
@@ -271,7 +269,7 @@ def shrunk_exit_time(g, x, R):
     """E_a(T_B), B = B(x,2R), once A = B(x,R) is shrunk to a vertex a.
     Only C = closure(B) is shrunk, rebuilt from its gather's edges (i <= j):
     it holds B's edges in order, so the system is the shrunk host's.  The
-    shrunk graph dies at return, so its solve skips the solve memo."""
+    shrunk graph and its memo die at return."""
     A = proper_ball(g, x, R)
     B = proper_ball(g, x, 2 * R, what="outer ball")
     C = closure(g, B)
@@ -281,8 +279,7 @@ def shrunk_exit_time(g, x, R):
                 np.searchsorted(C, A))
     keep = sr.old_to_new[np.searchsorted(C, B)]
     region = np.append(keep[keep >= 0], sr.a)
-    op = GreenOperator(sr.graph, region)
-    return float(op.solve(op.mu)[-1])
+    return float(exit_times(sr.graph, region)[-1])
 
 
 # -- smallest Dirichlet eigenvalue ---------------------------------------------

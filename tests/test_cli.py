@@ -688,9 +688,9 @@ def verify_json_digest(out_dir):
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def test_verify_leaves_two_memos_on_the_graph(tmp_path, monkeypatch):
-    # every derived quantity of the sweep sits in _memo, the solved
-    # vectors in _solves; the graph grows no other attribute
+def test_verify_leaves_one_memo_on_the_graph(tmp_path, monkeypatch):
+    # every derived quantity of the sweep and every solved vector sits in
+    # _memo, each array of it read-only; the graph grows no other attribute
     path = str(tmp_path / "z41.txt")
     save(lattice_box(2, 41)[0], path)
     loaded = []
@@ -700,9 +700,11 @@ def test_verify_leaves_two_memos_on_the_graph(tmp_path, monkeypatch):
     assert cli.main(["verify", "--graph", path,
                      "--out-dir", str(tmp_path / "rep")]) == cli.EXIT_OK
     (g,) = loaded
-    assert g._memo and g._solves
+    assert any(key[0] is potential.solve for key in g._memo)
     assert set(vars(g)) == {"vertex_count", "matrix", "indptr", "indices",
-                            "weights", "mu", "_memo", "_solves"}
+                            "weights", "mu", "_memo"}
+    arrays = [v for v in g._memo.values() if isinstance(v, np.ndarray)]
+    assert arrays and not any(a.flags.writeable for a in arrays)
 
 
 def test_radial_verify_report_digest(tmp_path):

@@ -173,10 +173,11 @@ def test_conditions_builds_no_solver():
     assert not any(map(names_it, ast.walk(tree)))
 
 
-def test_four_functions_build_a_green_operator():
+def test_three_functions_build_a_green_operator():
     # one solve path: a single right-hand side goes through potential.solve,
-    # and only lambda_min, harmonic_measure and shrunk_exit_time keep an
-    # operator of their own; cli.py and conditions.py never name it
+    # which factors on a miss; only lambda_min and harmonic_measure (many
+    # right-hand sides each) keep an operator of their own; cli.py and
+    # conditions.py never name it
     def builds_it(node):
         return isinstance(node, ast.Call) and (
             isinstance(node.func, ast.Name) and node.func.id == "GreenOperator"
@@ -188,10 +189,46 @@ def test_four_functions_build_a_green_operator():
              for top in ast.parse(path.read_text(encoding="utf-8")).body
              if any(map(builds_it, ast.walk(top)))}
     assert sites == {("potential.py", name) for name in (
-        "solve", "lambda_min", "harmonic_measure", "shrunk_exit_time")}
+        "solve", "lambda_min", "harmonic_measure")}
     for name in ("cli.py", "conditions.py"):
         text = (PACKAGE / name).read_text(encoding="utf-8")
         assert re.search(r"\bGreenOperator\b", text) is None
+
+
+def test_keep_is_the_one_memo_writer():
+    # one keeping rule: only graph._keep assigns into a ._memo[...], and
+    # setflags(write=False) appears only there and where WeightedGraph
+    # freezes its own CSR arrays, which are not cached values
+    def writes_memo(node):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(
+                       node, (ast.AugAssign, ast.AnnAssign)) else [])
+        return any(isinstance(t, ast.Subscript)
+                   and isinstance(t.value, ast.Attribute)
+                   and t.value.attr == "_memo" for t in targets)
+
+    def freezes(node):
+        return (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "setflags")
+
+    def sites(test):
+        # (file, name) of each top-level statement whose tree holds a
+        # match, a class's members named Class.member
+        found = set()
+        for path in sorted(PACKAGE.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                members = ([(f"{top.name}.{getattr(m, 'name', None)}", m)
+                            for m in top.body]
+                           if isinstance(top, ast.ClassDef)
+                           else [(getattr(top, "name", None), top)])
+                found |= {(path.name, name) for name, node in members
+                          if any(map(test, ast.walk(node)))}
+        return found
+
+    assert sites(writes_memo) == {("graph.py", "_keep")}
+    assert sites(freezes) == {("graph.py", "_keep"),
+                              ("graph.py", "WeightedGraph._init_csr")}
 
 
 def test_package_reads_no_environment():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -284,6 +285,15 @@ class TestConstruction:
         with pytest.raises(GraphFormatError):
             WeightedGraph(2, [(0, 2, 1.0)])
 
+    @pytest.mark.parametrize("u, v", [(0.5, 1.9), (-0.5, 1),
+                                      (math.nan, 1), (math.inf, 1)])
+    def test_rejects_non_integer_id(self, u, v):
+        # refused before the range check, naming the edge as given,
+        # never truncated to an edge the list does not hold
+        with pytest.raises(GraphFormatError,
+                           match=rf"^edge \({u},{v}\) has a non-integer end$"):
+            WeightedGraph(2, [(u, v, 1.0)])
+
     def test_rejects_duplicate_edge(self):
         with pytest.raises(GraphFormatError):
             WeightedGraph(2, [(0, 1, 1.0), (1, 0, 2.0)])
@@ -565,7 +575,7 @@ class TestFillBalls:
         fill_balls(g, x, R + r, ys, r)
         fresh = stored_graph(g.indptr, g.indices, g.weights)
         for y in ys.tolist():
-            assert ball.stored(g, y, r)
+            assert (ball.__wrapped__, y, r) in g._memo
             B = ball(g, y, r)
             expect = np.flatnonzero(bfs_distances(fresh.matrix, y, r - 1) >= 0)
             assert B.dtype == np.int64 and not B.flags.writeable
@@ -596,6 +606,17 @@ class TestFillBalls:
         # every ball is now kept: the family needs no second search
         searches = count_searches(monkeypatch)
         fill_balls(g, x, R + r, ys, r)
+        assert searches == []
+
+    def test_wrapper_over_ball_reads_the_kept_balls(self, monkeypatch):
+        # a wrapper bound over graph.ball, as a timing tracer binds one
+        # with functools.wraps, finds the partner balls fill_balls kept
+        g, c = lattice_box(2, 9)
+        monkeypatch.setattr(graph, "ball",
+                            functools.wraps(ball)(lambda *a: ball(*a)))
+        fill_balls(g, c, 3, [c, c + 1], 2)
+        searches = count_searches(monkeypatch)
+        assert graph.ball(g, c + 1, 2) is g._memo[ball.__wrapped__, c + 1, 2]
         assert searches == []
 
     def test_partner_outside_the_reach_is_refused(self):
