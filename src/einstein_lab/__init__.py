@@ -8,9 +8,8 @@ from .graph import (WeightedGraph, annulus_volume, ball, boundary, closure,
                     load, save, shrink, volume)
 from .generators import (binary_tree, lattice_box, sierpinski_gasket,
                          vicsek_tree)
-from .potential import (EigenResult, GreenOperator, HarmonicMeasure,
-                        exit_times, g_condition, harmonic_measure,
-                        harnack_constant, hg_constant, lambda_min,
+from .potential import (EigenResult, GreenOperator, exit_law, exit_times,
+                        g_condition, harnack_constant, hg_constant, lambda_min,
                         layered_lower_bound, max_exit_time, mean_exit_time,
                         resistance, resistance_annulus, shrunk_exit_time)
 from .walker import McEstimate, WalkConfig, mc_exit_sample, mc_exit_time

@@ -201,54 +201,65 @@ def cmd_generate(args):
     return EXIT_OK
 
 
-def _int_fields(args, name, fields="x,r"):
-    """Compute flag --name as the ints that ``fields`` names."""
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _ball(g, args, name):
+    """The ball B(x,r) that compute flag --name gives as x,r."""
     text = getattr(args, name)
-    return _fields(f"--{name.replace('_', '-')} {text}", text, fields,
-                   len(fields.split(",")))
+    return graph.ball(g, *_fields(f"{_flag(name)} {text}", text, "x,r", 2))
 
 
-# flags each compute quantity needs; resistance with --annulus needs no ball
-_COMPUTE_FLAGS = {"exit": ("x", "R"), "resistance": ("A_ball", "B_ball"),
-                  "green": ("A_ball", "y", "z"), "lambda": ("ball",),
-                  "harnack": ("x", "R"), "hg": ("x", "R")}
+def _green(g, args):
+    A = _ball(g, args, "A_ball")
+    # one solve: the visits G^A(y,z) are g^A(y,z) mu(z)
+    k = float(potential.column(g, A, args.z)[potential.locate(A, args.y)])
+    return {"g": k, "G": k * float(g.mu[args.z])}
+
+
+def _lambda(g, args):
+    r = potential.lambda_min(g, _ball(g, args, "ball"))
+    return {"lambda": r.lam, "iterations": r.iterations,
+            "residual": r.residual}
+
+
+# quantity -> (the flags it reads, its result from the graph and the
+# flags); given --annulus, resistance takes the "resistance --annulus" row
+COMPUTE = {
+    "exit": (("x", "R"), lambda g, a: {
+        "E": potential.mean_exit_time(g, a.x, a.R)}),
+    "resistance": (("A_ball", "B_ball"), lambda g, a: {
+        "rho": potential.resistance(g, _ball(g, a, "A_ball"),
+                                    _ball(g, a, "B_ball")),
+        "convention": "set-poles"}),
+    "resistance --annulus": (("annulus",), lambda g, a: {
+        "rho": potential.resistance_annulus(g, *_fields(
+            f"--annulus {a.annulus}", a.annulus, "x,r,R", 3)),
+        "convention": "annulus-surface"}),
+    "green": (("A_ball", "y", "z"), _green),
+    "lambda": (("ball",), _lambda),
+    "harnack": (("x", "R"), lambda g, a: {
+        "H": potential.harnack_constant(g, a.x, a.R)}),
+    "hg": (("x", "R"), lambda g, a: dict(zip(
+        ("g_low", "g_high", "hg"), potential.g_condition(g, a.x, a.R)))),
+}
 
 
 def cmd_compute(args):
     q = args.quantity
-    needed = () if q == "resistance" and args.annulus else _COMPUTE_FLAGS[q]
-    missing = ["--" + name.replace("_", "-") for name in needed
-               if getattr(args, name) is None]
+    if q == "resistance" and args.annulus:
+        q += " --annulus"
+    reads, result = COMPUTE[q]
+    missing = [_flag(name) for name in reads if getattr(args, name) is None]
     if missing:
         raise ValueError(f"compute {q} needs {' and '.join(missing)}")
+    # a flag that the quantity does not read is refused
+    for name in dict.fromkeys(f for row in COMPUTE.values() for f in row[0]):
+        if name not in reads and getattr(args, name) is not None:
+            raise ValueError(f"compute {q} does not read {_flag(name)}")
     g, info = _load_graph(args.graph)
-    if q == "exit":
-        result = {"E": potential.mean_exit_time(g, args.x, args.R)}
-    elif q == "resistance":
-        if args.annulus:
-            x, r, R = _int_fields(args, "annulus", "x,r,R")
-            result = {"rho": potential.resistance_annulus(g, x, r, R),
-                      "convention": "annulus-surface"}
-        else:
-            rho = potential.resistance(
-                g, graph.ball(g, *_int_fields(args, "A_ball")),
-                graph.ball(g, *_int_fields(args, "B_ball")))
-            result = {"rho": rho, "convention": "set-poles"}
-    elif q == "green":
-        A = graph.ball(g, *_int_fields(args, "A_ball"))
-        # one solve: the visits G^A(y,z) are g^A(y,z) mu(z)
-        k = float(potential.column(g, A, args.z)[potential.locate(A, args.y)])
-        result = {"g": k, "G": k * float(g.mu[args.z])}
-    elif q == "lambda":
-        r = potential.lambda_min(g, graph.ball(g, *_int_fields(args, "ball")))
-        result = {"lambda": r.lam, "iterations": r.iterations,
-                  "residual": r.residual}
-    elif q == "harnack":
-        result = {"H": potential.harnack_constant(g, args.x, args.R)}
-    elif q == "hg":
-        lo, hi, hg = potential.g_condition(g, args.x, args.R)
-        result = {"hg": hg, "g_low": lo, "g_high": hi}
-    _dump_json({"manifest": _manifest(args, info), "result": result})
+    _dump_json({"manifest": _manifest(args, info), "result": result(g, args)})
     return EXIT_OK
 
 
@@ -379,7 +390,7 @@ def build_parser():
     sp.set_defaults(func=cmd_generate)
 
     sp = sub.add_parser("compute", help="one exact quantity as JSON")
-    sp.add_argument("quantity", choices=list(_COMPUTE_FLAGS))
+    sp.add_argument("quantity", choices=[q for q in COMPUTE if " " not in q])
     sp.add_argument("--graph", required=True)
     sp.add_argument("--x", type=int)
     sp.add_argument("--R", type=int)

@@ -327,27 +327,16 @@ def lambda_min(g, A):
     )
 
 
-# -- harmonic measure and Harnack-type constants -------------------------------
+# -- exit law and Harnack-type constants --------------------------------------
 
 
-@dataclass(frozen=True)
-class HarmonicMeasure:
-    region: np.ndarray
-    boundary: np.ndarray
-    omega: np.ndarray         # shape (|region|, |boundary|), rows sum to 1
-
-
-def harmonic_measure(g, x, R):
-    """Exit-position law omega(y,z) = P_y(walk leaves B(x,R) at z)."""
+def exit_law(g, x, R):
+    """(boundary of B = B(x,R), P_x(exit at z)): the law sums g^B(x,y) w(y,z)
+    over y, from the memoized center column by the symmetry of g^B."""
     B = proper_ball(g, x, R)
     bnd = boundary(g, B)
-    op = GreenOperator(g, B)
     i, j, w = _gather(g, B, bnd)
-    omega = np.zeros((B.size, bnd.size), dtype=np.float64)
-    omega[i, j] = w
-    for k in range(bnd.size):
-        omega[:, k] = op.solve(omega[:, k])
-    return HarmonicMeasure(B, bnd, omega)
+    return bnd, np.bincount(j, column(g, B, x)[i] * w, bnd.size)
 
 
 @_per_graph
@@ -356,17 +345,24 @@ def harnack_constant(g, x, R):
     B(x,2R), maximised on the half ball B(x,R).
 
     Every such function is a non-negative combination of the exit
-    kernels omega(., z), and a ratio of non-negative combinations is
-    bounded by the extreme per-kernel ratio, so the maximum over kernels
-    is the exact supremum over the cone.  Returns inf when a kernel
-    vanishes somewhere on the half ball (flagging host disconnection).
+    kernels omega(., z) = M^{-1} w(., z), and a ratio of non-negative
+    combinations is bounded by the extreme per-kernel ratio, so the
+    maximum over kernels is the exact supremum over the cone.  One
+    operator solves the kernels one z at a time, keeping each one's max
+    and min over the half ball.  Returns inf when a kernel vanishes
+    somewhere on the half ball (flagging host disconnection).
     """
     if R < 1:
         raise ValueError("radius must be >= 1")
-    hm = harmonic_measure(g, x, 2 * R)
-    rows = hm.omega[np.isin(hm.region, ball(g, x, R))]
-    top = rows.max(axis=0)
-    bot = rows.min(axis=0)
+    B = proper_ball(g, x, 2 * R)
+    bnd = boundary(g, B)
+    op = GreenOperator(g, B)
+    half = np.isin(B, ball(g, x, R))
+    i, j, w = _gather(g, B, bnd)
+    top, bot = np.empty((2, bnd.size))
+    for k in range(bnd.size):
+        kernel = op.solve(np.bincount(i[j == k], w[j == k], B.size))[half]
+        top[k], bot[k] = kernel.max(), kernel.min()
     if np.any((bot <= 0.0) & (top > 0.0)):
         return float("inf")
     live = bot > 0.0

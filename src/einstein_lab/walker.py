@@ -77,5 +77,5 @@ def mc_exit_time(g, x, R, cfg: WalkConfig) -> McEstimate:
 
 def mc_exit_sample(g, x, R, cfg: WalkConfig) -> ExitSample:
     """Estimate plus the empirical exit-position counts, for comparison
-    against the harmonic measure row omega(x, .)."""
+    against the exact exit law, ``potential.exit_law``."""
     return _simulate(g, x, R, cfg)

@@ -179,6 +179,23 @@ class TestCompute:
         ("green", ["--A-ball", "220,r", "--y", "220", "--z", "220"],
          "error: --A-ball 220,r: need x,r"),
         ("lambda", ["--ball", "220,"], "error: --ball 220,: need x,r"),
+        # a flag that the quantity does not read is refused, not recorded
+        ("exit", ["--x", "220", "--R", "3", "--z", "5", "--ball", "1,2"],
+         "error: compute exit does not read --z\n"),
+        ("resistance", ["--annulus", "220,2,4", "--A-ball", "220,1",
+                        "--B-ball", "220,9"],
+         "error: compute resistance --annulus does not read --A-ball\n"),
+        ("resistance", ["--A-ball", "220,2", "--B-ball", "220,5",
+                        "--x", "220"],
+         "error: compute resistance does not read --x\n"),
+        ("green", ["--A-ball", "220,3", "--y", "220", "--z", "221",
+                   "--R", "3"], "error: compute green does not read --R\n"),
+        ("lambda", ["--ball", "220,4", "--annulus", "220,2,4"],
+         "error: compute lambda does not read --annulus\n"),
+        ("harnack", ["--x", "220", "--R", "2", "--B-ball", "220,5"],
+         "error: compute harnack does not read --B-ball\n"),
+        ("hg", ["--x", "220", "--R", "2", "--y", "220"],
+         "error: compute hg does not read --y\n"),
     ])
     def test_missing_flag_usage_error(self, z21_file, capsys, quantity,
                                       given, flag):

@@ -55,9 +55,10 @@ def test_readme_lists_every_condition_tag():
 
 
 def test_readme_shows_every_compute_quantity():
-    shown = {argv[2] for argv in readme_command_lines()
-             if argv[1] == "compute"}
-    assert shown == set(cli._COMPUTE_FLAGS)
+    # every row of the compute table, resistance's --annulus row too
+    shown = {argv[2] + (" --annulus" if "--annulus" in argv else "")
+             for argv in readme_command_lines() if argv[1] == "compute"}
+    assert shown == set(cli.COMPUTE)
 
 
 def test_readme_states_the_bucket_table_size():
@@ -175,9 +176,9 @@ def test_conditions_builds_no_solver():
 
 def test_three_functions_build_a_green_operator():
     # one solve path: a single right-hand side goes through potential.solve,
-    # which factors on a miss; only lambda_min and harmonic_measure (many
-    # right-hand sides each) keep an operator of their own; cli.py and
-    # conditions.py never name it
+    # which factors on a miss; only lambda_min and harnack_constant (many
+    # right-hand sides each, harnack_constant one exit kernel at a time)
+    # keep an operator of their own; cli.py and conditions.py never name it
     def builds_it(node):
         return isinstance(node, ast.Call) and (
             isinstance(node.func, ast.Name) and node.func.id == "GreenOperator"
@@ -189,7 +190,7 @@ def test_three_functions_build_a_green_operator():
              for top in ast.parse(path.read_text(encoding="utf-8")).body
              if any(map(builds_it, ast.walk(top)))}
     assert sites == {("potential.py", name) for name in (
-        "solve", "lambda_min", "harmonic_measure")}
+        "solve", "lambda_min", "harnack_constant")}
     for name in ("cli.py", "conditions.py"):
         text = (PACKAGE / name).read_text(encoding="utf-8")
         assert re.search(r"\bGreenOperator\b", text) is None

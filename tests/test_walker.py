@@ -10,8 +10,7 @@ from einstein_lab.errors import MarginError
 from einstein_lab.generators import (apply_radial_weights, binary_tree,
                                      lattice_box, sierpinski_gasket)
 from einstein_lab.graph import WeightedGraph, ball, eccentricities, shrink
-from einstein_lab.potential import (harmonic_measure, max_exit_time,
-                                    mean_exit_time)
+from einstein_lab.potential import exit_law, max_exit_time, mean_exit_time
 from einstein_lab.walker import WalkConfig, mc_exit_sample, mc_exit_time
 from test_graph import connected_graphs, host_profile
 
@@ -440,12 +439,10 @@ class TestExitDistribution:
     def test_matches_harmonic_measure(self):
         g, c = lattice_box(2, 21)
         R = 4
-        hm = harmonic_measure(g, c, R)
-        row = hm.omega[np.searchsorted(hm.region, c)]
+        bnd, law = exit_law(g, c, R)
         s = mc_exit_sample(g, c, R, WalkConfig(seed=31, n_walks=10_000))
         n = s.estimate.n
-        for k, z in enumerate(hm.boundary):
-            w = row[k]
+        for z, w in zip(bnd, law):
             cnt = s.exit_counts.get(int(z), 0)
             sigma = np.sqrt(n * w * (1 - w))
             assert abs(cnt - n * w) <= 4 * sigma + 1e-9
