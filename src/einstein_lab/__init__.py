@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .errors import (ConvergenceError, GraphFormatError, MarginError,
                      UnreachableError)
 from .graph import (WeightedGraph, annulus_volume, ball, boundary, closure,
-                    load, save, shrink, volume)
+                    load, save, volume)
 from .generators import (binary_tree, lattice_box, sierpinski_gasket,
                          vicsek_tree)
 from .potential import (EigenResult, GreenOperator, exit_law, exit_times,

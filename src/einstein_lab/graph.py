@@ -1,16 +1,17 @@
-"""Weighted-graph core: metric structure, boundaries, and vertex shrinking.
+"""Weighted-graph core: construction, metric structure and boundaries.
 
 A :class:`WeightedGraph` is an immutable symmetric weighted adjacency with
 the vertex measure mu(x) = sum of incident edge weights (a self-loop counts
 once).  The random walk it induces moves to neighbour y with probability
 mu_xy / mu(x).  Distances are hop counts (weights play no metric role), and
-balls are open: B(x, R) = {y : d(x, y) < R}.
+balls are open: B(x, R) = {y : d(x, y) < R}.  Only ``load`` and the
+generators build a graph; every region a measurement reads (a ball, its
+closure, a ball shrunk to one vertex) is sliced from the host's CSR.
 """
 
 import functools
 import inspect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -313,46 +314,6 @@ def boundary(g, A):
     return np.setdiff1d(closure(g, A), A, assume_unique=True)
 
 
-@dataclass(frozen=True)
-class ShrinkResult:
-    graph: WeightedGraph
-    a: int
-    old_to_new: np.ndarray
-
-
-def shrink(g, A):
-    """Contract the vertex set A into a single new vertex ``a``.
-
-    Edges inside the complement are kept unchanged; an edge x-a receives
-    the summed weight of all former edges from x into A; edges internal
-    to A are dropped.  The returned mapping sends removed vertices to -1.
-    """
-    A = _as_vertex_set(g, A)
-    if A.size == 0:
-        raise ValueError("cannot shrink the empty set")
-    if A.size >= g.vertex_count:
-        raise ValueError("cannot shrink the whole vertex set")
-    inA = np.zeros(g.vertex_count, dtype=bool)
-    inA[A] = True
-    keep = np.flatnonzero(~inA)
-    old_to_new = np.full(g.vertex_count, -1, dtype=np.int64)
-    old_to_new[keep] = np.arange(keep.size, dtype=np.int64)
-    a = int(keep.size)
-
-    u, v, w = g._upper()
-    kept = ~inA[u] & ~inA[v]
-    cross = inA[u] != inA[v]
-    # merged weights summed in edge-list order
-    x = old_to_new[np.where(inA[u], v, u)[cross]]
-    merged = np.zeros(a)
-    np.add.at(merged, x, w[cross])
-    x = np.unique(x)
-    edges = np.concatenate([
-        np.column_stack([old_to_new[u[kept]], old_to_new[v[kept]], w[kept]]),
-        np.column_stack([x, np.full(x.size, a), merged[x]])])
-    return ShrinkResult(WeightedGraph(a + 1, edges), a, old_to_new)
-
-
 def min_transition(g):
     """Smallest one-step transition probability p0 = min mu_xy / mu(x) and
     the first directed edge (x, y) attaining it."""
@@ -380,10 +341,8 @@ def save(g, path):
 
 def load(path):
     with open(path, "r", encoding="utf-8") as f:
-        lines = [
-            ln.strip() for ln in f
-            if ln.strip() and not ln.lstrip().startswith("#")
-        ]
+        lines = [ln for ln in map(str.strip, f)
+                 if ln and not ln.startswith("#")]
     if not lines:
         raise GraphFormatError(f"{path}: empty graph file")
     try:
@@ -394,11 +353,28 @@ def load(path):
         raise GraphFormatError(
             f"{path}: expected {m} edge lines, found {len(lines) - 1}"
         )
+    return WeightedGraph(n, _edge_rows(path, lines[1:]))
+
+
+def _edge_rows(path, rows):
+    """The edge lines "u v w" as an (m, 3) array, parsed by numpy in bulk
+    (ids as int64, so "2.5" or "1.0" is no id).  A line numpy refuses
+    sends every line through Python's int and float instead, which take a
+    few more spellings (1_000, other digit scripts) and name the first bad
+    line; so does an empty list, on which numpy warns."""
+    if rows:
+        try:
+            uvw = np.loadtxt(rows, dtype=[("u", np.int64), ("v", np.int64),
+                                          ("w", np.float64)],
+                             comments=None, ndmin=1)
+            return np.column_stack([uvw["u"], uvw["v"], uvw["w"]])
+        except ValueError:
+            pass
     edges = []
-    for ln in lines[1:]:
+    for ln in rows:
         try:
             u, v, w = ln.split()
             edges.append((int(u), int(v), float(w)))
         except ValueError:
             raise GraphFormatError(f"{path}: bad edge line {ln!r}") from None
-    return WeightedGraph(n, edges)
+    return edges

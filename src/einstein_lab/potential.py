@@ -29,9 +29,8 @@ import scipy.sparse.linalg as spla
 
 from ._kernels import bfs_distances
 from .errors import ConvergenceError, MarginError, UnreachableError
-from .graph import (WeightedGraph, _as_vertex_set, _gather, _keep,
-                    _per_graph, _subgraph, ball, boundary, closure,
-                    proper_ball, shrink, volume)
+from .graph import (_as_vertex_set, _gather, _keep, _per_graph, _subgraph,
+                    ball, boundary, closure, proper_ball, volume)
 
 SOLVE_TOL = 1e-10
 EIGEN_TOL = 1e-9
@@ -97,6 +96,13 @@ def resistance(g, A, B_outer):
     Solves the capacity potential u (1 on A, 0 off B_outer, harmonic on
     B_outer minus A) and returns 1 over the current leaving A; every
     array is the size of B_outer or of A's cut, never of the host."""
+    return _capacity(g, A, B_outer)[0]
+
+
+def _capacity(g, A, B_outer):
+    """(rho(A, complement of B_outer), B_outer minus A, the capacity
+    potential u on it, the weight of A's cut): ``resistance``'s solve,
+    whose u is kept by ``solve`` for the next caller of the same pair."""
     A = _as_vertex_set(g, A)
     B = _as_vertex_set(g, B_outer)
     if A.size == 0:
@@ -126,7 +132,7 @@ def resistance(g, A, B_outer):
                                           A.size))[-1])
     if current <= 1e-300:
         raise UnreachableError("no current flows from source to sink")
-    return 1.0 / current
+    return 1.0 / current, interior, u, float(w.sum())
 
 
 @_per_graph
@@ -266,20 +272,21 @@ def max_exit_time(g, x, R):
 
 @_per_graph
 def shrunk_exit_time(g, x, R):
-    """E_a(T_B), B = B(x,2R), once A = B(x,R) is shrunk to a vertex a.
-    Only C = closure(B) is shrunk, rebuilt from its gather's edges (i <= j):
-    it holds B's edges in order, so the system is the shrunk host's.  The
-    shrunk graph and its memo die at return."""
+    """E'_a(T_B), B = B(x,2R), once A = B(x,R) is shrunk to a vertex a,
+    read off the capacity potential u of A against the complement of B;
+    no shrunk graph is built.  The shrunk walk's Green kernel has g'(a,y)
+    = u(y) g'(a,a) and g'(a,a) = rho(A, complement of B), so
+
+        E'_a(T_B) = rho (mu'(a) + sum over B minus A of u mu),
+
+    mu'(a) the weight of A's cut (Telcs, arXiv 0801.2336; Doyle & Snell,
+    1984).  The symmetry g'(a,y) = g'(y,a) needs M symmetric, which holds
+    on every graph the constructor builds.  rho is resistance_annulus(g,
+    x, R-1, 2R) bit for bit, and u is its solve, kept by ``solve``."""
     A = proper_ball(g, x, R)
     B = proper_ball(g, x, 2 * R, what="outer ball")
-    C = closure(g, B)
-    i, j, w = _gather(g, C, C)
-    up = i <= j
-    sr = shrink(WeightedGraph(C.size, np.column_stack([i[up], j[up], w[up]])),
-                np.searchsorted(C, A))
-    keep = sr.old_to_new[np.searchsorted(C, B)]
-    region = np.append(keep[keep >= 0], sr.a)
-    return float(exit_times(sr.graph, region)[-1])
+    rho, interior, u, mu_a = _capacity(g, A, B)
+    return rho * (mu_a + float(u @ g.mu[interior]))
 
 
 # -- smallest Dirichlet eigenvalue ---------------------------------------------
@@ -359,9 +366,15 @@ def harnack_constant(g, x, R):
     op = GreenOperator(g, B)
     half = np.isin(B, ball(g, x, R))
     i, j, w = _gather(g, B, bnd)
+    # each kernel's entries contiguous and, by a stable sort, in gather
+    # order: the order the pinned H values sum each right-hand side in
+    order = np.argsort(j, kind="stable")
+    i, w = i[order], w[order]
+    cuts = np.r_[0, np.cumsum(np.bincount(j, minlength=bnd.size))].tolist()
     top, bot = np.empty((2, bnd.size))
     for k in range(bnd.size):
-        kernel = op.solve(np.bincount(i[j == k], w[j == k], B.size))[half]
+        s = slice(cuts[k], cuts[k + 1])
+        kernel = op.solve(np.bincount(i[s], w[s], B.size))[half]
         top[k], bot[k] = kernel.max(), kernel.min()
     if np.any((bot <= 0.0) & (top > 0.0)):
         return float("inf")

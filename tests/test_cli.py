@@ -661,7 +661,7 @@ class TestMc:
 @pytest.mark.parametrize("family, digest, json_digest", [
     (["sierpinski", "--level", "5"],
      "74de1c970f31fce37c4688042a67ab289bba77156cae7f09b5118ff271bf87ef",
-     "8593b02cf3a821f77e375c1a6036e8e1dd26f68092892bd27ea6a7ff52af8328"),
+     "2f03642d10fe1605a0a9207fd5878d9662ef4105bff9330be143276bfb479ab7"),
     (["vicsek", "--level", "3"],
      "d79277d906a62a5fd7b4849b5f98ac6f4d2a19bbcc9e06a85d98b3e66b513c3a",
      "6d55babe9ff516bc2e5f565755e885a3c4c944bd0a38d8888f22cc48eef37b61"),

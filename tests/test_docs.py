@@ -196,6 +196,24 @@ def test_three_functions_build_a_green_operator():
         assert re.search(r"\bGreenOperator\b", text) is None
 
 
+def test_only_load_and_the_generators_build_a_graph():
+    # a graph is built from a file or by a generator, never per cell: no
+    # measurement rebuilds a region (a ball, its closure, a shrunk ball) as
+    # a WeightedGraph of its own
+    def builds_it(node):
+        return isinstance(node, ast.Call) and (
+            isinstance(node.func, ast.Name) and node.func.id == "WeightedGraph"
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr == "WeightedGraph")
+
+    sites = {(path.name, getattr(top, "name", None))
+             for path in sorted(PACKAGE.glob("*.py"))
+             for top in ast.parse(path.read_text(encoding="utf-8")).body
+             if any(map(builds_it, ast.walk(top)))}
+    assert {name for name, _ in sites} == {"graph.py", "generators.py"}
+    assert {top for name, top in sites if name == "graph.py"} == {"load"}
+
+
 def test_keep_is_the_one_memo_writer():
     # one keeping rule: only graph._keep assigns into a ._memo[...], and
     # setflags(write=False) appears only there and where WeightedGraph

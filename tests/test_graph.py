@@ -15,7 +15,7 @@ from einstein_lab.conditions import auto_centers, ball_inside_host
 from einstein_lab.errors import GraphFormatError
 from einstein_lab.graph import (WeightedGraph, annulus_volume, ball, boundary,
                                 closure, eccentricities, fill_balls, load,
-                                min_transition, save, shrink, volume)
+                                min_transition, save, volume)
 from einstein_lab.generators import (apply_radial_weights, binary_tree,
                                      lattice_box, sierpinski_gasket,
                                      vicsek_tree)
@@ -165,6 +165,13 @@ def shrink_reference(g, A):
     for nx, w in sorted(cross.items()):
         edges.append((nx, a, w))
     return graph_reference(a + 1, edges), a, old_to_new
+
+
+def shrunk_graph(g, A):
+    """The host with A contracted to one vertex a, as the graph of
+    ``shrink_reference``'s edges, with a and the relabelling."""
+    ref, a, old_to_new = shrink_reference(g, A)
+    return WeightedGraph(a + 1, ref["edges"]), a, old_to_new
 
 
 def host_profile(g):
@@ -360,23 +367,6 @@ class TestArrayConstruction:
         else:
             assert got == ref
 
-    @given(edge_lists(), st.data())
-    @settings(max_examples=60, deadline=None)
-    @example((4, [(0, 1, 2.0 ** -53), (0, 2, 2.0 ** -53), (0, 3, 1.0),
-                  (1, 1, 0.7), (0, 0, 0.1)]), None)
-    def test_shrink_matches_loop(self, case, data):
-        g = WeightedGraph(*case)
-        n = g.vertex_count
-        A = [1, 2, 3] if data is None else data.draw(
-            st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1,
-                     unique=True))
-        if len(set(A)) == n:
-            return
-        ref, a, old_to_new = shrink_reference(g, A)
-        sr = shrink(g, A)
-        assert_matches_reference(sr.graph, ref)
-        assert (sr.a, sr.old_to_new.tolist()) == (a, old_to_new)
-
     @given(st.one_of(edge_lists(hub=True).map(lambda c: WeightedGraph(*c)),
                      stored_walks(edge_lists(hub=True))))
     @settings(max_examples=60, deadline=None)
@@ -400,7 +390,7 @@ class TestOneAdjacency:
     def test_no_stored_edge_list(self):
         g = path_graph(4)
         h = stored_graph(g.indptr, g.indices, g.weights)
-        for x in (g, h, shrink(g, [0, 1]).graph, shrink(h, [3]).graph):
+        for x in (g, h):
             assert "edges" not in vars(x)
             assert x.edges == x.edges and x.edges is not x.edges
 
@@ -413,17 +403,6 @@ class TestOneAdjacency:
                  if x <= y]
         assert g.edges == upper
         assert g.edge_count == len(upper)
-
-    @pytest.mark.parametrize("entry, merged", [(2, 1.5), (3, 1.0)],
-                             ids=["upper", "lower"])
-    def test_shrink_reads_stored_upper_entry(self, entry, merged):
-        # path 0-1-2-3 stores 1->2 at entry 2 and 2->1 at entry 3; the
-        # merged edge 1-a carries the upper entry's weight
-        g = path_graph(4)
-        w = g.weights.copy()
-        w[entry] = 1.5
-        h = stored_graph(g.indptr, g.indices, w)
-        assert shrink(h, [2, 3]).graph.edges == [(0, 1, 1.0), (1, 2, merged)]
 
 
 class TestMetric:
@@ -710,35 +689,29 @@ class TestBoundary:
 
 
 class TestShrink:
+    """The shrunk graph that the exit-time identity is checked against:
+    ``shrink_reference``, the definition, built as a graph."""
+
     def test_path_two_endpoints(self):
-        g = path_graph(3)
-        sr = shrink(g, [0, 2])
-        assert sr.graph.vertex_count == 2
-        assert sr.graph.edges == [(0, 1, 2.0)]
-        assert sr.a == 1
+        h, a, _ = shrunk_graph(path_graph(3), [0, 2])
+        assert h.vertex_count == 2
+        assert h.edges == [(0, 1, 2.0)]
+        assert a == 1
 
     def test_singleton_is_relabel(self):
-        g = path_graph(4)
-        sr = shrink(g, [3])
-        assert sr.graph.vertex_count == 4
-        assert sorted(w for _, _, w in sr.graph.edges) == [1.0, 1.0, 1.0]
-        assert eccentricities(sr.graph)[sr.a] == 3
+        h, a, _ = shrunk_graph(path_graph(4), [3])
+        assert h.vertex_count == 4
+        assert sorted(w for _, _, w in h.edges) == [1.0, 1.0, 1.0]
+        assert eccentricities(h)[a] == 3
 
     def test_four_cycle_opposite_pair(self):
         from einstein_lab.potential import resistance
         g = WeightedGraph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
-        sr = shrink(g, [0, 2])
-        assert sr.graph.vertex_count == 3
-        assert sorted(w for _, _, w in sr.graph.edges) == [2.0, 2.0]
+        h, a, _ = shrunk_graph(g, [0, 2])
+        assert h.vertex_count == 3
+        assert sorted(w for _, _, w in h.edges) == [2.0, 2.0]
         # parallel-path reduction: a sees each remaining vertex at rho 1/2
-        assert resistance(sr.graph, [sr.a], [sr.a, 0]) == pytest.approx(0.5)
-
-    def test_rejects_empty_and_total(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            shrink(g, [])
-        with pytest.raises(ValueError):
-            shrink(g, [0, 1, 2])
+        assert resistance(h, [a], [a, 0]) == pytest.approx(0.5)
 
     @given(connected_graphs())
     @settings(max_examples=25, deadline=None)
@@ -749,19 +722,19 @@ class TestShrink:
         inA = np.zeros(g.vertex_count, dtype=bool)
         inA[A] = True
         crossing = sum(w for u, v, w in g.edges if inA[u] != inA[v])
-        sr = shrink(g, A)
-        at_a = sum(w for u, v, w in sr.graph.edges if sr.a in (u, v))
+        h, a, _ = shrunk_graph(g, A)
+        at_a = sum(w for u, v, w in h.edges if a in (u, v))
         assert at_a == pytest.approx(crossing)
-        assert sr.graph.mu[sr.a] == pytest.approx(crossing)
+        assert h.mu[a] == pytest.approx(crossing)
 
 
 class TestVertexSets:
-    """closure, boundary and shrink read their vertex set by one rule: ids
-    in [0, n), repeats counted once."""
+    """closure and boundary read their vertex set by one rule: ids in
+    [0, n), repeats counted once."""
 
     @pytest.mark.parametrize("A", [[-1], [5], [2, 9]])
-    @pytest.mark.parametrize("op", [closure, boundary, shrink],
-                             ids=["closure", "boundary", "shrink"])
+    @pytest.mark.parametrize("op", [closure, boundary],
+                             ids=["closure", "boundary"])
     def test_out_of_range_refused(self, op, A):
         # numpy would wrap -1 to the last vertex and index past n raw
         with pytest.raises(ValueError, match="vertex id out of range"):
@@ -771,10 +744,6 @@ class TestVertexSets:
         g = path_graph(5)
         assert closure(g, [2, 2]).tolist() == [1, 2, 3]
         assert boundary(g, [3, 2, 3]).tolist() == [1, 4]
-        # six ids, four vertices: not the whole vertex set
-        sr = shrink(g, [0, 0, 1, 1, 2, 3])
-        assert (sr.a, sr.graph.edges) == (1, [(0, 1, 1.0)])
-        assert sr.old_to_new.tolist() == [-1, -1, -1, -1, 0]
 
 
 class TestP0:
@@ -798,7 +767,61 @@ class TestP0:
         assert min_transition(g) == min_transition_reference(g)
 
 
+def load_reference(path):
+    """The per-line parse: Python's int and float on each edge line, the
+    first bad line named, then the constructor on the list of tuples."""
+    with open(path, encoding="utf-8") as f:
+        lines = [ln.strip() for ln in f
+                 if ln.strip() and not ln.lstrip().startswith("#")]
+    n = int(lines[0].split()[0])
+    edges = []
+    for ln in lines[1:]:
+        try:
+            u, v, w = ln.split()
+            edges.append((int(u), int(v), float(w)))
+        except ValueError:
+            raise GraphFormatError(f"{path}: bad edge line {ln!r}") from None
+    return WeightedGraph(n, edges)
+
+
+# spellings numpy's parser and Python's share, and some only Python reads
+ID_TOKENS = st.sampled_from(["0", "1", "2", "3", "+1", "-1", "01", "1_0",
+                             "\u0661", "1.0", "2.5", "1e0", "x",
+                             "99999999999999999999"])
+WEIGHT_TOKENS = st.sampled_from(["1.0", "0.5", "2", ".5", "3.", "1e0",
+                                 "1E-1", "inf", "nan", "-1", "0", "abc",
+                                 "1_0.5", "0x1", "1e400"])
+
+
+# lines that are not edges: blank, whitespace, comments (indented too)
+NOISE_LINES = st.sampled_from(["", "  ", "\t", "# c", "  # 0 1 1.0"])
+
+
 class TestTextFormat:
+    @given(st.integers(1, 4), st.lists(st.one_of(
+        st.tuples(ID_TOKENS, ID_TOKENS, WEIGHT_TOKENS),
+        st.lists(WEIGHT_TOKENS, min_size=1, max_size=4)), min_size=1,
+        max_size=6), st.lists(NOISE_LINES, max_size=7), st.randoms())
+    @settings(max_examples=200, deadline=None)
+    @example(3, [("0", "1", "1.0"), ("1", "2", "0.5")], [], None)
+    def test_bulk_parse_matches_line_loop(self, tmp_path_factory, n, rows,
+                                          noise, rng):
+        # the same graph, or the same GraphFormatError message, with the
+        # edge lines padded by whitespace and shuffled among the noise
+        lines = [f" {' '.join(r)}\t" for r in rows] + noise
+        if rng is not None:
+            rng.shuffle(lines)
+        p = tmp_path_factory.mktemp("load") / "g.txt"
+        p.write_text(f"{n} {len(rows)}\n" + "".join(ln + "\n" for ln in lines),
+                     encoding="utf-8")
+        outcomes = []
+        for build in (load_reference, load):
+            try:
+                outcomes.append(build(p).edges)
+            except GraphFormatError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
     def test_round_trip_byte_stable(self, tmp_path):
         g, _ = lattice_box(2, 5)
         p1 = tmp_path / "a.txt"

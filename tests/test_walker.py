@@ -9,10 +9,10 @@ from einstein_lab import _kernels
 from einstein_lab.errors import MarginError
 from einstein_lab.generators import (apply_radial_weights, binary_tree,
                                      lattice_box, sierpinski_gasket)
-from einstein_lab.graph import WeightedGraph, ball, eccentricities, shrink
+from einstein_lab.graph import WeightedGraph, ball, eccentricities
 from einstein_lab.potential import exit_law, max_exit_time, mean_exit_time
 from einstein_lab.walker import WalkConfig, mc_exit_sample, mc_exit_time
-from test_graph import connected_graphs, host_profile
+from test_graph import connected_graphs, host_profile, shrunk_graph
 
 # -- scalar reference for the walk's generator --------------------------------
 #
@@ -86,7 +86,7 @@ U_MAX = 1.0 - 2.0 ** -53
 def walk_hosts():
     """(graph, start) pairs with unequal weights, a hub and a self-loop."""
     z21, c21 = lattice_box(2, 21)
-    shrunk = shrink(z21, ball(z21, 220, 4)).graph      # merged hub: degree 16
+    shrunk = shrunk_graph(z21, ball(z21, 220, 4))[0]   # merged hub: degree 16
     tree, root = binary_tree(7)
     loops = WeightedGraph(21, [(i, i + 1, 1.0 + i % 3) for i in range(20)]
                           + [(i, i, 0.5) for i in range(0, 21, 2)])
