@@ -12,6 +12,7 @@ closure, a ball shrunk to one vertex) is sliced from the host's CSR.
 import functools
 import inspect
 import math
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -358,16 +359,18 @@ def load(path):
 
 def _edge_rows(path, rows):
     """The edge lines "u v w" as an (m, 3) array, parsed by numpy in bulk
-    (ids as int64, so "2.5" or "1.0" is no id).  A line numpy refuses
-    sends every line through Python's int and float instead, which take a
-    few more spellings (1_000, other digit scripts) and name the first bad
-    line; so does an empty list, on which numpy warns."""
+    with int64 ids, so "2.5" or "1.0" is no id (numpy releases that read
+    such an id "via a float" only warn; that warning is an error here).
+    A line numpy refuses sends every line through Python's int and float,
+    which take a few more spellings (1_000, other digit scripts) and name
+    the first bad line; so does an empty list, on which numpy warns."""
     if rows:
         try:
-            uvw = np.loadtxt(rows, dtype=[("u", np.int64), ("v", np.int64),
-                                          ("w", np.float64)],
-                             comments=None, ndmin=1)
-            return np.column_stack([uvw["u"], uvw["v"], uvw["w"]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                uvw = np.loadtxt(rows, dtype="i8,i8,f8", comments=None,
+                                 ndmin=1)
+            return np.column_stack([uvw[f] for f in uvw.dtype.names])
         except ValueError:
             pass
     edges = []

@@ -465,6 +465,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"error: {p}: bad edge line '1 x 1.0'\n"
 
+    def test_fractional_id_refused_under_default_warnings(self, tmp_path):
+        # a fresh interpreter, whose warning filters are Python's defaults
+        p = tmp_path / "g.txt"
+        p.write_text("3 2\n0 1 1.0\n1 2.5 1.0\n")
+        r = run_cli(["compute", "exit", "--graph", str(p), "--x", "1",
+                     "--R", "1"])
+        assert r.returncode == cli.EXIT_USAGE
+        assert r.stderr == f"error: {p}: bad edge line '1 2.5 1.0'\n"
+
     def test_unexpected_exception_is_internal_error(self, z21_file,
                                                     monkeypatch, capsys):
         path, g, c = z21_file

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import sys
+import warnings
 from collections import deque
 
 import numpy as np
@@ -857,6 +858,19 @@ class TestTextFormat:
         with pytest.raises(GraphFormatError) as info:
             load(p)
         assert str(info.value) == f"{p}: {message}"
+
+    # an id spelt as a float is refused with the caller's warnings left at
+    # Python's defaults too, under which a deprecation warning is silent
+    @pytest.mark.parametrize("row", ["1 2.5 1.0", "1.0 2 1.0", "1e0 2 1.0",
+                                     "nan 2 1.0", "inf 2 1.0"])
+    def test_float_id_refused_with_warnings_ignored(self, tmp_path, row):
+        p = tmp_path / "g.txt"
+        p.write_text(f"3 2\n0 1 1.0\n{row}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(GraphFormatError) as info:
+                load(p)
+        assert str(info.value) == f"{p}: bad edge line {row!r}"
 
     def test_wrong_edge_count(self, tmp_path):
         p = tmp_path / "g.txt"

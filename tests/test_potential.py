@@ -571,10 +571,15 @@ def assert_meets_shrunk_host(g, x, R):
 
 
 def assert_cells_meet_shrunk_host(g):
+    """On a sweep's own cE<rm cells both sides must return a number: the
+    identity within 1e-12 relative of the shrunk host on every cell."""
     cells = valid_cells(g, default_grid(g), 2)[0]
     assert cells
     for x, R in cells:
-        assert_meets_shrunk_host(g, x, R)
+        want = shrunk_host_exit_time(g, x, R)
+        got = shrunk_exit_time(g, x, R)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestShrunkExitTime:
